@@ -10,7 +10,8 @@ namespace dpm::sim {
 Executive::Executive() = default;
 
 Executive::~Executive() {
-  // Abort every live task and drain it so threads exit cleanly.
+  // Abort every live task and drain it so each body unwinds on its own
+  // stack before the stack is unmapped.
   for (auto& [id, st] : tasks_) {
     if (st.task->started() && !st.task->finished()) {
       st.task->request_abort();
@@ -116,11 +117,6 @@ void Executive::resume_task(TaskId id) {
   if (switches_counter_) switches_counter_->add(1);
   st->task->resume();
   current_ = kNoTask;
-  // A task that just ran to completion has an exited OS thread behind it;
-  // join it now so its stack mapping is released (and recycled by the
-  // runtime's stack cache) instead of accumulating one zombie mapping per
-  // finished process for the life of the world.
-  if (st->task->finished()) st->task->reap();
   // If a wake arrived while the task was running and it then parked, the
   // park consumed it synchronously (see park_current). If the task parked
   // without a pending wake it stays off the runnable queue until woken.

@@ -70,7 +70,7 @@ class Executive {
   /// Runs until simulated time would exceed `t` (events at exactly `t` run).
   void run_until(util::TimePoint t);
 
-  /// True while `run()` is live-locked guard: number of task switches done.
+  /// Number of task switches done (resumes of a task by the executive).
   std::uint64_t switches() const { return switches_; }
 
   bool task_finished(TaskId id) const;

@@ -1,17 +1,15 @@
 // Cooperative tasks: simulated processes as suspendable activities.
 //
-// Each task runs its body on a dedicated OS thread, but exactly one thread
-// (either the executive or one task) is ever running: control is handed
-// over explicitly through resume()/park(). This gives natural blocking
-// syscalls inside process bodies while keeping the simulation
-// single-threaded in effect — and therefore deterministic.
+// Each task runs its body as a fiber: on a stack of its own, but on the
+// thread that calls resume(). Control is handed over explicitly through
+// resume()/park(), so exactly one body (or the executive) runs at a time.
+// This gives natural blocking syscalls inside process bodies while keeping
+// the simulation single-threaded — and therefore deterministic.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 
 namespace dpm::sim {
 
@@ -30,10 +28,12 @@ class Task {
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
 
-  /// Launches the body; the task stays suspended until the first resume().
+  /// Maps the body's stack; the body stays suspended until the first
+  /// resume().
   void start(Body body);
 
-  /// Executive side: runs the task until it parks or finishes.
+  /// Executive side: runs the task until it parks or finishes. When the
+  /// body finishes its stack is unmapped before resume() returns.
   /// Precondition: started, not finished, not currently running.
   void resume();
 
@@ -45,28 +45,19 @@ class Task {
   /// TaskAborted inside the body. Safe to call multiple times.
   void request_abort();
 
-  /// Joins the OS thread once the body has finished, releasing its stack
-  /// mapping. An exited-but-unjoined thread pins one stack mapping each;
-  /// at cluster scale (100k+ simulated processes per world) that hits
-  /// vm.max_map_count long before memory runs out. No-op until finished.
-  void reap();
-
   bool started() const { return started_; }
   bool finished() const { return finished_; }
   bool abort_requested() const { return abort_; }
   const std::string& name() const { return name_; }
 
  private:
-  enum class Turn { executive, task };
+  struct Fiber;  // stack mapping and saved machine state; see task.cc
 
-  void task_side_wait_for_turn();
+  static void entry(unsigned hi, unsigned lo) noexcept;
 
   std::string name_;
   Body body_;
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::executive;
+  std::unique_ptr<Fiber> fiber_;  // null before start() and once finished
   bool started_ = false;
   bool finished_ = false;
   bool abort_ = false;

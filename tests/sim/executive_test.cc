@@ -1,7 +1,16 @@
 #include "sim/executive.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <csignal>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace dpm::sim {
@@ -164,6 +173,138 @@ TEST(Executive, ManyTasksDrainCleanly) {
   }
   exec.run();
   EXPECT_EQ(done, 100);
+}
+
+TEST(Executive, ParkInsideCatchHandlerKeepsOwnException) {
+  // Both tasks park while handling an exception, so both are live in the
+  // one thread at once; each `throw;` must rethrow the task's own value.
+  Executive exec;
+  int seen_a = 0;
+  int seen_b = 0;
+  auto body = [&exec](int value, int* seen) {
+    return [&exec, value, seen] {
+      try {
+        throw value;
+      } catch (int) {
+        exec.park_current();
+        try {
+          throw;
+        } catch (int rethrown) {
+          *seen = rethrown;
+        }
+      }
+    };
+  };
+  const TaskId a = exec.spawn("a", body(1, &seen_a));
+  const TaskId b = exec.spawn("b", body(2, &seen_b));
+  exec.run();
+  exec.make_runnable(a);
+  exec.make_runnable(b);
+  exec.run();
+  EXPECT_EQ(seen_a, 1);
+  EXPECT_EQ(seen_b, 2);
+  EXPECT_EQ(exec.live_tasks(), 0u);
+}
+
+// Recurses `depth` frames deep; no stack holds SIZE_MAX of them.
+int recurse(std::size_t depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) return frame[0];
+  return recurse(depth - 1) + frame[0];
+}
+
+// The PROT_NONE mapping directly below the one holding `addr`, or an empty
+// range when the mapping below is not an adjacent inaccessible page.
+std::pair<std::uintptr_t, std::uintptr_t> guard_below(const void* addr) {
+  const auto at = reinterpret_cast<std::uintptr_t>(addr);
+  std::ifstream maps("/proc/self/maps");
+  std::uintptr_t prev_lo = 0;
+  std::uintptr_t prev_hi = 0;
+  bool prev_inaccessible = false;
+  for (std::string line; std::getline(maps, line);) {
+    unsigned long lo = 0;
+    unsigned long hi = 0;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%lx-%lx %4s", &lo, &hi, perms) != 3) continue;
+    if (lo <= at && at < hi) {
+      if (prev_inaccessible && prev_hi == lo) return {prev_lo, prev_hi};
+      break;
+    }
+    prev_lo = lo;
+    prev_hi = hi;
+    prev_inaccessible = std::strcmp(perms, "---p") == 0;
+  }
+  return {0, 0};
+}
+
+// Written by the task, read by the fault handler on the same thread.
+std::atomic<std::uintptr_t> guard_lo{0};
+std::atomic<std::uintptr_t> guard_hi{0};
+
+void report_fault(int, siginfo_t* info, void*) {
+  const auto at = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const char* what = at >= guard_lo && at < guard_hi ? "overflow hit the guard page\n"
+                                                     : "fault outside any guard page\n";
+  [[maybe_unused]] const ssize_t n = write(STDERR_FILENO, what, std::strlen(what));
+  _exit(1);
+}
+
+TEST(ExecutiveDeathTest, StackOverflowDiesOnGuardPage) {
+  EXPECT_DEATH(
+      {
+        // The task's stack is exhausted when the fault arrives, so the
+        // handler needs a stack of its own.
+        static char alt_stack[64 * 1024];
+        stack_t ss{};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof alt_stack;
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa {};
+        sa.sa_sigaction = report_fault;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        Executive exec;
+        exec.spawn("deep", [] {
+          const char here = 0;
+          const auto [lo, hi] = guard_below(&here);
+          guard_lo = lo;
+          guard_hi = hi;
+          recurse(SIZE_MAX);
+        });
+        exec.run();
+      },
+      "overflow hit the guard page");
+}
+
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(Executive, FinishedTasksReleaseTheirStacks) {
+  constexpr std::size_t kTasks = 10000;
+  const std::size_t before = mapping_count();
+  Executive exec;
+  std::vector<TaskId> ids;
+  ids.reserve(kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    ids.push_back(exec.spawn("parked", [&exec] { exec.park_current(); }));
+  }
+  exec.run();
+  ASSERT_EQ(exec.live_tasks(), kTasks);
+  // Each live stack is two mappings: the stack and its guard page.
+  EXPECT_GE(mapping_count(), before + 2 * kTasks);
+  for (TaskId id : ids) exec.abort_task(id);
+  exec.run();
+  EXPECT_EQ(exec.live_tasks(), 0u);
+  // With the executive (and every Task object) still alive, the stacks
+  // must already be gone: a finished task holds no mapping. The slack is
+  // for the allocator, which maps regions for the tasks' heap objects
+  // (about 40 under asan).
+  EXPECT_LE(mapping_count(), before + 64);
 }
 
 }  // namespace
