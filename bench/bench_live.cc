@@ -40,7 +40,7 @@ namespace {
 /// filter, exactly what a filter log (and thus both analysis paths)
 /// contains.
 std::string make_trace_text(Workload w, int events) {
-  auto engine = make_engine(filter::EvalPath::view, /*rules=*/"");
+  auto engine = make_engine(/*rules=*/"");
   return engine.feed(1, make_batch(w, events));
 }
 
@@ -81,7 +81,7 @@ std::string make_paired_trace_text(int events) {
   }
   util::Bytes batch;
   for (const auto& m : msgs) m.serialize_into(batch);
-  auto engine = make_engine(filter::EvalPath::view, /*rules=*/"");
+  auto engine = make_engine(/*rules=*/"");
   return engine.feed(1, batch);
 }
 

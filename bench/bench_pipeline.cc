@@ -1,33 +1,25 @@
-// Zero-copy meter→filter pipeline (§3.2–§3.4, §4).
+// Meter→filter pipeline (§3.2–§3.4, §4).
 //
-// The monitor's hot path is meter_emit → batch flush → filter framing →
-// selection → log. This benchmark measures both halves of the PR-2
-// zero-copy rework against the paths they replaced:
+// The monitor's hot path is meter_emit → transport → filter framing →
+// selection → log. This benchmark replays each workload (send/recv-heavy,
+// accept/connect-heavy, mixed) through kernel::meter_emit in a live World,
+// carried by batched socket sends versus the shared meter ring into the
+// same filter engine, timed in real seconds with the produced logs
+// byte-compared across the two transports. The filter engine's own
+// throughput per rule set is bench_filter's (E3).
 //
-//   * encode: MeterMsg::serialize_into appending straight into the pending
-//     batch (with the batch capacity pre-reserved, as meter_emit does)
-//     versus the old serialize-to-temporary-then-copy;
-//   * filter ingestion: FilterEngine matching on wire views and decoding
-//     only accepted records (EvalPath::view) versus decoding every record
-//     first (EvalPath::owned);
-//   * filter dispatch: the compiled clause-plan walker versus the flat
-//     filter bytecode (MatchEngine::compiled vs ::bytecode), same rules,
-//     same wire views;
-//   * end-to-end: each workload (send/recv-heavy, accept/connect-heavy,
-//     mixed) replayed through kernel::meter_emit in a live World, carried
-//     by batched socket sends + compiled matching versus the shared meter
-//     ring + bytecode, timed in real seconds with the produced logs
-//     byte-compared across the two transports.
-//
-// Every run writes BENCH_pipeline.json (the mixed-workload encode/filter
-// rates, the per-workload e2e comparison, and the equivalence verdicts).
-// `bench_pipeline --smoke` checks that the owned-Record and RecordView
-// paths produce byte-identical selected log output (whole-batch and
-// chunked feeds) and identical stats, that every workload's batch and
-// ring logs byte-compare equal, validates the JSON, and exits; it is
-// registered under ctest and also run under the sanitizer configuration.
+// With no argument it runs the full-size comparison and writes
+// BENCH_pipeline.json (the per-workload e2e comparison and the
+// equivalence verdicts); `--e2e` is the regression gate's run (below).
+// `bench_pipeline --smoke` checks that the
+// engine renders exactly the reference log (decode + Templates::evaluate +
+// trace_line per record; whole-batch and chunked feeds), that every
+// workload's socket and ring logs byte-compare equal, validates the JSON,
+// and exits; it is registered under ctest and also run under the
+// sanitizer configuration.
 #include "bench_util.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -35,7 +27,6 @@
 #include <sstream>
 
 #include "filter/filter_program.h"
-#include "filter/trace.h"
 #include "kernel/meter_hooks.h"
 #include "meter/metermsgs.h"
 #include "obs/snapshot.h"
@@ -45,165 +36,10 @@
 namespace dpm::bench {
 namespace {
 
-// ---- encode path: serialize+copy vs serialize_into ------------------------
-
-/// The pre-PR meter_emit body: serialize into a temporary, copy into the
-/// pending batch, swap the batch out at the flush threshold.
-std::uint64_t encode_owned(const std::vector<meter::MeterMsg>& msgs,
-                           std::size_t flush_bytes) {
-  util::Bytes pending;
-  std::uint64_t bytes = 0;
-  for (const auto& m : msgs) {
-    const util::Bytes wire = m.serialize();
-    pending.insert(pending.end(), wire.begin(), wire.end());
-    if (pending.size() >= flush_bytes) {
-      util::Bytes batch;
-      batch.swap(pending);
-      bytes += batch.size();
-      benchmark::DoNotOptimize(batch.data());
-    }
-  }
-  bytes += pending.size();
-  benchmark::DoNotOptimize(pending.data());
-  return bytes;
-}
-
-/// The zero-copy meter_emit body: reserve once per batch, encode in place.
-std::uint64_t encode_zero_copy(const std::vector<meter::MeterMsg>& msgs,
-                               std::size_t flush_bytes) {
-  constexpr std::size_t kSlack = 256;  // meter_hooks' overshoot headroom
-  util::Bytes pending;
-  std::uint64_t bytes = 0;
-  for (const auto& m : msgs) {
-    if (pending.capacity() < flush_bytes + kSlack) {
-      pending.reserve(flush_bytes + kSlack);
-    }
-    m.serialize_into(pending);
-    if (pending.size() >= flush_bytes) {
-      util::Bytes batch;
-      batch.swap(pending);
-      bytes += batch.size();
-      benchmark::DoNotOptimize(batch.data());
-    }
-  }
-  bytes += pending.size();
-  benchmark::DoNotOptimize(pending.data());
-  return bytes;
-}
-
-constexpr int kEvents = 2000;
-constexpr std::size_t kFlushBytes = 1024;  // WorldConfig default
-
-void run_encode(benchmark::State& state, Workload w, bool zero_copy) {
-  const auto msgs = make_messages(w, kEvents);
-  std::uint64_t events = 0, bytes = 0;
-  for (auto _ : state) {
-    bytes += zero_copy ? encode_zero_copy(msgs, kFlushBytes)
-                       : encode_owned(msgs, kFlushBytes);
-    events += msgs.size();
-  }
-  state.counters["events_per_s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["bytes_per_s"] = benchmark::Counter(
-      static_cast<double>(bytes), benchmark::Counter::kIsRate);
-}
-
-void BM_Encode_Owned_SendRecv(benchmark::State& state) {
-  run_encode(state, Workload::sendrecv, false);
-}
-void BM_Encode_ZeroCopy_SendRecv(benchmark::State& state) {
-  run_encode(state, Workload::sendrecv, true);
-}
-void BM_Encode_Owned_AcceptConnect(benchmark::State& state) {
-  run_encode(state, Workload::acceptconnect, false);
-}
-void BM_Encode_ZeroCopy_AcceptConnect(benchmark::State& state) {
-  run_encode(state, Workload::acceptconnect, true);
-}
-void BM_Encode_Owned_Mixed(benchmark::State& state) {
-  run_encode(state, Workload::mixed, false);
-}
-void BM_Encode_ZeroCopy_Mixed(benchmark::State& state) {
-  run_encode(state, Workload::mixed, true);
-}
-
-BENCHMARK(BM_Encode_Owned_SendRecv);
-BENCHMARK(BM_Encode_ZeroCopy_SendRecv);
-BENCHMARK(BM_Encode_Owned_AcceptConnect);
-BENCHMARK(BM_Encode_ZeroCopy_AcceptConnect);
-BENCHMARK(BM_Encode_Owned_Mixed);
-BENCHMARK(BM_Encode_ZeroCopy_Mixed);
-
-// ---- filter ingestion: owned decode vs wire views -------------------------
-
-void run_filter(benchmark::State& state, Workload w, filter::EvalPath path) {
-  const util::Bytes batch = make_batch(w, kEvents);
-  auto engine = make_engine(path);
-  std::uint64_t records = 0, conn = 0;
-  for (auto _ : state) {
-    std::string log = engine.feed(++conn, batch);
-    benchmark::DoNotOptimize(log);
-    records += kEvents;
-  }
-  state.counters["records_per_s"] = benchmark::Counter(
-      static_cast<double>(records), benchmark::Counter::kIsRate);
-  state.counters["accept_rate"] =
-      static_cast<double>(engine.stats().accepted) /
-      static_cast<double>(engine.stats().records_in);
-}
-
-void BM_Filter_Owned_SendRecv(benchmark::State& state) {
-  run_filter(state, Workload::sendrecv, filter::EvalPath::owned);
-}
-void BM_Filter_View_SendRecv(benchmark::State& state) {
-  run_filter(state, Workload::sendrecv, filter::EvalPath::view);
-}
-void BM_Filter_Owned_AcceptConnect(benchmark::State& state) {
-  run_filter(state, Workload::acceptconnect, filter::EvalPath::owned);
-}
-void BM_Filter_View_AcceptConnect(benchmark::State& state) {
-  run_filter(state, Workload::acceptconnect, filter::EvalPath::view);
-}
-void BM_Filter_Owned_Mixed(benchmark::State& state) {
-  run_filter(state, Workload::mixed, filter::EvalPath::owned);
-}
-void BM_Filter_View_Mixed(benchmark::State& state) {
-  run_filter(state, Workload::mixed, filter::EvalPath::view);
-}
-
-BENCHMARK(BM_Filter_Owned_SendRecv);
-BENCHMARK(BM_Filter_View_SendRecv);
-BENCHMARK(BM_Filter_Owned_AcceptConnect);
-BENCHMARK(BM_Filter_View_AcceptConnect);
-BENCHMARK(BM_Filter_Owned_Mixed);
-BENCHMARK(BM_Filter_View_Mixed);
-
-// ---- filter dispatch: compiled plan walker vs flat bytecode ---------------
-
-void run_match(benchmark::State& state, Workload w, filter::MatchEngine m) {
-  const util::Bytes batch = make_batch(w, kEvents);
-  auto engine = make_engine(filter::EvalPath::view, kRules, m);
-  std::uint64_t records = 0, conn = 0;
-  for (auto _ : state) {
-    std::string log = engine.feed(++conn, batch);
-    benchmark::DoNotOptimize(log);
-    records += kEvents;
-  }
-  state.counters["records_per_s"] = benchmark::Counter(
-      static_cast<double>(records), benchmark::Counter::kIsRate);
-}
-
-void BM_Match_Compiled_Mixed(benchmark::State& state) {
-  run_match(state, Workload::mixed, filter::MatchEngine::compiled);
-}
-void BM_Match_Bytecode_Mixed(benchmark::State& state) {
-  run_match(state, Workload::mixed, filter::MatchEngine::bytecode);
-}
-
-BENCHMARK(BM_Match_Compiled_Mixed);
-BENCHMARK(BM_Match_Bytecode_Mixed);
-
 // ---- end to end: meter_emit → transport → filter → log --------------------
+
+/// Ring size for the ring-transport side; 0 selects batched socket sends.
+constexpr std::size_t kRingBytes = 256 * 1024;
 
 /// One full pipeline pass: an app process replays a workload's event
 /// bodies through kernel::meter_emit (yielding periodically so the
@@ -222,11 +58,10 @@ struct E2EPass {
   std::uint64_t bytecode_ops = 0;
 };
 
-E2EPass run_e2e_pass(Workload w, int events, std::size_t ring_bytes,
-                     filter::MatchEngine match) {
+E2EPass run_e2e_pass(Workload w, int events, std::size_t ring_bytes) {
   kernel::WorldConfig cfg;
   // meter_buffer_msgs stays at the shipped default: that is the batching
-  // the legacy transport actually runs with (the ring transport ignores
+  // the socket transport actually runs with (the ring transport ignores
   // it — records encode straight into the ring).
   cfg.meter_ring_bytes = ring_bytes;
   cfg.meter_ring_wakeup_bytes = 8 * 1024;
@@ -235,7 +70,7 @@ E2EPass run_e2e_pass(Workload w, int events, std::size_t ring_bytes,
   cfg.costs.meter_flush_per_kb = util::usec(0);
   auto world = make_world(2, cfg);
 
-  auto engine = make_engine(filter::EvalPath::view, kRules, match);
+  auto engine = make_engine();
   E2EPass pass;
   (void)world->spawn(2, "sink", 100, [&](kernel::Sys& sys) {
     auto ls = sys.socket(kernel::SockDomain::internet,
@@ -271,7 +106,7 @@ E2EPass run_e2e_pass(Workload w, int events, std::size_t ring_bytes,
           kernel::MeterEventDraft{meter::M_ALL,
                                   meter::MeterBody(std::move(msgs[i].body))});
       // Yield every 256 events: the consumer drains, the ring never
-      // overflows, and the legacy stream window never fills.
+      // overflows, and the socket's stream window never fills.
       if (i % 256 == 255) sys.sleep(util::usec(500));
     }
   });
@@ -290,223 +125,91 @@ E2EPass run_e2e_pass(Workload w, int events, std::size_t ring_bytes,
   return pass;
 }
 
-void run_e2e_bm(benchmark::State& state, Workload w, std::size_t ring_bytes,
-                filter::MatchEngine match) {
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const E2EPass pass = run_e2e_pass(w, 4000, ring_bytes, match);
-    events += pass.events;
-  }
-  state.counters["events_per_s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-
-void BM_EndToEnd_BatchCompiled_Mixed(benchmark::State& state) {
-  run_e2e_bm(state, Workload::mixed, 0, filter::MatchEngine::compiled);
-}
-void BM_EndToEnd_RingBytecode_Mixed(benchmark::State& state) {
-  run_e2e_bm(state, Workload::mixed, 256 * 1024,
-             filter::MatchEngine::bytecode);
-}
-
-BENCHMARK(BM_EndToEnd_BatchCompiled_Mixed)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EndToEnd_RingBytecode_Mixed)->Unit(benchmark::kMillisecond);
-
 // ---- BENCH_pipeline.json --------------------------------------------------
 
-/// One workload's end-to-end comparison: batched socket sends + compiled
-/// template matching (the pre-PR configuration) versus the shared ring +
-/// flat bytecode (the fast path), same event bodies, logs byte-compared.
+/// One workload's end-to-end comparison: batched socket sends versus the
+/// shared ring, same event bodies and filter, logs byte-compared.
 struct E2EResult {
   Workload workload = Workload::mixed;
-  double batch_compiled_eps = 0;   // events/sec through the whole pipeline
-  double ring_bytecode_eps = 0;
+  double socket_eps = 0;  // events/sec through the whole pipeline
+  double ring_eps = 0;
   double speedup = 0;
   bool logs_identical = false;
-  std::uint64_t ring_wakeups = 0;          // from the ring pass
+  std::uint64_t ring_wakeups = 0;  // from the ring pass
   std::uint64_t ring_overflow_drops = 0;
   std::uint64_t bytecode_ops = 0;
 };
 
 struct PipelineBenchResult {
-  double encode_owned_eps = 0;       // events/sec, serialize+copy
-  double encode_zero_copy_eps = 0;   // events/sec, serialize_into
-  double encode_owned_bps = 0;       // bytes/sec
-  double encode_zero_copy_bps = 0;
-  double encode_speedup = 0;
-  double filter_owned_rps = 0;       // records/sec, decode-first
-  double filter_view_rps = 0;        // records/sec, wire views
-  double filter_speedup = 0;
-  double filter_compiled_rps = 0;    // records/sec, compiled plan walker
-  double filter_bytecode_rps = 0;    // records/sec, flat bytecode
-  double match_speedup = 0;
-  std::vector<E2EResult> e2e;        // one entry per workload
+  std::vector<E2EResult> e2e;  // one entry per workload
   bool output_identical = false;
-  int events = 0;
-  std::string obs_snapshot_jsonl;  // view engine's registry after the runs
+  int events = 0;  // records in the equivalence batch
+  std::string obs_snapshot_jsonl;  // the equivalence engine's registry
 };
 
-/// Measures one workload end-to-end under both configurations. The rate is
-/// the best over `reps` full passes (fresh World each pass, wall-clock
-/// around World::run only); the logs from the first pass of each side are
-/// byte-compared — the equivalence verdict the JSON carries.
+double events_per_s(const E2EPass& pass) {
+  return pass.seconds > 0 ? static_cast<double>(pass.events) / pass.seconds
+                          : 0;
+}
+
+/// Measures one workload end-to-end over both transports: the best rate
+/// over `reps` passes per side (fresh World each pass, wall-clock around
+/// World::run only). The sides alternate pass by pass, so a slow phase of
+/// a shared host lands on both rather than on whichever side it overlaps.
+/// The first pass of each side is byte-compared — the equivalence verdict
+/// the JSON carries.
 E2EResult run_e2e(Workload w, int events, int reps) {
   E2EResult r;
   r.workload = w;
-  std::string batch_log, ring_log;
+  std::string socket_log, ring_log;
   for (int i = 0; i < reps; ++i) {
-    const E2EPass pass =
-        run_e2e_pass(w, events, 0, filter::MatchEngine::compiled);
-    if (i == 0) batch_log = pass.log;
-    const double eps = pass.seconds > 0
-                           ? static_cast<double>(pass.events) / pass.seconds
-                           : 0;
-    if (eps > r.batch_compiled_eps) r.batch_compiled_eps = eps;
-  }
-  for (int i = 0; i < reps; ++i) {
-    const E2EPass pass =
-        run_e2e_pass(w, events, 256 * 1024, filter::MatchEngine::bytecode);
+    E2EPass socket = run_e2e_pass(w, events, 0);
+    E2EPass ring = run_e2e_pass(w, events, kRingBytes);
+    r.socket_eps = std::max(r.socket_eps, events_per_s(socket));
+    r.ring_eps = std::max(r.ring_eps, events_per_s(ring));
     if (i == 0) {
-      ring_log = pass.log;
-      r.ring_wakeups = pass.ring_wakeups;
-      r.ring_overflow_drops = pass.ring_overflow_drops;
-      r.bytecode_ops = pass.bytecode_ops;
+      socket_log = std::move(socket.log);
+      ring_log = std::move(ring.log);
+      r.ring_wakeups = ring.ring_wakeups;
+      r.ring_overflow_drops = ring.ring_overflow_drops;
+      r.bytecode_ops = ring.bytecode_ops;
     }
-    const double eps = pass.seconds > 0
-                           ? static_cast<double>(pass.events) / pass.seconds
-                           : 0;
-    if (eps > r.ring_bytecode_eps) r.ring_bytecode_eps = eps;
   }
-  r.speedup = r.batch_compiled_eps > 0
-                  ? r.ring_bytecode_eps / r.batch_compiled_eps
-                  : 0;
-  r.logs_identical = !batch_log.empty() && batch_log == ring_log;
+  r.speedup = r.socket_eps > 0 ? r.ring_eps / r.socket_eps : 0;
+  r.logs_identical = !socket_log.empty() && socket_log == ring_log;
   return r;
 }
 
-/// Byte-identical selected output, whole-batch and chunked (chunk
-/// boundaries landing mid-record exercise the partial buffer), plus
-/// identical accept/reject/malformed counters.
-bool outputs_identical(const util::Bytes& batch) {
-  auto owned = make_engine(filter::EvalPath::owned);
-  auto view = make_engine(filter::EvalPath::view);
-  const std::string a = owned.feed(1, batch);
-  const std::string b = view.feed(1, batch);
-  if (a != b) return false;
+/// `engine` renders exactly the reference log, whole-batch and chunked
+/// (97-byte chunk boundaries land mid-record and exercise the partial
+/// buffer), and frames every record without a malformed one.
+bool outputs_identical(filter::FilterEngine& engine, const util::Bytes& batch) {
+  const std::string expected = reference_log(batch, kRules);
+  if (engine.feed(1, batch) != expected) return false;
 
   std::string chunked;
   for (std::size_t pos = 0; pos < batch.size(); pos += 97) {
     const std::size_t n = std::min<std::size_t>(97, batch.size() - pos);
-    chunked += view.feed(2, util::Bytes(batch.begin() + static_cast<std::ptrdiff_t>(pos),
-                                        batch.begin() + static_cast<std::ptrdiff_t>(pos + n)));
+    chunked += engine.feed(
+        2, util::Bytes(batch.begin() + static_cast<std::ptrdiff_t>(pos),
+                       batch.begin() + static_cast<std::ptrdiff_t>(pos + n)));
   }
-  view.end_connection(2);
-  if (chunked != a) return false;
-
-  const auto& so = owned.stats();
-  const auto& sv = view.stats();
-  return so.records_in * 2 == sv.records_in && so.accepted * 2 == sv.accepted &&
-         so.rejected * 2 == sv.rejected && so.malformed == 0 &&
-         sv.malformed == 0;
+  engine.end_connection(2);
+  const filter::FilterStats st = engine.stats();
+  return chunked == expected && st.malformed == 0 &&
+         st.accepted + st.rejected == st.records_in;
 }
 
-PipelineBenchResult run_pipeline_bench(int events, double min_seconds,
-                                       int reps, int e2e_events,
+PipelineBenchResult run_pipeline_bench(int events, int e2e_events,
                                        int e2e_reps) {
   PipelineBenchResult r;
   r.events = events;
-
-  const auto msgs = make_messages(Workload::mixed, events);
-  const util::Bytes batch = make_batch(Workload::mixed, events);
-  r.output_identical = outputs_identical(batch);
-
-  const auto per_pass = static_cast<std::uint64_t>(events);
-  std::uint64_t bytes = 0;
-  std::uint64_t passes = 0;
-  bytes = 0;
-  r.encode_owned_eps = best_rate(
-      reps, per_pass,
-      [&] {
-        bytes += encode_owned(msgs, kFlushBytes);
-        ++passes;
-      },
-      min_seconds);
-  r.encode_owned_bps =
-      r.encode_owned_eps * static_cast<double>(bytes) /
-      (static_cast<double>(passes) * static_cast<double>(events));
-
-  bytes = 0;
-  passes = 0;
-  r.encode_zero_copy_eps = best_rate(
-      reps, per_pass,
-      [&] {
-        bytes += encode_zero_copy(msgs, kFlushBytes);
-        ++passes;
-      },
-      min_seconds);
-  r.encode_zero_copy_bps =
-      r.encode_zero_copy_eps * static_cast<double>(bytes) /
-      (static_cast<double>(passes) * static_cast<double>(events));
-  r.encode_speedup = r.encode_owned_eps > 0
-                         ? r.encode_zero_copy_eps / r.encode_owned_eps
-                         : 0;
-
-  {
-    auto engine = make_engine(filter::EvalPath::owned);
-    std::uint64_t conn = 0;
-    r.filter_owned_rps = best_rate(
-        reps, per_pass,
-        [&] {
-          std::string log = engine.feed(++conn, batch);
-          benchmark::DoNotOptimize(log);
-        },
-        min_seconds);
-  }
-  {
-    auto engine = make_engine(filter::EvalPath::view);
-    std::uint64_t conn = 0;
-    r.filter_view_rps = best_rate(
-        reps, per_pass,
-        [&] {
-          std::string log = engine.feed(++conn, batch);
-          benchmark::DoNotOptimize(log);
-        },
-        min_seconds);
-    // The registry the measured engine accounted through, embedded in the
-    // JSON so a result file carries its own ground-truth counters.
-    r.obs_snapshot_jsonl = engine.obs().snapshot_jsonl();
-  }
-  r.filter_speedup =
-      r.filter_owned_rps > 0 ? r.filter_view_rps / r.filter_owned_rps : 0;
-
-  {
-    auto engine = make_engine(filter::EvalPath::view, kRules,
-                              filter::MatchEngine::compiled);
-    std::uint64_t conn = 0;
-    r.filter_compiled_rps = best_rate(
-        reps, per_pass,
-        [&] {
-          std::string log = engine.feed(++conn, batch);
-          benchmark::DoNotOptimize(log);
-        },
-        min_seconds);
-  }
-  {
-    auto engine = make_engine(filter::EvalPath::view, kRules,
-                              filter::MatchEngine::bytecode);
-    std::uint64_t conn = 0;
-    r.filter_bytecode_rps = best_rate(
-        reps, per_pass,
-        [&] {
-          std::string log = engine.feed(++conn, batch);
-          benchmark::DoNotOptimize(log);
-        },
-        min_seconds);
-  }
-  r.match_speedup = r.filter_compiled_rps > 0
-                        ? r.filter_bytecode_rps / r.filter_compiled_rps
-                        : 0;
-
+  auto engine = make_engine();
+  r.output_identical =
+      outputs_identical(engine, make_batch(Workload::mixed, events));
+  // The checked engine's registry, embedded in the JSON so a result file
+  // carries its own ground-truth filter counters.
+  r.obs_snapshot_jsonl = engine.obs().snapshot_jsonl();
   for (Workload w : kWorkloads) {
     r.e2e.push_back(run_e2e(w, e2e_events, e2e_reps));
   }
@@ -520,37 +223,21 @@ bool write_bench_json(const PipelineBenchResult& r, const std::string& path) {
   if (!out) return false;
   out << util::strprintf(
       "{\n"
-      "  \"bench\": \"pipeline_zero_copy\",\n"
+      "  \"bench\": \"pipeline\",\n"
       "  \"workload\": \"%s\",\n"
-      "  \"events\": %d,\n"
-      "  \"encode_owned_events_per_s\": %.0f,\n"
-      "  \"encode_zero_copy_events_per_s\": %.0f,\n"
-      "  \"encode_owned_bytes_per_s\": %.0f,\n"
-      "  \"encode_zero_copy_bytes_per_s\": %.0f,\n"
-      "  \"encode_speedup\": %.2f,\n"
-      "  \"filter_owned_records_per_s\": %.0f,\n"
-      "  \"filter_view_records_per_s\": %.0f,\n"
-      "  \"filter_speedup\": %.2f,\n"
-      "  \"filter_compiled_records_per_s\": %.0f,\n"
-      "  \"filter_bytecode_records_per_s\": %.0f,\n"
-      "  \"match_speedup\": %.2f,\n",
-      workload_name(Workload::mixed), r.events, r.encode_owned_eps,
-      r.encode_zero_copy_eps, r.encode_owned_bps,
-      r.encode_zero_copy_bps, r.encode_speedup, r.filter_owned_rps,
-      r.filter_view_rps, r.filter_speedup, r.filter_compiled_rps,
-      r.filter_bytecode_rps, r.match_speedup);
+      "  \"events\": %d,\n",
+      workload_name(Workload::mixed), r.events);
   out << "  \"e2e\": [\n";
   for (std::size_t i = 0; i < r.e2e.size(); ++i) {
     const E2EResult& e = r.e2e[i];
     out << util::strprintf(
         "    {\"workload\": \"%s\", "
-        "\"batch_compiled_events_per_s\": %.0f, "
-        "\"ring_bytecode_events_per_s\": %.0f, "
+        "\"socket_events_per_s\": %.0f, \"ring_events_per_s\": %.0f, "
         "\"speedup\": %.2f, \"logs_identical\": %s, "
         "\"ring_wakeups\": %llu, \"ring_overflow_drops\": %llu, "
         "\"bytecode_ops\": %llu}%s\n",
-        workload_name(e.workload), e.batch_compiled_eps, e.ring_bytecode_eps,
-        e.speedup, e.logs_identical ? "true" : "false",
+        workload_name(e.workload), e.socket_eps, e.ring_eps, e.speedup,
+        e.logs_identical ? "true" : "false",
         static_cast<unsigned long long>(e.ring_wakeups),
         static_cast<unsigned long long>(e.ring_overflow_drops),
         static_cast<unsigned long long>(e.bytecode_ops),
@@ -577,25 +264,18 @@ bool validate_bench_json(const std::string& path) {
     return false;
   }
   for (const char* key :
-       {"\"bench\"", "\"events\"", "\"encode_owned_events_per_s\"",
-        "\"encode_zero_copy_events_per_s\"", "\"encode_speedup\"",
-        "\"filter_owned_records_per_s\"", "\"filter_view_records_per_s\"",
-        "\"filter_speedup\"", "\"filter_compiled_records_per_s\"",
-        "\"filter_bytecode_records_per_s\"", "\"match_speedup\"", "\"e2e\"",
-        "\"ring_bytecode_events_per_s\"", "\"output_identical\"",
+       {"\"bench\"", "\"events\"", "\"e2e\"", "\"socket_events_per_s\"",
+        "\"ring_events_per_s\"", "\"output_identical\"",
         "\"obs_snapshot\""}) {
     if (text.find(key) == std::string::npos) return false;
   }
-  // Equivalence is the pass signal: the owned/view comparison and every
-  // per-workload cross-transport log comparison must all hold.
+  // Equivalence is the pass signal: the engine-vs-reference comparison and
+  // every per-workload cross-transport log comparison must all hold.
   return text.find("\"output_identical\": true") != std::string::npos &&
          text.find("\"logs_identical\": false") == std::string::npos &&
          text.find("\"logs_identical\": true") != std::string::npos;
 }
 
-/// --smoke: the fast ctest (and sanitizer) entry point. Equivalence is the
-/// pass/fail signal; the speedups are reported, not asserted, since
-/// sanitized or loaded machines make timing assertions flaky.
 bool all_e2e_logs_identical(const PipelineBenchResult& r) {
   for (const E2EResult& e : r.e2e) {
     if (!e.logs_identical) return false;
@@ -603,24 +283,20 @@ bool all_e2e_logs_identical(const PipelineBenchResult& r) {
   return !r.e2e.empty();
 }
 
-void print_result(const PipelineBenchResult& r, const char* tag) {
+void print_e2e(const E2EResult& e) {
   std::printf(
-      "bench_pipeline %s: encode %.0f -> %.0f ev/s (%.2fx), "
-      "filter %.0f -> %.0f rec/s (%.2fx), match %.0f -> %.0f rec/s (%.2fx), "
-      "output_identical=%s\n",
-      tag, r.encode_owned_eps, r.encode_zero_copy_eps, r.encode_speedup,
-      r.filter_owned_rps, r.filter_view_rps, r.filter_speedup,
-      r.filter_compiled_rps, r.filter_bytecode_rps, r.match_speedup,
-      r.output_identical ? "true" : "false");
-  for (const E2EResult& e : r.e2e) {
-    std::printf(
-        "  e2e %-13s batch+compiled %8.0f ev/s -> ring+bytecode %8.0f ev/s "
-        "(%.2fx) logs_identical=%s wakeups=%llu drops=%llu\n",
-        workload_name(e.workload), e.batch_compiled_eps, e.ring_bytecode_eps,
-        e.speedup, e.logs_identical ? "true" : "false",
-        static_cast<unsigned long long>(e.ring_wakeups),
-        static_cast<unsigned long long>(e.ring_overflow_drops));
-  }
+      "  e2e %-13s socket %8.0f ev/s -> ring %8.0f ev/s (%.2fx) "
+      "logs_identical=%s wakeups=%llu drops=%llu\n",
+      workload_name(e.workload), e.socket_eps, e.ring_eps, e.speedup,
+      e.logs_identical ? "true" : "false",
+      static_cast<unsigned long long>(e.ring_wakeups),
+      static_cast<unsigned long long>(e.ring_overflow_drops));
+}
+
+void print_result(const PipelineBenchResult& r, const char* tag) {
+  std::printf("bench_pipeline %s: output_identical=%s\n", tag,
+              r.output_identical ? "true" : "false");
+  for (const E2EResult& e : r.e2e) print_e2e(e);
 }
 
 /// --e2e: full-scale end-to-end comparison only (no google-benchmark
@@ -632,7 +308,7 @@ void print_result(const PipelineBenchResult& r, const char* tag) {
 int run_e2e_only() {
   PipelineBenchResult r;
   for (Workload w : kWorkloads) {
-    r.e2e.push_back(run_e2e(w, 20000, 3));
+    r.e2e.push_back(run_e2e(w, 20000, 9));
   }
   std::ofstream out("BENCH_e2e.json", std::ios::trunc);
   if (!out) {
@@ -650,25 +326,16 @@ int run_e2e_only() {
         i + 1 < r.e2e.size() ? "," : "");
   }
   out << "  ]\n}\n";
-  for (const E2EResult& e : r.e2e) {
-    std::printf(
-        "  e2e %-13s batch+compiled %8.0f ev/s -> ring+bytecode %8.0f ev/s "
-        "(%.2fx) logs_identical=%s\n",
-        workload_name(e.workload), e.batch_compiled_eps, e.ring_bytecode_eps,
-        e.speedup, e.logs_identical ? "true" : "false");
-  }
+  for (const E2EResult& e : r.e2e) print_e2e(e);
   return out.good() && all_e2e_logs_identical(r) ? 0 : 1;
 }
 
+/// --smoke: the fast ctest (and sanitizer) entry point. Equivalence —
+/// engine == reference output and socket == ring logs on every workload —
+/// is the pass/fail signal; rates are reported, not asserted, since
+/// sanitized or loaded machines make timing assertions flaky.
 int run_smoke() {
-  // 0.3s per measured micro stage and one e2e rep per side: long enough
-  // that the reported speedups are representative (tiny windows are
-  // dominated by warmup noise), short enough for ctest and the sanitizer
-  // configuration. Equivalence — owned==view output and batch==ring logs
-  // on every workload — is the pass/fail signal; speedups are reported,
-  // not asserted, since sanitized or loaded machines make timing
-  // assertions flaky.
-  const PipelineBenchResult r = run_pipeline_bench(512, 0.3, 3, 2000, 1);
+  const PipelineBenchResult r = run_pipeline_bench(512, 2000, 1);
   const std::string snap_err = obs::validate_snapshot(r.obs_snapshot_jsonl);
   if (!snap_err.empty()) {
     std::fprintf(stderr, "bench_pipeline: bad embedded snapshot: %s\n",
@@ -695,14 +362,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) return dpm::bench::run_smoke();
     if (std::strcmp(argv[i], "--e2e") == 0) return dpm::bench::run_e2e_only();
+    std::fprintf(stderr, "usage: bench_pipeline [--smoke | --e2e]\n");
+    return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  const auto r = dpm::bench::run_pipeline_bench(2000, 0.5, 3, 20000, 3);
+  const auto r = dpm::bench::run_pipeline_bench(2000, 20000, 9);
   if (!dpm::bench::write_bench_json(r, dpm::bench::kJsonPath)) return 1;
   dpm::bench::print_result(r, "full");
   std::printf("wrote %s\n", dpm::bench::kJsonPath);
-  return dpm::bench::all_e2e_logs_identical(r) ? 0 : 1;
+  return r.output_identical && dpm::bench::all_e2e_logs_identical(r) ? 0 : 1;
 }

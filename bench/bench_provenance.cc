@@ -70,8 +70,7 @@ TransportPass run_transport_pass(int events, std::uint32_t period) {
   cfg.prov_sample_period = period;
   auto world = make_world(2, cfg);
 
-  auto engine = make_engine(filter::EvalPath::view, kRules,
-                            filter::MatchEngine::bytecode);
+  auto engine = make_engine(kRules);
   filter::ProvenanceTap prov(world->provenance(), /*final_filter=*/true);
   kernel::World* wp = world.get();
   if (prov.enabled()) {

@@ -14,6 +14,7 @@
 
 #include "bench_util.h"
 #include "filter/filter_program.h"
+#include "filter/trace.h"
 #include "meter/metermsgs.h"
 #include "util/bytes.h"
 
@@ -135,9 +136,9 @@ inline util::Bytes make_batch(Workload w, int n) {
   return out;
 }
 
-/// Rules exercising both engines: numeric clauses, a field-to-field
-/// comparison (interpreted only for types missing a field), string
-/// literals, and discards. Selectivity is partial so both accepted and
+/// Rules exercising every clause form: numeric clauses, a field-to-field
+/// comparison (infeasible for types missing a field), string literals,
+/// type clauses, and discards. Selectivity is partial so both accepted and
 /// rejected records flow.
 inline constexpr const char* kRules =
     "machine=5, cpuTime<10000\n"
@@ -146,13 +147,31 @@ inline constexpr const char* kRules =
     "machine=#*, pid=#*, type=1, msgLength>128\n"
     "type=2, sourceName=228320140\n";
 
-inline filter::FilterEngine make_engine(
-    filter::EvalPath path, const char* rules = kRules,
-    filter::MatchEngine match = filter::MatchEngine::bytecode) {
+inline filter::FilterEngine make_engine(const char* rules = kRules) {
   auto d = filter::Descriptions::parse(filter::default_descriptions_text());
   auto t = filter::Templates::parse(rules);
-  return filter::FilterEngine(std::move(*d), std::move(*t), path, nullptr,
-                              match);
+  return filter::FilterEngine(std::move(*d), *t);
+}
+
+/// The reference filter the engine is checked against: frames `batch`,
+/// decodes every record, decides it with the interpreted
+/// Templates::evaluate and renders it with the reference trace_line. The
+/// engine's log over the same bytes must equal this one byte for byte.
+inline std::string reference_log(const util::Bytes& batch, const char* rules) {
+  auto d = filter::Descriptions::parse(filter::default_descriptions_text());
+  auto t = filter::Templates::parse(rules);
+  std::string out;
+  std::size_t pos = 0;
+  while (auto size = util::BinaryReader(batch.data() + pos,
+                                        batch.size() - pos).u32()) {
+    if (*size == 0 || *size > batch.size() - pos) break;
+    const auto rec = d->decode(batch.data() + pos, *size);
+    pos += *size;
+    if (!rec) continue;
+    const filter::Templates::Decision dec = t->evaluate(*rec);
+    if (dec.accept) out += filter::trace_line(*rec, dec.discard);
+  }
+  return out;
 }
 
 // ---- wall-clock rate measurement ------------------------------------------

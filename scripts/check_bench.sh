@@ -1,13 +1,16 @@
 #!/bin/sh
-# Regression gate for the ring-transport + filter-bytecode fast path.
+# Regression gate for the filter and the meter-ring fast path.
 #
-# Runs the two bench smokes (equivalence is their pass signal: owned==view
-# output, batch==ring logs, compiled==interpreted decisions), then re-runs
-# the full-scale end-to-end comparison and fails if any workload's
-# ring+bytecode speedup fell more than 20% below the value recorded in the
-# committed BENCH_pipeline.json. Everything runs in a scratch directory:
-# both smokes write their JSON into the cwd, and the committed files must
-# not be clobbered by a gate run.
+# Runs the two bench smokes (equivalence is their pass signal: the filter
+# engine's log equals the reference filter's -- decode +
+# Templates::evaluate + trace_line per record -- for every E3 rule set and
+# on every pipeline workload, and the socket and ring transports produce
+# byte-identical logs), then re-runs the full-scale end-to-end comparison
+# and fails if any workload's ring-over-socket speedup (both transports
+# feed the same bytecode matcher) fell more than 20% below the value
+# recorded in the committed BENCH_pipeline.json. Everything runs in a
+# scratch directory: both smokes write their JSON into the cwd, and the
+# committed files must not be clobbered by a gate run.
 # Usage: scripts/check_bench.sh [build-dir]   (default: build)
 set -eu
 
@@ -34,10 +37,10 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cd "$tmp"
 
-echo "== bench_filter --smoke (decision equivalence)"
+echo "== bench_filter --smoke (engine == reference log per rule set)"
 "$bench/bench_filter" --smoke
 
-echo "== bench_pipeline --smoke (output + log equivalence)"
+echo "== bench_pipeline --smoke (engine == reference, socket == ring logs)"
 "$bench/bench_pipeline" --smoke
 
 echo "== bench_pipeline --e2e (full-scale regression gate)"

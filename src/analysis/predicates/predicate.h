@@ -21,12 +21,12 @@
 // view and textually otherwise. The pseudo-field `type` names the event
 // type ("SEND" or its number) and tracks the process's most recent event.
 //
-// A spec is *compiled* against the record descriptions the way
-// CompiledTemplates is: every clause field must be carried by at least
-// one described event type (or be a header/pseudo field), and the
-// compiler resolves, per event type, which state fields that type
-// updates — the detector then re-evaluates a conjunct only when an event
-// can have changed it.
+// A spec is *compiled* against the record descriptions the way the
+// filter's rules are (filter/bytecode.h): every clause field must be
+// carried by at least one described event type (or be a header/pseudo
+// field), and the compiler resolves, per event type, which state fields
+// that type updates — the detector then re-evaluates a conjunct only when
+// an event can have changed it.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/strings.h"
+
 namespace dpm::filter {
 
 namespace {
@@ -21,24 +23,18 @@ bool apply_op(CmpOp op, int cmp) {
 
 }  // namespace
 
-FilterBytecode FilterBytecode::lower(const CompiledTemplates& compiled) {
+FilterBytecode FilterBytecode::compile(const Templates& templates,
+                                       const Descriptions& descriptions) {
   FilterBytecode out;
-  out.accept_all_ = compiled.accept_all_;
-  out.progs_.resize(compiled.plans_.size());
-  for (std::size_t t = 0; t < compiled.plans_.size(); ++t) {
-    const CompiledTemplates::EventPlan& ep = compiled.plans_[t];
-    Program& p = out.progs_[t];
-    if (!ep.valid) continue;
-    p.runnable = ep.wire.viewable();
-    if (!p.runnable) continue;
-    p.type = static_cast<std::uint32_t>(t);
-    p.wire = ep.wire;
-    p.rules.reserve(ep.rules.size());
-    for (const CompiledTemplates::RulePlan& rp : ep.rules) {
-      Program::RuleSrc src;
-      src.clauses = rp.clauses;
-      src.discard = rp.discard;
-      p.rules.push_back(std::move(src));
+  out.accept_all_ = templates.rule_count() == 0;
+  out.progs_.resize(descriptions.size());
+  for (std::uint32_t type : descriptions.types()) {
+    const WirePlan& plan = *descriptions.wire_plan(type);
+    Program& p = out.progs_[plan.index()];
+    for (const Rule& rule : templates.rules()) {
+      if (auto rs = resolve(rule, plan, type)) {
+        p.rules.push_back(std::move(*rs));
+      }
     }
     p.fail_counts.resize(p.rules.size());
     for (std::size_t r = 0; r < p.rules.size(); ++r) {
@@ -49,55 +45,81 @@ FilterBytecode FilterBytecode::lower(const CompiledTemplates& compiled) {
   return out;
 }
 
+std::optional<FilterBytecode::RuleSrc> FilterBytecode::resolve(
+    const Rule& rule, const WirePlan& plan, std::uint32_t type) {
+  constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+  RuleSrc rs;
+  std::vector<bool> discard(plan.field_count(), false);
+  bool any_discard = false;
+  for (const Clause& c : rule.clauses) {
+    const std::size_t lhs = plan.index_of(c.field);
+    // The event type never carries this field, so the clause (and with it
+    // the whole rule) can never hold for this type.
+    if (lhs == kNpos) return std::nullopt;
+    if (c.discard) {
+      discard[lhs] = true;
+      any_discard = true;
+    }
+    if (c.wildcard) continue;  // always holds; lowers to nothing
+    ClauseSrc cs;
+    cs.lhs = static_cast<std::uint16_t>(lhs);
+    cs.op = c.op;
+    const std::size_t rhs = plan.index_of(c.value);
+    if (rhs != kNpos) {
+      cs.rhs_is_field = true;
+      cs.rhs_field = static_cast<std::uint16_t>(rhs);
+    } else if (auto n = util::parse_int(c.value)) {
+      cs.rhs_num = *n;
+      // Textual view for the string-compare fallback must match the
+      // interpreted path, which renders the *parsed* value.
+      cs.rhs_text = field_value_text(FieldValue{*n});
+      if (plan.field_names()[lhs] == "type") {
+        // This program only ever sees records of its own type, whose
+        // header field decodes (sign-extended, like every u32 field) to
+        // this value: the clause is decided here.
+        const std::int64_t t = static_cast<std::int32_t>(type);
+        const int cmp = (t < *n) ? -1 : (t > *n) ? 1 : 0;
+        if (apply_op(c.op, cmp)) continue;  // always holds for this type
+        return std::nullopt;  // the rule can never match this type
+      }
+      // An integer field against a numeric literal always compares
+      // numerically: the op reads the field's wire location directly.
+      cs.lhs_int = plan.int_loc(lhs);
+    } else {
+      cs.rhs_text = c.value;
+    }
+    rs.clauses.push_back(std::move(cs));
+  }
+  if (any_discard) rs.discard = std::move(discard);
+  return rs;
+}
+
 void FilterBytecode::generate(Program& p) {
   p.code.clear();
   p.lits.clear();
-  const std::vector<std::string>& names = p.wire.field_names();
   for (std::size_t r = 0; r < p.rules.size(); ++r) {
     const std::size_t rule_start = p.code.size();
-    bool dead = false;
     for (std::size_t c = 0; c < p.rules[r].clauses.size(); ++c) {
-      const CompiledTemplates::ClausePlan& cp = p.rules[r].clauses[c];
-      if (cp.wildcard) continue;  // always holds; lowers to nothing
-      if (!cp.rhs_is_field && cp.rhs_num && cp.lhs < names.size() &&
-          names[cp.lhs] == "type") {
-        // Type clause against a numeric literal: this program only ever
-        // sees records of its own type, so the clause is decided here.
-        const auto t = static_cast<std::int64_t>(p.type);
-        const int cmp = (t < *cp.rhs_num) ? -1 : (t > *cp.rhs_num) ? 1 : 0;
-        if (apply_op(cp.op, cmp)) continue;  // always holds for this type
-        dead = true;  // the rule can never match this type
-        break;
-      }
+      const ClauseSrc& cs = p.rules[r].clauses[c];
       Instr in;
-      in.cmp = cp.op;
-      in.a = static_cast<std::uint16_t>(cp.lhs);
+      in.cmp = cs.op;
+      in.a = cs.lhs;
       in.src_rule = static_cast<std::uint16_t>(r);
       in.src_clause = static_cast<std::uint16_t>(c);
-      if (cp.rhs_is_field) {
+      if (cs.rhs_is_field) {
         in.op = Op::cmp_field;
-        in.b = static_cast<std::uint16_t>(cp.rhs_field);
+        in.b = cs.rhs_field;
       } else {
         in.op = Op::cmp_imm;
-        if (cp.rhs_num) {
-          // An integer field against a numeric literal always compares
-          // numerically: burn the field's wire location into the op.
-          if (const auto loc = p.wire.int_loc(cp.lhs)) {
-            in.op = Op::cmp_imm_int;
-            in.off = static_cast<std::uint32_t>(loc->offset);
-            in.len = static_cast<std::uint8_t>(loc->length);
-          }
+        if (cs.lhs_int) {
+          in.op = Op::cmp_imm_int;
+          in.off = static_cast<std::uint32_t>(cs.lhs_int->offset);
+          in.len = static_cast<std::uint8_t>(cs.lhs_int->length);
         }
         in.b = static_cast<std::uint16_t>(p.lits.size());
-        p.lits.push_back(Literal{cp.rhs_num, cp.rhs_text});
+        p.lits.push_back(Literal{cs.rhs_num, cs.rhs_text});
       }
       p.code.push_back(in);
-    }
-    if (dead) {
-      // Roll back the clauses emitted before the impossible type clause;
-      // they were never back-patched.
-      p.code.resize(rule_start);
-      continue;
     }
     Instr acc;
     acc.op = Op::accept;
@@ -127,7 +149,7 @@ void FilterBytecode::maybe_reorder(Program& p) {
                        return fails[a] > fails[b];
                      });
     if (std::is_sorted(order.begin(), order.end())) continue;
-    std::vector<CompiledTemplates::ClausePlan> next;
+    std::vector<ClauseSrc> next;
     next.reserve(clauses.size());
     for (std::size_t i : order) next.push_back(std::move(clauses[i]));
     clauses = std::move(next);
@@ -139,12 +161,11 @@ void FilterBytecode::maybe_reorder(Program& p) {
   }
 }
 
-std::optional<FilterBytecode::Decision> FilterBytecode::evaluate(
-    const RecordView& v, const std::string_view* strings) {
+FilterBytecode::Decision FilterBytecode::evaluate(
+    const WirePlan& plan, const RecordView& v,
+    const std::string_view* strings) {
   if (accept_all_) return Decision{true, nullptr};
-  if (v.type >= progs_.size()) return std::nullopt;
-  Program& p = progs_[v.type];
-  if (!p.runnable) return std::nullopt;
+  Program& p = progs_[plan.index()];
 
   std::uint64_t ops = 0;
   std::uint32_t pc = 0;
@@ -181,7 +202,7 @@ std::optional<FilterBytecode::Decision> FilterBytecode::evaluate(
         break;
       }
       case Op::cmp_imm: {
-        const auto lhs = p.wire.field(v, in.a, strings);
+        const auto lhs = plan.field(v, in.a, strings);
         if (lhs) {
           const Literal& lit = p.lits[in.b];
           const auto ln = field_view_num(*lhs);
@@ -196,8 +217,8 @@ std::optional<FilterBytecode::Decision> FilterBytecode::evaluate(
         break;
       }
       case Op::cmp_field: {
-        const auto lhs = p.wire.field(v, in.a, strings);
-        const auto rhs = p.wire.field(v, in.b, strings);
+        const auto lhs = plan.field(v, in.a, strings);
+        const auto rhs = plan.field(v, in.b, strings);
         if (lhs && rhs) {
           hold = apply_op(in.cmp, field_view_cmp(*lhs, *rhs));
         }
@@ -214,13 +235,7 @@ std::optional<FilterBytecode::Decision> FilterBytecode::evaluate(
   ops_ += ops;
   if (ops_counter_ != nullptr) ops_counter_->add(ops);
   if (!p.reordered) maybe_reorder(p);  // guard here: no call once learned
-  return result;
-}
-
-std::size_t FilterBytecode::program_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(progs_.begin(), progs_.end(),
-                    [](const Program& p) { return p.runnable; }));
+  return *result;
 }
 
 }  // namespace dpm::filter

@@ -94,11 +94,10 @@ kernel::ProcessMain make_count_filter_main(
       (void)sys.print("countfilter: bad support files\n");
       sys.exit(1);
     }
-    // The engine does framing, decode, and (compiled) selection; this
-    // filter only aggregates the accepted records. It accounts into the
+    // The engine does framing, selection and the decode of accepted
+    // records; this filter only aggregates them. It accounts into the
     // world's registry like the standard filter.
-    FilterEngine engine(std::move(*desc), std::move(*templ), EvalPath::view,
-                        &sys.world().obs());
+    FilterEngine engine(std::move(*desc), *templ, &sys.world().obs());
 
     auto lsock = sys.socket(SockDomain::internet, SockType::stream);
     if (!lsock || !sys.bind_port(*lsock, static_cast<net::Port>(port)) ||

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <limits>
 
 #include "meter/metermsgs.h"
 #include "util/strings.h"
@@ -85,47 +87,54 @@ std::string strip_comment(const std::string& line) {
 }  // namespace
 
 std::optional<Descriptions> Descriptions::parse(const std::string& text,
-                                                std::string* error) {
+                                                DescriptionError* error) {
+  using Kind = DescriptionError::Kind;
   Descriptions out;
   int lineno = 0;
+  auto fail = [&](Kind kind, std::string message) {
+    if (error) *error = DescriptionError{kind, lineno, std::move(message)};
+    return std::nullopt;
+  };
   for (const auto& raw_line : util::split_keep_empty(text, '\n')) {
     ++lineno;
     const std::string line{util::trim(strip_comment(raw_line))};
     if (line.empty()) continue;
 
     auto tokens = util::split(line, " \t");
-    if (tokens.empty()) continue;
-
-    if (tokens[0] == "HEADER") {
-      out.header_fields_.assign(tokens.begin() + 1, tokens.end());
-      continue;
-    }
+    // The HEADER line names the fixed header fields; their layout is not
+    // configurable, so the line is accepted and otherwise ignored.
+    if (tokens.empty() || tokens[0] == "HEADER") continue;
 
     // "SEND 1, pid,0,4,10 pc,4,4,10 ..." — the type number may carry a
     // trailing comma.
     if (tokens.size() < 2) {
-      if (error) *error = util::strprintf("line %d: missing type number", lineno);
-      return std::nullopt;
+      return fail(Kind::syntax,
+                  util::strprintf("line %d: missing type number", lineno));
     }
     EventDesc desc;
     desc.name = tokens[0];
     std::string type_tok = tokens[1];
     if (!type_tok.empty() && type_tok.back() == ',') type_tok.pop_back();
     auto type = util::parse_int(type_tok);
-    if (!type || *type <= 0) {
-      if (error) *error = util::strprintf("line %d: bad type '%s'", lineno, type_tok.c_str());
-      return std::nullopt;
+    if (!type || *type <= 0 ||
+        *type > std::numeric_limits<std::uint32_t>::max()) {
+      return fail(Kind::bad_type, util::strprintf("line %d: bad type '%s'",
+                                                  lineno, type_tok.c_str()));
     }
     desc.type = static_cast<std::uint32_t>(*type);
+    if (out.by_type_.count(desc.type)) {
+      return fail(Kind::duplicate_type,
+                  util::strprintf("line %d: type %u is already described",
+                                  lineno, desc.type));
+    }
 
     for (std::size_t i = 2; i < tokens.size(); ++i) {
       auto parts = util::split_keep_empty(tokens[i], ',');
       if (parts.size() != 4) {
-        if (error) {
-          *error = util::strprintf("line %d: bad field '%s' (want name,offset,len,base)",
-                                   lineno, tokens[i].c_str());
-        }
-        return std::nullopt;
+        return fail(Kind::syntax,
+                    util::strprintf("line %d: bad field '%s' (want "
+                                    "name,offset,len,base)",
+                                    lineno, tokens[i].c_str()));
       }
       FieldDesc f;
       f.name = parts[0];
@@ -134,33 +143,37 @@ std::optional<Descriptions> Descriptions::parse(const std::string& text,
       auto base = util::parse_int(parts[3]);
       if (f.name.empty() || !off || *off < 0 || !len || *len < 0 || !base ||
           (*len != 0 && *len != 1 && *len != 2 && *len != 4 && *len != 8)) {
-        if (error) *error = util::strprintf("line %d: bad field '%s'", lineno, tokens[i].c_str());
-        return std::nullopt;
+        return fail(Kind::syntax, util::strprintf("line %d: bad field '%s'",
+                                                  lineno, tokens[i].c_str()));
       }
       f.offset = static_cast<std::size_t>(*off);
       f.length = static_cast<std::size_t>(*len);
       f.base = static_cast<int>(*base);
       desc.fields.push_back(std::move(f));
     }
-    out.by_type_[desc.type] = std::move(desc);
+    // Every described type must be one the wire-view path can run. Small
+    // type numbers' plans land in the dense cache.
+    auto plan = WirePlan::build(desc, lineno, error);
+    if (!plan) return std::nullopt;
+    if (desc.type < kPlanCacheMax) {
+      if (out.plan_cache_.size() <= desc.type) {
+        out.plan_cache_.resize(desc.type + 1);
+      }
+      out.plan_cache_[desc.type] = std::move(*plan);
+    } else {
+      out.plans_.emplace(desc.type, std::move(*plan));
+    }
+    out.by_type_.emplace(desc.type, std::move(desc));
   }
   if (out.by_type_.empty()) {
-    if (error) *error = "no event descriptions found";
-    return std::nullopt;
+    lineno = 0;
+    return fail(Kind::empty, "no event descriptions found");
   }
-  // Resolve every type's wire plan once, so filters can match records
-  // without decoding them. Small type numbers land in the dense cache.
-  std::uint32_t dense_max = 0;
+  // Number the plans in ascending type order.
+  std::size_t index = 0;
   for (const auto& [t, d] : out.by_type_) {
-    if (t < kPlanCacheMax && t >= dense_max) dense_max = t + 1;
-  }
-  out.plan_cache_.resize(dense_max);
-  for (const auto& [t, d] : out.by_type_) {
-    if (t < kPlanCacheMax) {
-      out.plan_cache_[t] = WirePlan::build(d);
-    } else {
-      out.plans_.emplace(t, WirePlan::build(d));
-    }
+    (t < kPlanCacheMax ? out.plan_cache_[t] : out.plans_.at(t)).index_ =
+        index++;
   }
   return out;
 }
@@ -178,15 +191,8 @@ std::vector<std::uint32_t> Descriptions::types() const {
 }
 
 std::vector<std::string> Descriptions::record_layout(std::uint32_t type) const {
-  const EventDesc* desc = by_type(type);
-  if (!desc) return {};
-  // Must mirror decode(): it emplaces these five header fields before the
-  // described body fields.
-  std::vector<std::string> out = {"size", "machine", "cpuTime", "procTime",
-                                  "type"};
-  out.reserve(out.size() + desc->fields.size());
-  for (const FieldDesc& f : desc->fields) out.push_back(f.name);
-  return out;
+  const WirePlan* plan = wire_plan(type);
+  return plan ? plan->field_names() : std::vector<std::string>{};
 }
 
 const EventDesc* Descriptions::by_name(const std::string& name) const {
@@ -291,15 +297,32 @@ std::optional<Record> Descriptions::decode(const std::uint8_t* raw,
 
 // ---- WirePlan ----
 
-WirePlan WirePlan::build(const EventDesc& desc) {
-  WirePlan plan;
-  plan.viewable_ = true;
-  plan.event_name_ = desc.name;
-  // The five fixed header fields, mirroring record_layout()/decode().
+std::optional<WirePlan> WirePlan::build(const EventDesc& desc, int line,
+                                        DescriptionError* error) {
+  using Kind = DescriptionError::Kind;
+  auto fail = [&](Kind kind, const std::string& what) {
+    if (error) {
+      *error = DescriptionError{
+          kind, line,
+          util::strprintf("line %d: %s %s", line, desc.name.c_str(),
+                          what.c_str())};
+    }
+    return std::nullopt;
+  };
+  // The five fixed header fields, mirroring decode().
   const struct { const char* name; std::size_t off, len; } kHeader[] = {
       {"size", 0, 4},     {"machine", 4, 2}, {"cpuTime", 6, 8},
       {"procTime", 14, 8}, {"type", 22, 4},
   };
+  const std::size_t fields = std::size(kHeader) + desc.fields.size();
+  if (fields > kMaxFields) {
+    return fail(Kind::too_many_fields,
+                util::strprintf("has %zu fields; at most %zu fit the view "
+                                "renderer",
+                                fields, kMaxFields));
+  }
+  WirePlan plan;
+  plan.event_name_ = desc.name;
   for (const auto& h : kHeader) {
     plan.names_.emplace_back(h.name);
     plan.fields_.push_back(Loc{h.off, h.len, -1, 0});
@@ -310,26 +333,24 @@ WirePlan WirePlan::build(const EventDesc& desc) {
       loc.offset = meter::kHeaderSize + f.offset;
       loc.length = f.length;
     } else {
-      loc.ordinal = static_cast<int>(plan.strings_.size());
-      if (plan.strings_.empty()) {
-        plan.string_base_ = meter::kHeaderSize + f.offset;
+      if (plan.strings_.size() == kMaxStringFields) {
+        return fail(Kind::too_many_strings,
+                    util::strprintf("has more than %zu counted strings",
+                                    kMaxStringFields));
       }
       // decode() resolves the byte count from the first *already decoded*
       // field named "<name>Len" — i.e. the first earlier layout field.
-      const std::string len_name = f.name + "Len";
-      std::size_t len_field = static_cast<std::size_t>(-1);
-      for (std::size_t j = 0; j < plan.names_.size(); ++j) {
-        if (plan.names_[j] == len_name) {
-          len_field = j;
-          break;
-        }
+      // Without one, decode() fails every record of the type.
+      const std::size_t len_field = plan.index_of(f.name + "Len");
+      if (len_field == static_cast<std::size_t>(-1)) {
+        return fail(Kind::missing_length,
+                    util::strprintf("counted string '%s' has no earlier "
+                                    "'%sLen' field",
+                                    f.name.c_str(), f.name.c_str()));
       }
-      if (len_field == static_cast<std::size_t>(-1) ||
-          plan.strings_.size() >= kMaxStringFields) {
-        // decode() would fail every record of this type (no length field),
-        // or the type has more strings than the extraction scratchpad —
-        // either way the owned path must handle it.
-        plan.viewable_ = false;
+      loc.ordinal = static_cast<int>(plan.strings_.size());
+      if (plan.strings_.empty()) {
+        plan.string_base_ = meter::kHeaderSize + f.offset;
       }
       loc.len_field = len_field;
       plan.strings_.push_back(plan.fields_.size());
@@ -386,7 +407,7 @@ bool WirePlan::string_views(const RecordView& v, int k,
 
 std::optional<FieldView> WirePlan::field(const RecordView& v, std::size_t i,
                                          const std::string_view* strings) const {
-  if (!viewable_ || i >= fields_.size()) return std::nullopt;
+  if (i >= fields_.size()) return std::nullopt;
   const Loc& f = fields_[i];
   if (f.length > 0) {
     auto val = read_le(v.data, v.size, f.offset, f.length);
@@ -405,7 +426,7 @@ bool WirePlan::validate(const RecordView& v) const {
 }
 
 bool WirePlan::validate(const RecordView& v, std::string_view* strings) const {
-  if (!viewable_ || v.size < meter::kHeaderSize) return false;
+  if (v.size < meter::kHeaderSize) return false;
   const auto wire_size = read_le(v.data, v.size, 0, 4);
   if (static_cast<std::size_t>(*wire_size) != v.size) return false;
   if (v.size < fixed_end_) return false;
@@ -415,7 +436,7 @@ bool WirePlan::validate(const RecordView& v, std::string_view* strings) const {
 
 bool WirePlan::extract(const RecordView& v, FieldView* out, std::size_t cap,
                        const std::string_view* strings) const {
-  if (!viewable_ || fields_.size() > cap) return false;
+  if (fields_.size() > cap) return false;
   if (v.size < fixed_end_) return false;
   std::string_view scratch[kMaxStringFields];
   if (strings == nullptr) {
@@ -446,21 +467,11 @@ bool WirePlan::extract(const RecordView& v, FieldView* out, std::size_t cap,
 
 const WirePlan* Descriptions::wire_plan(std::uint32_t type) const {
   if (type < plan_cache_.size()) {
-    // Undescribed slots hold a default (non-viewable) plan; callers check
-    // viewable(), so returning it is equivalent to nullptr for them.
-    return &plan_cache_[type];
+    const WirePlan& plan = plan_cache_[type];
+    return plan.field_count() != 0 ? &plan : nullptr;
   }
   auto it = plans_.find(type);
   return it == plans_.end() ? nullptr : &it->second;
-}
-
-std::optional<FieldView> Descriptions::wire_field(const RecordView& v,
-                                                  std::string_view name) const {
-  const WirePlan* plan = wire_plan(v.type);
-  if (!plan || !plan->viewable()) return std::nullopt;
-  const std::size_t i = plan->index_of(name);
-  if (i == static_cast<std::size_t>(-1)) return std::nullopt;
-  return plan->field(v, i);
 }
 
 const std::string& default_descriptions_text() {

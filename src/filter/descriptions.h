@@ -86,29 +86,49 @@ struct EventDesc {
   std::vector<FieldDesc> fields;
 };
 
+/// Why Descriptions::parse rejected a description file.
+struct DescriptionError {
+  enum class Kind {
+    empty,             // no event descriptions at all
+    syntax,            // missing type number or malformed field token
+    bad_type,          // type number not in 1..2^32-1
+    duplicate_type,    // a type number described twice
+    missing_length,    // counted string with no earlier "<name>Len" field
+    too_many_strings,  // more than WirePlan::kMaxStringFields strings
+    too_many_fields,   // more than WirePlan::kMaxFields layout fields
+  };
+  Kind kind = Kind::syntax;
+  int line = 0;         // 1-based line of the offending description; 0 = file
+  std::string message;  // "line N: ..." (the file-level error has no line)
+};
+
 /// Field locators for one event type, resolved once from its description:
 /// lets the filter read individual fields straight off the wire (and
 /// bounds-validate a whole record) without materializing a Record. Field
 /// indices match Descriptions::record_layout / Record::fields order.
+/// Descriptions::parse only builds plans the view path can run (see the
+/// limits below), so every described type has one.
 class WirePlan {
  public:
-  /// False when the description cannot be view-decoded (a counted string
-  /// with no earlier "<name>Len" field, or more string fields than
-  /// kMaxStringFields); callers must fall back to the owned decode path.
-  bool viewable() const { return viewable_; }
   std::size_t field_count() const { return fields_.size(); }
   const std::vector<std::string>& field_names() const { return names_; }
   /// Pre-rendered " <name>=" fragment per layout field: the trace renderer
   /// appends one string per field instead of three.
   const std::vector<std::string>& name_eq() const { return name_eq_; }
 
-  /// Counted strings are resolved with a bounded stack scratchpad; plans
-  /// with more string fields fall back to owned decoding. Callers that
-  /// share a scratch across validate/evaluate/extract size it with this.
+  /// Counted strings are resolved with a bounded stack scratchpad, so a
+  /// description may carry at most this many. Callers that share a
+  /// scratch across validate/evaluate/extract size it with this.
   static constexpr std::size_t kMaxStringFields = 16;
-  /// The described event's name ("SEND"); empty for a default-constructed
-  /// plan (an undescribed type).
+  /// Layout fields (the five header fields included) the view renderer
+  /// extracts onto its stack; a description may carry at most this many.
+  static constexpr std::size_t kMaxFields = 32;
+  /// The described event's name ("SEND").
   const std::string& event_name() const { return event_name_; }
+  /// This plan's position among its Descriptions' plans (ascending type
+  /// order): the type→plan index's result, which per-type tables built
+  /// from the same Descriptions (the filter bytecode) index by.
+  std::size_t index() const { return index_; }
 
   /// Index of `name` in the layout, or npos. Mirrors Record::find: the
   /// first field with that name wins.
@@ -139,9 +159,7 @@ class WirePlan {
   /// `cap` slots, indexed like field_names()). The single-pass form the
   /// view-direct trace renderer uses: strings are resolved once instead of
   /// once per field (or reused from `strings`, as in field()). False
-  /// (nothing written) when the plan is not viewable, `cap` is too small,
-  /// or the record is malformed — exactly when the caller must fall back
-  /// to the owned decode.
+  /// (nothing written) when `cap` is too small or the record is malformed.
   bool extract(const RecordView& v, FieldView* out, std::size_t cap,
                const std::string_view* strings = nullptr) const;
 
@@ -157,7 +175,10 @@ class WirePlan {
 
  private:
   friend class Descriptions;
-  static WirePlan build(const EventDesc& desc);
+  /// Resolves `desc` (described on line `line`); nullopt, with `error`
+  /// filled, when it breaks one of the limits above.
+  static std::optional<WirePlan> build(const EventDesc& desc, int line,
+                                       DescriptionError* error);
 
   struct Loc {
     std::size_t offset = 0;    // absolute within the record (ints only)
@@ -168,7 +189,7 @@ class WirePlan {
   /// Computes the views of string ordinals [0, k]; false on bounds errors.
   bool string_views(const RecordView& v, int k, std::string_view* out) const;
 
-  bool viewable_ = false;
+  std::size_t index_ = 0;
   std::string event_name_;            // description name, for trace rendering
   std::vector<Loc> fields_;           // layout order: 5 header fields + body
   std::vector<std::string> names_;    // layout order, same indexing
@@ -193,9 +214,10 @@ struct Record {
 class Descriptions {
  public:
   /// Parses a description file; returns nullopt and fills `error` on
-  /// malformed input.
+  /// malformed input, and on any description the wire-view path cannot
+  /// run (a record of such a type could never be decoded or rendered).
   static std::optional<Descriptions> parse(const std::string& text,
-                                           std::string* error = nullptr);
+                                           DescriptionError* error = nullptr);
 
   const EventDesc* by_type(std::uint32_t type) const;
   const EventDesc* by_name(const std::string& name) const;
@@ -205,9 +227,9 @@ class Descriptions {
   std::vector<std::uint32_t> types() const;
 
   /// Field names of a decoded record of `type`, in Record::fields order:
-  /// the fixed header fields first, then the described body fields. Empty
-  /// when the type is not described. This is the layout the template
-  /// compiler resolves field indices against.
+  /// the fixed header fields first, then the described body fields (the
+  /// type's WirePlan::field_names()). Empty when the type is not
+  /// described.
   std::vector<std::string> record_layout(std::uint32_t type) const;
 
   /// Decodes one complete raw meter message (header + body). Returns
@@ -215,28 +237,21 @@ class Descriptions {
   std::optional<Record> decode(const util::Bytes& raw) const;
   std::optional<Record> decode(const std::uint8_t* raw, std::size_t size) const;
 
-  /// The resolved wire plan for `type`; nullptr when undescribed.
+  /// The type→plan index: the resolved wire plan for `type`; nullptr when
+  /// undescribed.
   const WirePlan* wire_plan(std::uint32_t type) const;
-
-  /// Extracts the named field from a wire record via the type's plan;
-  /// nullopt when the type is undescribed / not viewable, the field is
-  /// absent, or the record is malformed. The interpreted template fallback
-  /// matches through this.
-  std::optional<FieldView> wire_field(const RecordView& v,
-                                      std::string_view name) const;
 
  private:
   /// Plans for small type numbers live in a dense vector so the per-record
   /// lookup on the filter hot path is one bounds check and an index, not a
   /// map walk. Unreasonably large type numbers (nothing standard) overflow
-  /// into the map. An undescribed slot holds a default (non-viewable)
-  /// plan, which every caller treats the same as "no plan".
+  /// into the map. An undescribed dense slot holds a default plan with no
+  /// fields, which wire_plan() reports as nullptr.
   static constexpr std::uint32_t kPlanCacheMax = 4096;
 
   std::map<std::uint32_t, EventDesc> by_type_;
   std::vector<WirePlan> plan_cache_;      // indexed by type, types < kPlanCacheMax
   std::map<std::uint32_t, WirePlan> plans_;  // types >= kPlanCacheMax
-  std::vector<std::string> header_fields_;
 };
 
 /// The standard description file installed on every machine (describes all

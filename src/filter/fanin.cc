@@ -168,12 +168,14 @@ kernel::ProcessMain make_localfilter_main(
       sys.exit(1);
     }
 
-    std::string err;
-    auto desc = Descriptions::parse(read_whole_file(sys, argv[1]), &err);
+    DescriptionError desc_err;
+    auto desc = Descriptions::parse(read_whole_file(sys, argv[1]), &desc_err);
     if (!desc) {
-      (void)sys.print("localfilter: bad descriptions: " + err + "\n");
+      (void)sys.print("localfilter: bad descriptions: " + desc_err.message +
+                      "\n");
       sys.exit(1);
     }
+    std::string err;
     auto templ = Templates::parse(read_whole_file(sys, argv[2]), &err);
     if (!templ) {
       (void)sys.print("localfilter: bad templates: " + err + "\n");
@@ -185,8 +187,7 @@ kernel::ProcessMain make_localfilter_main(
     // the root is the session's single live tap, and tapping here would
     // force a decode of every accepted record on every machine.
     obs::Registry& reg = sys.world().obs();
-    FilterEngine engine(std::move(*desc), std::move(*templ), EvalPath::view,
-                        &reg, MatchEngine::bytecode, "localfilter");
+    FilterEngine engine(std::move(*desc), *templ, &reg, "localfilter");
     obs::Counter& batches_out = reg.counter("localfilter.batches_out");
     obs::Counter& reconnects = reg.counter("localfilter.reconnects");
 

@@ -13,15 +13,11 @@
 
 namespace dpm::filter {
 
-FilterEngine::FilterEngine(Descriptions descriptions, Templates templates,
-                           EvalPath path, obs::Registry* obs,
-                           MatchEngine match, const std::string& key_prefix)
+FilterEngine::FilterEngine(Descriptions descriptions,
+                           const Templates& templates, obs::Registry* obs,
+                           const std::string& key_prefix)
     : desc_(std::move(descriptions)),
-      templ_(std::move(templates)),
-      compiled_(CompiledTemplates::compile(templ_, desc_)),
-      bytecode_(FilterBytecode::lower(compiled_)),
-      path_(path),
-      match_(match) {
+      bytecode_(FilterBytecode::compile(templates, desc_)) {
   if (!obs) {
     own_obs_ = std::make_unique<obs::Registry>();
     obs = own_obs_.get();
@@ -36,10 +32,6 @@ FilterEngine::FilterEngine(Descriptions descriptions, Templates templates,
   truncated_ = &obs_->counter(key(".truncated"));
   bytes_in_ = &obs_->counter(key(".bytes_in"));
   bytes_out_ = &obs_->counter(key(".bytes_out"));
-  eval_compiled_ = &obs_->counter(key(".eval_compiled"));
-  eval_interpreted_ = &obs_->counter(key(".eval_interpreted"));
-  accept_view_ = &obs_->counter(key(".accept_view"));
-  accept_owned_ = &obs_->counter(key(".accept_owned"));
 }
 
 void FilterEngine::add_sink(RecordSink* sink) {
@@ -55,8 +47,6 @@ FilterStats FilterEngine::stats() const {
   s.truncated = truncated_->value();
   s.bytes_in = bytes_in_->value();
   s.bytes_out = bytes_out_->value();
-  s.eval_compiled = eval_compiled_->value();
-  s.eval_interpreted = eval_interpreted_->value();
   return s;
 }
 
@@ -72,94 +62,42 @@ std::string filter_summary_line(const std::string& prog,
       static_cast<unsigned long long>(st.truncated));
 }
 
-bool FilterEngine::select_view(std::uint64_t conn, const std::uint8_t* raw,
-                               std::size_t size, const OnAccept& on_accept,
-                               const OnAcceptView* fast,
-                               const OnAcceptRaw* raw_accept) {
+void FilterEngine::select(std::uint64_t conn, const std::uint8_t* raw,
+                          std::size_t size, const OnAccept& on_accept) {
+  // Records of undescribed types have no plan and count as malformed,
+  // exactly like records that fail their description's bounds. The
+  // record's counted strings are resolved once, by validate(), and reused
+  // by the matcher's string clauses and by the renderer.
   const auto v = make_record_view(raw, size);
-  if (!v) return false;
-  const WirePlan* wp = desc_.wire_plan(v->type);
-  if (!wp || !wp->viewable()) return false;  // owned path decides
-
-  // The record's counted strings are resolved once, here, and reused by
-  // the matcher's string clauses and the accept fast path below.
+  const WirePlan* wp = v ? desc_.wire_plan(v->type) : nullptr;
   std::string_view strings[WirePlan::kMaxStringFields];
-  if (!wp->validate(*v, strings)) {
+  if (!wp || !wp->validate(*v, strings)) {
     malformed_->add(1);
     if (prov_tap_) prov_tap_(conn, raw, size, false);
-    return true;
+    return;
   }
-  // Match straight on the wire bytes; an owned Record is materialized only
-  // for records that survive selection and must be handed downstream.
-  const std::vector<bool>* mask = nullptr;
-  const std::set<std::string>* names = nullptr;
-  Templates::Decision d;
-  const auto cd = match_ == MatchEngine::bytecode
-                      ? bytecode_.evaluate(*v, strings)
-                      : compiled_.evaluate(*v);
-  if (cd) {
-    eval_compiled_->add(1);
-    if (!cd->accept) {
-      rejected_->add(1);
-      if (prov_tap_) prov_tap_(conn, raw, size, false);
-      return true;
-    }
-    mask = cd->discard;
-  } else {
-    eval_interpreted_->add(1);
-    d = templ_.evaluate_view(*v, desc_);
-    if (!d.accept) {
-      rejected_->add(1);
-      if (prov_tap_) prov_tap_(conn, raw, size, false);
-      return true;
-    }
-    if (!d.discard.empty()) names = &d.discard;
+  const FilterBytecode::Decision d = bytecode_.evaluate(*wp, *v, strings);
+  if (!d.accept) {
+    rejected_->add(1);
+    if (prov_tap_) prov_tap_(conn, raw, size, false);
+    return;
   }
   accepted_->add(1);
-  accept_view_->add(1);
   // The tap fires at the decision, *before* the accept consumers: a sink
   // may drive live analysis synchronously, and the tracker must see the
   // accept (and queue the identity for live binding) first.
   if (prov_tap_) prov_tap_(conn, raw, size, true);
-  // Forwarding path: the accepted record goes out as the bytes it came in
-  // as — no decode at all. Only when a sink needs the owned Record does
-  // the forwarding accept fall through to the decode below.
-  if (raw_accept && sinks_.empty()) {
-    (*raw_accept)(raw, size);
-    return true;
+  if (!sinks_.empty()) {
+    // Sinks take an owned Record; validate() passed, so the decode cannot
+    // fail.
+    const Record rec = *desc_.decode(raw, size);
+    for (RecordSink* sink : sinks_) sink->on_record(rec);
   }
-  // Fast path: a view consumer renders straight off the wire bytes —
-  // byte-identical output with no owned Record. Interpreted-fallback
-  // accepts carry name-set discards, which the view renderer does not
-  // take; they use the owned path below.
-  if (fast && !names && (*fast)(*v, *wp, mask, strings)) return true;
-  // validate() passed, so the decode cannot fail.
-  auto rec = desc_.decode(raw, size);
-  on_accept(*rec, mask, names);
-  if (raw_accept) (*raw_accept)(raw, size);
-  return true;
+  on_accept(*v, *wp, strings, d.discard);
 }
 
 void FilterEngine::drain(std::uint64_t conn, const util::Bytes& data,
-                         const OnAccept& user_accept, const OnAcceptView* fast,
-                         const OnAcceptRaw* raw_accept) {
-  // One wrap point covers every accept site (the view path and both owned
-  // paths below): registered sinks see each accepted record before the
-  // caller's consumer renders or aggregates it. Sinks need the owned
-  // Record, so they also disable the caller's view fast path.
-  const OnAccept* on_ptr = &user_accept;
-  OnAccept wrapped;
-  if (!sinks_.empty()) {
-    fast = nullptr;
-    wrapped = [&](const Record& rec, const std::vector<bool>* mask,
-                  const std::set<std::string>* names) {
-      for (RecordSink* sink : sinks_) sink->on_record(rec);
-      user_accept(rec, mask, names);
-    };
-    on_ptr = &wrapped;
-  }
-  const OnAccept& on_accept = *on_ptr;
-
+                         const OnAccept& on_accept) {
   bytes_in_->add(data.size());
   util::Bytes& buf = partial_[conn];
   // Fast path: with no partial remainder carried over, frame directly over
@@ -195,49 +133,9 @@ void FilterEngine::drain(std::uint64_t conn, const util::Bytes& data,
     pos += size;
     records_in_->add(1);
 
-    // Hot path: evaluate in place over the wire bytes (the view borrows
-    // `buf`, which is not touched until the loop ends). Types the view
-    // decoder cannot handle fall through to the owned decode below.
-    if (path_ == EvalPath::view &&
-        select_view(conn, raw, size, on_accept, fast, raw_accept)) {
-      continue;
-    }
-
-    auto rec = desc_.decode(raw, size);
-    if (!rec) {
-      malformed_->add(1);
-      if (prov_tap_) prov_tap_(conn, raw, size, false);
-      continue;
-    }
-    // Clause plan compiled against the record description; records of
-    // types the compiler did not cover fall back to the interpreted
-    // evaluator.
-    if (auto cd = compiled_.evaluate(*rec)) {
-      eval_compiled_->add(1);
-      if (!cd->accept) {
-        rejected_->add(1);
-        if (prov_tap_) prov_tap_(conn, raw, size, false);
-        continue;
-      }
-      accepted_->add(1);
-      accept_owned_->add(1);
-      if (prov_tap_) prov_tap_(conn, raw, size, true);
-      on_accept(*rec, cd->discard, nullptr);
-      if (raw_accept) (*raw_accept)(raw, size);
-    } else {
-      eval_interpreted_->add(1);
-      const Templates::Decision d = templ_.evaluate(*rec);
-      if (!d.accept) {
-        rejected_->add(1);
-        if (prov_tap_) prov_tap_(conn, raw, size, false);
-        continue;
-      }
-      accepted_->add(1);
-      accept_owned_->add(1);
-      if (prov_tap_) prov_tap_(conn, raw, size, true);
-      on_accept(*rec, nullptr, d.discard.empty() ? nullptr : &d.discard);
-      if (raw_accept) (*raw_accept)(raw, size);
-    }
+    // Selection runs in place over the wire bytes: the view borrows
+    // `base`, which is not touched until the loop ends.
+    select(conn, raw, size, on_accept);
   }
   if (desync) {
     buf.clear();  // everything after the bad size word is dropped
@@ -268,47 +166,31 @@ std::string FilterEngine::feed(std::uint64_t conn, const util::Bytes& data) {
 
 void FilterEngine::feed(std::uint64_t conn, const util::Bytes& data,
                         std::string& out) {
-  const OnAccept on_accept = [&](const Record& rec,
-                                 const std::vector<bool>* mask,
-                                 const std::set<std::string>* names) {
-    std::string line = names ? trace_line(rec, *names) : trace_line(rec, mask);
-    bytes_out_->add(line.size());
-    out += line;
-  };
-  // Trace rendering needs no owned Record: accepted records decided by the
-  // lowered bytecode render straight from their wire view (drain drops the
-  // hook again if sinks are registered). Declining (extract failure) falls
-  // back to the owned path, so output is identical either way.
-  if (path_ == EvalPath::view && match_ == MatchEngine::bytecode) {
-    const OnAcceptView fast = [&](const RecordView& v, const WirePlan& wp,
-                                  const std::vector<bool>* mask,
-                                  const std::string_view* strings) {
-      const std::size_t before = out.size();
-      if (!trace_line_view(wp, v, mask, strings, out)) return false;
-      bytes_out_->add(out.size() - before);
-      return true;
-    };
-    drain(conn, data, on_accept, &fast);
-    return;
-  }
-  drain(conn, data, on_accept);
+  drain(conn, data,
+        [&](const RecordView& v, const WirePlan& wp,
+            const std::string_view* strings, const std::vector<bool>* discard) {
+          // A validated record of a parsed plan always renders.
+          const std::size_t before = out.size();
+          trace_line_view(wp, v, discard, strings, out);
+          bytes_out_->add(out.size() - before);
+        });
 }
 
 void FilterEngine::feed_each(std::uint64_t conn, const util::Bytes& data,
                              const std::function<void(const Record&)>& fn) {
   drain(conn, data,
-        [&](const Record& rec, const std::vector<bool>*,
-            const std::set<std::string>*) { fn(rec); });
+        [&](const RecordView& v, const WirePlan&, const std::string_view*,
+            const std::vector<bool>*) {
+          // validate() passed, so the decode cannot fail.
+          fn(*desc_.decode(v.data, v.size));
+        });
 }
 
 void FilterEngine::feed_forward(std::uint64_t conn, const util::Bytes& data,
                                 const OnAcceptRaw& fn) {
-  // The no-op owned accept still runs for sink-registered engines (drain
-  // wraps it with the sink notifications) and for view-decode fallthrough;
-  // the wire bytes always reach `fn` exactly once per accepted record.
-  const OnAccept noop = [](const Record&, const std::vector<bool>*,
-                           const std::set<std::string>*) {};
-  drain(conn, data, noop, nullptr, &fn);
+  drain(conn, data,
+        [&](const RecordView& v, const WirePlan&, const std::string_view*,
+            const std::vector<bool>*) { fn(v.data, v.size); });
 }
 
 kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
@@ -339,12 +221,13 @@ kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
       return text;
     };
 
-    std::string err;
-    auto desc = Descriptions::parse(read_file(desc_path), &err);
+    DescriptionError desc_err;
+    auto desc = Descriptions::parse(read_file(desc_path), &desc_err);
     if (!desc) {
-      (void)sys.print("filter: bad descriptions: " + err + "\n");
+      (void)sys.print("filter: bad descriptions: " + desc_err.message + "\n");
       sys.exit(1);
     }
+    std::string err;
     auto templ = Templates::parse(read_file(templ_path), &err);
     if (!templ) {
       (void)sys.print("filter: bad templates: " + err + "\n");
@@ -353,8 +236,7 @@ kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
     // Account into the world's registry so the filter shows up in
     // world.obs_snapshot() alongside the kernel and fabric.
     obs::Registry& reg = sys.world().obs();
-    FilterEngine engine(std::move(*desc), std::move(*templ), EvalPath::view,
-                        &reg);
+    FilterEngine engine(std::move(*desc), *templ, &reg);
     // A live sink installed on the world (install_live_sink) taps this
     // filter's accepted records as they stream in. Held here so the sink
     // outlives the engine even if the harness drops its reference.

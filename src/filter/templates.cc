@@ -145,67 +145,6 @@ bool Templates::clause_matches(const Clause& c, const Record& rec) {
   return false;
 }
 
-bool Templates::clause_matches_view(const Clause& c, const RecordView& v,
-                                    const Descriptions& desc) {
-  const auto lhs = desc.wire_field(v, c.field);
-  if (!lhs) return false;
-  if (c.wildcard) return true;
-
-  // Same RHS tie-break as clause_matches: a field reference when the
-  // record's type carries a field of that name, otherwise a literal.
-  int cmp;
-  if (const auto rhs = desc.wire_field(v, c.value)) {
-    cmp = field_view_cmp(*lhs, *rhs);
-  } else if (auto n = util::parse_int(c.value)) {
-    const auto ln = field_view_num(*lhs);
-    if (ln) {
-      cmp = (*ln < *n) ? -1 : (*ln > *n) ? 1 : 0;
-    } else {
-      // Non-numeric lhs against a numeric literal falls back to text,
-      // comparing against the *parsed* value's rendering (as evaluate()
-      // does via field_value_text).
-      cmp = field_view_text_cmp(*lhs, field_value_text(FieldValue{*n}));
-    }
-  } else {
-    cmp = field_view_text_cmp(*lhs, c.value);
-  }
-  switch (c.op) {
-    case CmpOp::eq: return cmp == 0;
-    case CmpOp::ne: return cmp != 0;
-    case CmpOp::lt: return cmp < 0;
-    case CmpOp::gt: return cmp > 0;
-    case CmpOp::le: return cmp <= 0;
-    case CmpOp::ge: return cmp >= 0;
-  }
-  return false;
-}
-
-Templates::Decision Templates::evaluate_view(const RecordView& v,
-                                             const Descriptions& desc) const {
-  Decision d;
-  if (rules_.empty()) {
-    d.accept = true;
-    return d;
-  }
-  for (const Rule& rule : rules_) {
-    bool all = true;
-    for (const Clause& c : rule.clauses) {
-      if (!clause_matches_view(c, v, desc)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) {
-      d.accept = true;
-      for (const Clause& c : rule.clauses) {
-        if (c.discard) d.discard.insert(c.field);
-      }
-      return d;
-    }
-  }
-  return d;
-}
-
 Templates::Decision Templates::evaluate(const Record& rec) const {
   Decision d;
   if (rules_.empty()) {

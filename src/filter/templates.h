@@ -20,12 +20,15 @@
 //
 // Field-reference tie-break: a value token that names a field of the
 // record being matched is a field reference, and a literal otherwise —
-// field references win. The compiled engine (compiled_templates.h)
-// resolves this once per event type against the record description, so
-// the decision is deterministic per type rather than per record; the
-// interpreted path applies the same tie-break against the record itself
-// (equivalent for description-decoded records, which always carry every
-// described field).
+// field references win. The filter's compiled rules (bytecode.h) resolve
+// this once per event type against the record description, so the
+// decision is deterministic per type rather than per record; evaluate()
+// applies the same tie-break against the record itself (equivalent for
+// description-decoded records, which always carry every described field).
+//
+// Templates::evaluate is the interpreted reference matcher: the filter
+// decides with the compiled rules, and tests compare those decisions
+// against this one.
 #pragma once
 
 #include <cstdint>
@@ -70,19 +73,11 @@ class Templates {
 
   Decision evaluate(const Record& rec) const;
 
-  /// Evaluates a wire record in place, resolving field names through
-  /// `desc`'s wire plans (no Record materialization). Produces the same
-  /// decision as evaluate() on the decoded record for any record that
-  /// Descriptions::decode accepts.
-  Decision evaluate_view(const RecordView& v, const Descriptions& desc) const;
-
   std::size_t rule_count() const { return rules_.size(); }
   const std::vector<Rule>& rules() const { return rules_; }
 
  private:
   static bool clause_matches(const Clause& c, const Record& rec);
-  static bool clause_matches_view(const Clause& c, const RecordView& v,
-                                  const Descriptions& desc);
   std::vector<Rule> rules_;
 };
 

@@ -68,26 +68,11 @@ std::string trace_line(const Record& rec, const std::set<std::string>& discard) 
   return out;
 }
 
-std::string trace_line(const Record& rec, const std::vector<bool>* discard_mask) {
-  std::string out = "event=" + rec.event_name;
-  for (std::size_t i = 0; i < rec.fields.size(); ++i) {
-    if (discard_mask && i < discard_mask->size() && (*discard_mask)[i]) continue;
-    const auto& [name, value] = rec.fields[i];
-    out += ' ';
-    out += name;
-    out += '=';
-    out += escape(field_value_text(value));
-  }
-  out += '\n';
-  return out;
-}
-
 bool trace_line_view(const WirePlan& plan, const RecordView& v,
                      const std::vector<bool>* discard_mask,
                      const std::string_view* strings, std::string& out) {
-  constexpr std::size_t kMaxFields = 32;
-  FieldView fields[kMaxFields];
-  if (!plan.extract(v, fields, kMaxFields, strings)) return false;
+  FieldView fields[WirePlan::kMaxFields];
+  if (!plan.extract(v, fields, WirePlan::kMaxFields, strings)) return false;
   const std::vector<std::string>& name_eq = plan.name_eq();
   out += "event=";
   out += plan.event_name();

@@ -22,20 +22,18 @@
 namespace dpm::filter {
 
 /// Renders an accepted record, omitting discarded fields. Ends with '\n'.
+/// The reference renderer: the filter renders with trace_line_view, and
+/// tests compare its lines against this one.
 std::string trace_line(const Record& rec, const std::set<std::string>& discard);
 
-/// Same, with the discards given as the compiled engine's field-index
-/// mask (indexed like Record::fields; nullptr = discard nothing). Avoids
-/// a name lookup per field on the hot path.
-std::string trace_line(const Record& rec, const std::vector<bool>* discard_mask);
-
-/// Renders an accepted record straight from its wire view — byte-identical
-/// to trace_line(decode(v), discard_mask) — and appends it to `out`.
-/// `strings` (optional) is the record's resolved string scratch from
-/// WirePlan::validate. False (nothing appended) when the plan cannot
-/// extract the record (not viewable, too many fields, malformed); the
-/// caller falls back to the owned decode. This is the fast path: no
-/// Record, no per-field string allocation.
+/// Renders an accepted record straight from its wire view and appends it
+/// to `out`: byte-identical to trace_line on the decoded record with the
+/// fields `discard_mask` marks (indexed like Record::fields; nullptr =
+/// discard nothing) discarded. `strings` (optional) is the record's
+/// resolved string scratch from WirePlan::validate. False (nothing
+/// appended) when the record is malformed; a record that passed
+/// plan.validate() always renders. No Record, no per-field string
+/// allocation.
 bool trace_line_view(const WirePlan& plan, const RecordView& v,
                      const std::vector<bool>* discard_mask,
                      const std::string_view* strings, std::string& out);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "meter/metermsgs.h"
+#include "util/strings.h"
 
 namespace dpm::filter {
 namespace {
@@ -14,9 +15,9 @@ TEST(Descriptions, ParsesPaperStyleSendLine) {
       "HEADER size machine cpuTime procTime traceType\n"
       "SEND 1, pid,0,4,10 pc,4,4,10 sock,8,8,10 msgLength,16,4,10 "
       "destNameLen,20,4,10 destName,24,0,0\n";
-  std::string err;
+  DescriptionError err;
   auto d = Descriptions::parse(text, &err);
-  ASSERT_TRUE(d.has_value()) << err;
+  ASSERT_TRUE(d.has_value()) << err.message;
   const EventDesc* send = d->by_type(1);
   ASSERT_NE(send, nullptr);
   EXPECT_EQ(send->name, "SEND");
@@ -28,9 +29,9 @@ TEST(Descriptions, ParsesPaperStyleSendLine) {
 }
 
 TEST(Descriptions, DefaultFileDescribesAllTenEvents) {
-  std::string err;
+  DescriptionError err;
   auto d = Descriptions::parse(default_descriptions_text(), &err);
-  ASSERT_TRUE(d.has_value()) << err;
+  ASSERT_TRUE(d.has_value()) << err.message;
   EXPECT_EQ(d->size(), 10u);
   for (std::uint32_t t = 1; t <= 10; ++t) {
     EXPECT_NE(d->by_type(t), nullptr) << "missing type " << t;
@@ -40,14 +41,60 @@ TEST(Descriptions, DefaultFileDescribesAllTenEvents) {
 }
 
 TEST(Descriptions, RejectsMalformedInput) {
-  std::string err;
-  EXPECT_FALSE(Descriptions::parse("", &err).has_value());
-  EXPECT_FALSE(Descriptions::parse("SEND\n", &err).has_value());
-  EXPECT_FALSE(Descriptions::parse("SEND x, pid,0,4,10\n", &err).has_value());
-  EXPECT_FALSE(
-      Descriptions::parse("SEND 1, pid,0,nope,10\n", &err).has_value());
-  EXPECT_FALSE(Descriptions::parse("SEND 1, pid,0,3,10\n", &err).has_value());
-  EXPECT_FALSE(err.empty());
+  using Kind = DescriptionError::Kind;
+  // Every rejection names its kind and the offending line.
+  auto expect_error = [](const std::string& text, Kind kind, int line) {
+    DescriptionError err;
+    EXPECT_FALSE(Descriptions::parse(text, &err).has_value()) << text;
+    EXPECT_EQ(err.kind, kind) << text << err.message;
+    EXPECT_EQ(err.line, line) << text << err.message;
+    if (line > 0) {
+      EXPECT_EQ(err.message.rfind("line " + std::to_string(line) + ": ", 0),
+                0u)
+          << err.message;
+    }
+  };
+  expect_error("", Kind::empty, 0);
+  expect_error("SEND\n", Kind::syntax, 1);
+  expect_error("SEND x, pid,0,4,10\n", Kind::bad_type, 1);
+  expect_error("SEND 1, pid,0,nope,10\n", Kind::syntax, 1);
+  expect_error("SEND 1, pid,0,3,10\n", Kind::syntax, 1);
+
+  // A type number past traceType's 32 bits must not wrap onto another
+  // type (4294967297 would become 1 and silently replace SEND)...
+  const std::string send = "SEND 1, pid,0,4,10\n";
+  expect_error(send + "BOGUS 4294967297, x,0,4,10\n", Kind::bad_type, 2);
+  // ...and a type number described twice must not replace the first.
+  expect_error(send + "# comment\nRECV 1, pid,0,4,10\n", Kind::duplicate_type,
+               3);
+
+  // Descriptions the wire-view path cannot run. A counted string needs an
+  // earlier "<name>Len" field (a later one does not count, as in decode).
+  expect_error("SEND 1, pid,0,4,10 destName,8,0,0\n", Kind::missing_length, 1);
+  expect_error(send + "SEND2 2, destName,4,0,0 destNameLen,0,4,10\n",
+               Kind::missing_length, 2);
+  // Strings may share one length field (decode resolves each through the
+  // first "<name>Len"), so the string limit is reachable under the field
+  // limit.
+  auto strings = [](int n) {
+    std::string line = "MANY 3, sLen,0,4,10";
+    for (int i = 0; i < n; ++i) line += " s,4,0,0";
+    return line + "\n";
+  };
+  expect_error(send + strings(17), Kind::too_many_strings, 2);
+  auto wide = [](int n) {
+    std::string line = "WIDE 4,";
+    for (int i = 0; i < n; ++i) {
+      line += util::strprintf(" f%d,%d,4,10", i, 4 * i);
+    }
+    return line + "\n";
+  };
+  expect_error(send + wide(28), Kind::too_many_fields, 2);
+
+  // Exactly at the limits is fine.
+  auto ok = Descriptions::parse(send + strings(16) + wide(27));
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->wire_plan(4)->field_count(), WirePlan::kMaxFields);
 }
 
 class DecodeTest : public ::testing::Test {

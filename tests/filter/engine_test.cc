@@ -137,5 +137,92 @@ TEST(FilterEngine, TruncatedTailIsCountedNotSilent) {
   EXPECT_EQ(e.stats().truncated, 1u);
 }
 
+TEST(FilterEngine, UndescribedAndOverrunRecordsAreMalformed) {
+  // A record of an undescribed type and a record whose counted-string
+  // length runs past its end are malformed, not rejected: neither reaches
+  // the rules, and the provenance tap reports both as not accepted.
+  FilterEngine e = make_engine("pid=1\n");
+  std::vector<std::pair<std::size_t, bool>> tapped;
+  e.set_provenance([&tapped](std::uint64_t, const std::uint8_t*,
+                             std::size_t size, bool accepted) {
+    tapped.emplace_back(size, accepted);
+  });
+
+  const util::Bytes accepted =
+      stamped(meter::MeterSend{1, 0, 2, 10, "d"}).serialize();
+  const util::Bytes rejected =
+      stamped(meter::MeterSend{2, 0, 2, 10, "d"}).serialize();
+  util::Bytes undescribed = accepted;
+  undescribed[22] = 77;  // traceType: nothing describes type 77
+  util::Bytes overrun =
+      stamped(meter::MeterRecv{1, 0, 3, 64, "abc"}).serialize();
+  overrun[meter::kHeaderSize + 20] = 200;  // sourceNameLen past the end
+
+  util::Bytes batch;
+  for (const util::Bytes& r : {accepted, undescribed, overrun, rejected}) {
+    batch.insert(batch.end(), r.begin(), r.end());
+  }
+  const std::string out = e.feed(1, batch);
+  EXPECT_EQ(parse_trace(out).records.size(), 1u);
+  const FilterStats st = e.stats();
+  EXPECT_EQ(st.records_in, 4u);
+  EXPECT_EQ(st.accepted, 1u);
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.malformed, 2u);
+  EXPECT_EQ(st.truncated, 0u);
+  const std::vector<std::pair<std::size_t, bool>> want = {
+      {accepted.size(), true},
+      {undescribed.size(), false},
+      {overrun.size(), false},
+      {rejected.size(), false}};
+  EXPECT_EQ(tapped, want);
+}
+
+/// Collects every record a FilterEngine hands its sinks.
+class CollectingSink : public RecordSink {
+ public:
+  void on_record(const Record& rec) override { records.push_back(rec); }
+  std::vector<Record> records;
+};
+
+TEST(FilterEngine, SinkSeesAcceptedRecordsAndLeavesTheLogUnchanged) {
+  // Discard rules edit the log lines but not what sinks see: a sink gets
+  // each accepted record whole, and registering it changes no log byte.
+  const char* rules = "machine=#*, pid=#*, type=1\ntype=8, sockName=#*\n";
+  util::Bytes batch;
+  for (int i = 0; i < 30; ++i) {
+    const auto m = static_cast<std::uint16_t>(i % 3);
+    stamped(meter::MeterSend{i, 0, 2, 10, "d"}, m).serialize_into(batch);
+    stamped(meter::MeterRecvCall{i, 0, 2}, m).serialize_into(batch);
+    stamped(meter::MeterAccept{i, 0, 4, 5, "a", "b"}, m).serialize_into(batch);
+  }
+  FilterEngine plain = make_engine(rules);
+  FilterEngine tapped = make_engine(rules);
+  CollectingSink sink;
+  tapped.add_sink(&sink);
+  const std::string log = plain.feed(1, batch);
+  EXPECT_EQ(tapped.feed(1, batch), log);
+  EXPECT_EQ(tapped.stats().bytes_out, plain.stats().bytes_out);
+
+  // Exactly the accepted records, in order, with every field intact.
+  auto desc = Descriptions::parse(default_descriptions_text());
+  auto templ = Templates::parse(rules);
+  std::vector<Record> want;
+  for (std::size_t pos = 0; pos < batch.size();) {
+    const std::uint32_t size =
+        *util::BinaryReader(batch.data() + pos, batch.size() - pos).u32();
+    auto rec = desc->decode(batch.data() + pos, size);
+    pos += size;
+    ASSERT_TRUE(rec.has_value());
+    if (templ->evaluate(*rec).accept) want.push_back(std::move(*rec));
+  }
+  ASSERT_EQ(sink.records.size(), want.size());
+  EXPECT_EQ(sink.records.size(), tapped.stats().accepted);
+  EXPECT_EQ(want.size(), 60u);  // every SEND and every ACCEPT
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(trace_line(sink.records[i], {}), trace_line(want[i], {}));
+  }
+}
+
 }  // namespace
 }  // namespace dpm::filter

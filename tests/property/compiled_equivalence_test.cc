@@ -1,13 +1,16 @@
-// Property test for the compiled template engine: on records decoded via
-// the standard descriptions, CompiledTemplates must produce byte-identical
-// accept/discard decisions to the interpreted Templates evaluator, for
-// random rule sets over random meter messages. The lowered FilterBytecode
-// must in turn agree with CompiledTemplates on wire-byte views — before,
-// during, and after its adaptive clause reorder.
+// Property test for the compiled rules: on the standard descriptions,
+// FilterBytecode deciding each record straight off its wire bytes, with
+// the accepted records rendered by trace_line_view, must produce exactly
+// the reference filter's lines (decode + the interpreted Templates
+// evaluator + trace_line), for random rule sets over random meter
+// messages — before, during, and after the bytecode's adaptive clause
+// reorder.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "filter/bytecode.h"
-#include "filter/compiled_templates.h"
+#include "filter/oracle.h"
 #include "filter/trace.h"
 #include "meter/metermsgs.h"
 #include "util/rng.h"
@@ -74,7 +77,8 @@ std::string random_rules(util::Rng& rng) {
     const int nclauses = static_cast<int>(rng.uniform(1, 3));
     for (int c = 0; c < nclauses; ++c) {
       if (!line.empty()) line += ", ";
-      line += kFields[rng.uniform(0, 11)];
+      const std::string field = kFields[rng.uniform(0, 11)];
+      line += field;
       const bool wildcard = rng.bernoulli(0.2);
       // '*' is only legal with '='; '#' discard works with any value.
       line += wildcard ? "=" : kOps[rng.uniform(0, 5)];
@@ -83,9 +87,11 @@ std::string random_rules(util::Rng& rng) {
         line += "*";
       } else {
         switch (rng.uniform(0, 3)) {
-          case 0:  // integer literal, sometimes with leading zeros
+          case 0:  // integer literal, sometimes with leading zeros; type
+                   // clauses draw near the described type numbers
             line += (rng.bernoulli(0.1) ? "00" : "") +
-                    std::to_string(rng.uniform(0, 2048));
+                    std::to_string(field == "type" ? rng.uniform(0, 11)
+                                                   : rng.uniform(0, 2048));
             break;
           case 1:  // a name that may or may not be a field of the type
             line += kFields[rng.uniform(0, 11)];
@@ -104,12 +110,30 @@ std::string random_rules(util::Rng& rng) {
   return text;
 }
 
+/// Checks one record: the compiled path (with and without validate's
+/// string scratch) renders exactly the reference line.
+void expect_matches_oracle(const Descriptions& desc, const Templates& templ,
+                           FilterBytecode& bytecode, const util::Bytes& wire,
+                           const std::string& context) {
+  const auto expected = oracle_line(desc, templ, wire.data(), wire.size());
+  ASSERT_TRUE(expected.has_value()) << context;
+  ASSERT_EQ(bytecode_line(desc, bytecode, wire.data(), wire.size()), expected)
+      << context;
+  ASSERT_EQ(bytecode_line(desc, bytecode, wire.data(), wire.size(),
+                          /*scratch=*/false),
+            expected)
+      << context;
+}
+
 class CompiledEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledEquivalence,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 TEST_P(CompiledEquivalence, MatchesInterpretedOnDecodedRecords) {
+  // Decision level: the bytecode's accept bit and discard mask equal the
+  // interpreted evaluator's accept bit and discard set on the decoded
+  // record.
   util::Rng rng(GetParam() * 977);
   auto desc = Descriptions::parse(default_descriptions_text());
   ASSERT_TRUE(desc.has_value());
@@ -118,32 +142,38 @@ TEST_P(CompiledEquivalence, MatchesInterpretedOnDecodedRecords) {
     const std::string text = random_rules(rng);
     auto templ = Templates::parse(text);
     ASSERT_TRUE(templ.has_value()) << text;
-    const auto compiled = CompiledTemplates::compile(*templ, *desc);
+    FilterBytecode bytecode = FilterBytecode::compile(*templ, *desc);
 
     for (int i = 0; i < 40; ++i) {
-      auto rec = desc->decode(random_msg(rng).serialize());
+      const meter::MeterMsg msg = random_msg(rng);
+      const util::Bytes wire = msg.serialize();
+      auto rec = desc->decode(wire);
       ASSERT_TRUE(rec.has_value());
-      const auto cd = compiled.evaluate(*rec);
-      ASSERT_TRUE(cd.has_value()) << "decoded record must be compiled\n"
-                                  << text;
+      const auto v = make_record_view(wire.data(), wire.size());
+      const WirePlan* wp = desc->wire_plan(v->type);
+      std::string_view strings[WirePlan::kMaxStringFields];
+      ASSERT_TRUE(wp->validate(*v, strings));
+      const FilterBytecode::Decision bd = bytecode.evaluate(*wp, *v, strings);
       const Templates::Decision id = templ->evaluate(*rec);
-      ASSERT_EQ(cd->accept, id.accept)
-          << "rules:\n" << text << "record: " << trace_line(*rec, nullptr);
-      if (cd->accept) {
-        // The discard mask must edit the trace line exactly like the
-        // interpreted name set.
-        ASSERT_EQ(trace_line(*rec, cd->discard), trace_line(*rec, id.discard))
-            << "rules:\n" << text;
+      ASSERT_EQ(bd.accept, id.accept)
+          << "rules:\n" << text << "record: " << msg.pretty();
+      std::set<std::string> discarded;
+      for (std::size_t f = 0; bd.discard && f < bd.discard->size(); ++f) {
+        if ((*bd.discard)[f]) discarded.insert(wp->field_names()[f]);
+      }
+      if (bd.accept) {
+        ASSERT_EQ(discarded, id.discard) << "rules:\n" << text;
+      } else {
+        ASSERT_TRUE(discarded.empty());
       }
     }
   }
 }
 
 TEST_P(CompiledEquivalence, BytecodeMatchesCompiledAndInterpretedOnViews) {
-  // Three-way equivalence on the zero-copy path: for the same wire bytes,
-  // bytecode(view) == compiled(view), and both agree with the interpreted
-  // evaluator on the decoded record — accept bit and discard-edited trace
-  // line alike.
+  // Line level: each record decided by the compiled rules and rendered
+  // from its wire view — with and without validate's string scratch —
+  // equals the interpreted reference filter's line, byte for byte.
   util::Rng rng(GetParam() * 271 + 3);
   auto desc = Descriptions::parse(default_descriptions_text());
   ASSERT_TRUE(desc.has_value());
@@ -152,52 +182,34 @@ TEST_P(CompiledEquivalence, BytecodeMatchesCompiledAndInterpretedOnViews) {
     const std::string text = random_rules(rng);
     auto templ = Templates::parse(text);
     ASSERT_TRUE(templ.has_value()) << text;
-    const auto compiled = CompiledTemplates::compile(*templ, *desc);
-    FilterBytecode bytecode = FilterBytecode::lower(compiled);
+    FilterBytecode bytecode = FilterBytecode::compile(*templ, *desc);
 
     for (int i = 0; i < 40; ++i) {
-      const util::Bytes wire = random_msg(rng).serialize();
-      const std::uint32_t size = static_cast<std::uint32_t>(wire.size());
-      auto v = make_record_view(wire.data(), size);
-      ASSERT_TRUE(v.has_value());
-      const auto cv = compiled.evaluate(*v);
-      const auto bv = bytecode.evaluate(*v);
-      ASSERT_EQ(cv.has_value(), bv.has_value()) << text;
-      if (!cv) continue;
-      ASSERT_EQ(cv->accept, bv->accept)
-          << "rules:\n" << text << "record: " << random_msg(rng).pretty();
-      auto rec = desc->decode(wire);
-      ASSERT_TRUE(rec.has_value());
-      const Templates::Decision id = templ->evaluate(*rec);
-      ASSERT_EQ(bv->accept, id.accept) << "rules:\n" << text;
-      if (bv->accept) {
-        ASSERT_EQ(trace_line(*rec, bv->discard), trace_line(*rec, id.discard))
-            << "rules:\n" << text;
-        ASSERT_EQ(trace_line(*rec, bv->discard), trace_line(*rec, cv->discard))
-            << "rules:\n" << text;
-      }
+      const meter::MeterMsg msg = random_msg(rng);
+      expect_matches_oracle(*desc, *templ, bytecode, msg.serialize(),
+                            "rules:\n" + text + "record: " + msg.pretty());
+      if (HasFatalFailure()) return;
     }
   }
 }
 
 TEST_P(CompiledEquivalence, BytecodeStaysEquivalentAcrossAdaptiveReorder) {
   // Feed far more records of one type than the learn window so the
-  // program regenerates with reordered clauses; decisions and discard
-  // masks must be identical on every record before and after.
+  // program regenerates with reordered clauses; every record's decision
+  // and discard-edited line must match the reference before and after.
   util::Rng rng(GetParam() * 8837 + 11);
   auto desc = Descriptions::parse(default_descriptions_text());
   ASSERT_TRUE(desc.has_value());
 
-  // Multi-clause rules over one hot type so fail counts accumulate
-  // unevenly and the reorder actually permutes something.
+  // Multi-clause rules over one hot type, each led by a clause that never
+  // fails, so the reorder must move a more rejecting clause ahead of it.
   const std::string text =
-      "type=1, msgLength>1024, pid<15, machine=2\n"
-      "type=1, pid>=15, msgLength<=64\n"
-      "machine<3, type=1, sock>2\n";
+      "type=1, pid>=0, msgLength>1024, pid<15, machine=2\n"
+      "type=1, sock<100, pid>=15, msgLength<=64, machine=#*\n"
+      "cpuTime>=0, machine<3, type=1, sock>2\n";
   auto templ = Templates::parse(text);
   ASSERT_TRUE(templ.has_value());
-  const auto compiled = CompiledTemplates::compile(*templ, *desc);
-  FilterBytecode bytecode = FilterBytecode::lower(compiled);
+  FilterBytecode bytecode = FilterBytecode::compile(*templ, *desc);
 
   for (int i = 0; i < 1200; ++i) {
     meter::MeterMsg m;
@@ -207,20 +219,9 @@ TEST_P(CompiledEquivalence, BytecodeStaysEquivalentAcrossAdaptiveReorder) {
         static_cast<std::uint32_t>(rng.uniform(0, 2048)), random_name(rng)};
     m.header.machine = static_cast<std::uint16_t>(rng.uniform(0, 6));
     m.header.cpu_time = rng.uniform(0, 20000);
-    const util::Bytes wire = m.serialize();
-    auto v = make_record_view(wire.data(), static_cast<std::uint32_t>(wire.size()));
-    ASSERT_TRUE(v.has_value());
-    const auto cv = compiled.evaluate(*v);
-    const auto bv = bytecode.evaluate(*v);
-    ASSERT_TRUE(cv.has_value());
-    ASSERT_TRUE(bv.has_value());
-    ASSERT_EQ(cv->accept, bv->accept) << "at record " << i;
-    if (cv->accept) {
-      auto rec = desc->decode(wire);
-      ASSERT_TRUE(rec.has_value());
-      ASSERT_EQ(trace_line(*rec, cv->discard), trace_line(*rec, bv->discard))
-          << "at record " << i;
-    }
+    expect_matches_oracle(*desc, *templ, bytecode, m.serialize(),
+                          "at record " + std::to_string(i));
+    if (HasFatalFailure()) return;
   }
   // The warmup was long enough that the one-shot reorder actually fired.
   EXPECT_GT(bytecode.reorders(), 0u);
@@ -231,17 +232,15 @@ TEST_P(CompiledEquivalence, EmptyRuleSetAgrees) {
   util::Rng rng(GetParam() * 31 + 7);
   auto desc = Descriptions::parse(default_descriptions_text());
   ASSERT_TRUE(desc.has_value());
-  const auto compiled = CompiledTemplates::compile(Templates{}, *desc);
-  Templates empty;
+  const Templates empty;
+  FilterBytecode bytecode = FilterBytecode::compile(empty, *desc);
   for (int i = 0; i < 50; ++i) {
-    auto rec = desc->decode(random_msg(rng).serialize());
-    ASSERT_TRUE(rec.has_value());
-    const auto cd = compiled.evaluate(*rec);
-    ASSERT_TRUE(cd.has_value());
-    EXPECT_TRUE(cd->accept);
-    EXPECT_EQ(cd->accept, empty.evaluate(*rec).accept);
-    EXPECT_EQ(trace_line(*rec, cd->discard), trace_line(*rec, empty.evaluate(*rec).discard));
+    const meter::MeterMsg msg = random_msg(rng);
+    expect_matches_oracle(*desc, empty, bytecode, msg.serialize(),
+                          msg.pretty());
+    if (HasFatalFailure()) return;
   }
+  EXPECT_EQ(bytecode.ops_executed(), 0u);  // accept-all short-circuits
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Property test for the zero-copy filter path: on random valid meter
 // batches, RecordView field extraction must equal owned-Record extraction
-// field for field, and a view-path FilterEngine must render byte-identical
-// logs (and identical counters) to an owned-path engine under random rule
-// sets — whole-batch and chunked feeds alike.
+// field for field, and FilterEngine (bytecode over wire views) must render
+// exactly the owned-record reference filter's log, with matching
+// counters, under random rule sets — whole-batch and chunked feeds alike.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "filter/filter_program.h"
+#include "filter/oracle.h"
 #include "filter/trace.h"
 #include "meter/metermsgs.h"
 #include "util/rng.h"
@@ -78,7 +82,8 @@ std::string random_rules(util::Rng& rng) {
     const int nclauses = static_cast<int>(rng.uniform(1, 3));
     for (int c = 0; c < nclauses; ++c) {
       if (!line.empty()) line += ", ";
-      line += kFields[rng.uniform(0, 11)];
+      const std::string field = kFields[rng.uniform(0, 11)];
+      line += field;
       const bool wildcard = rng.bernoulli(0.2);
       line += wildcard ? "=" : kOps[rng.uniform(0, 5)];
       if (rng.bernoulli(0.25)) line += "#";
@@ -86,9 +91,10 @@ std::string random_rules(util::Rng& rng) {
         line += "*";
       } else {
         switch (rng.uniform(0, 3)) {
-          case 0:
+          case 0:  // type clauses draw near the described type numbers
             line += (rng.bernoulli(0.1) ? "00" : "") +
-                    std::to_string(rng.uniform(0, 2048));
+                    std::to_string(field == "type" ? rng.uniform(0, 11)
+                                                   : rng.uniform(0, 2048));
             break;
           case 1: line += kFields[rng.uniform(0, 11)]; break;
           case 2: line += std::to_string(rng.uniform(0, 300000)); break;
@@ -101,9 +107,16 @@ std::string random_rules(util::Rng& rng) {
   return text;
 }
 
-util::Bytes random_batch(util::Rng& rng, int n) {
+/// A batch of `n` random records; `per_type` (when non-null) counts the
+/// records of each event type.
+util::Bytes random_batch(util::Rng& rng, int n,
+                         std::map<int, int>* per_type = nullptr) {
   util::Bytes out;
-  for (int i = 0; i < n; ++i) random_msg(rng).serialize_into(out);
+  for (int i = 0; i < n; ++i) {
+    const meter::MeterMsg m = random_msg(rng);
+    if (per_type) ++(*per_type)[static_cast<int>(m.type())];
+    m.serialize_into(out);
+  }
   return out;
 }
 
@@ -135,7 +148,6 @@ TEST_P(RecordViewProperty, ViewExtractionEqualsOwnedExtraction) {
 
     const WirePlan* wp = desc->wire_plan(v->type);
     ASSERT_NE(wp, nullptr);
-    ASSERT_TRUE(wp->viewable());
     ASSERT_TRUE(wp->validate(*v));
     ASSERT_EQ(wp->field_count(), rec->fields.size());
     for (std::size_t i = 0; i < rec->fields.size(); ++i) {
@@ -156,103 +168,105 @@ TEST_P(RecordViewProperty, ViewExtractionEqualsOwnedExtraction) {
   EXPECT_EQ(records, 120);
 }
 
+/// Feeds `batch` (`records` random records) to a fresh engine whole on
+/// connection 1 and in random chunks on connection 2. Both logs must equal
+/// the owned-record reference filter's (decode + Templates::evaluate +
+/// trace_line per record), and the counters must account every record.
+void check_engine_against_oracle(const Descriptions& desc,
+                                 const std::string& rules,
+                                 const util::Bytes& batch, int records,
+                                 std::size_t max_step, util::Rng& rng) {
+  auto templ = Templates::parse(rules);
+  ASSERT_TRUE(templ.has_value()) << rules;
+  const std::string expected = oracle_log(desc, *templ, batch);
+
+  FilterEngine engine(desc, *templ);
+  ASSERT_EQ(engine.feed(1, batch), expected) << "rules:\n" << rules;
+
+  // Chunked feed through the same engine: identical output again, and
+  // chunk boundaries land mid-record (partial buffering path).
+  std::string chunked;
+  const std::size_t step = 1 + static_cast<std::size_t>(rng.uniform(1, max_step));
+  for (std::size_t pos = 0; pos < batch.size(); pos += step) {
+    const std::size_t n = std::min(step, batch.size() - pos);
+    chunked += engine.feed(
+        2, util::Bytes(batch.begin() + static_cast<std::ptrdiff_t>(pos),
+                       batch.begin() + static_cast<std::ptrdiff_t>(pos + n)));
+  }
+  engine.end_connection(2);
+  ASSERT_EQ(chunked, expected) << "rules:\n" << rules << "step " << step;
+
+  const auto total = 2 * static_cast<std::uint64_t>(records);
+  const auto accepted = static_cast<std::uint64_t>(
+      std::count(expected.begin(), expected.end(), '\n'));
+  const FilterStats st = engine.stats();
+  EXPECT_EQ(st.records_in, total);
+  EXPECT_EQ(st.accepted, 2 * accepted);
+  EXPECT_EQ(st.rejected, total - 2 * accepted);
+  EXPECT_EQ(st.malformed, 0u);
+  EXPECT_EQ(st.truncated, 0u);
+  EXPECT_EQ(st.bytes_out, 2 * expected.size());
+  // The engine accounts its dispatch work (the accept-all short-circuit
+  // of an empty rule set executes no ops by design).
+  if (templ->rule_count() > 0) {
+    EXPECT_GT(engine.obs().counter("filter.bytecode_ops").value(), 0u);
+  }
+}
+
 TEST_P(RecordViewProperty, ViewEngineEqualsOwnedEngine) {
+  // The engine against the owned-record reference filter on small random
+  // batches of all ten event types.
   util::Rng rng(GetParam() * 733 + 5);
+  auto desc = Descriptions::parse(default_descriptions_text());
+  ASSERT_TRUE(desc.has_value());
 
   for (int trial = 0; trial < 8; ++trial) {
     const std::string rules = random_rules(rng);
-    auto mk = [&](EvalPath path) {
-      auto d = Descriptions::parse(default_descriptions_text());
-      auto t = Templates::parse(rules);
-      EXPECT_TRUE(t.has_value()) << rules;
-      return FilterEngine(std::move(*d), std::move(*t), path);
-    };
     const util::Bytes batch = random_batch(rng, 60);
-
-    FilterEngine owned = mk(EvalPath::owned);
-    FilterEngine view = mk(EvalPath::view);
-    const std::string a = owned.feed(1, batch);
-    const std::string b = view.feed(1, batch);
-    ASSERT_EQ(a, b) << "rules:\n" << rules;
-
-    // Chunked feed through the view engine: identical output again, and
-    // chunk boundaries land mid-record (partial buffering path).
-    std::string chunked;
-    const std::size_t step = 1 + static_cast<std::size_t>(rng.uniform(1, 120));
-    for (std::size_t pos = 0; pos < batch.size(); pos += step) {
-      const std::size_t n = std::min(step, batch.size() - pos);
-      chunked += view.feed(
-          2, util::Bytes(batch.begin() + static_cast<std::ptrdiff_t>(pos),
-                         batch.begin() + static_cast<std::ptrdiff_t>(pos + n)));
-    }
-    view.end_connection(2);
-    ASSERT_EQ(chunked, a) << "rules:\n" << rules << "step " << step;
-
-    const FilterStats& so = owned.stats();
-    const FilterStats& sv = view.stats();
-    EXPECT_EQ(so.records_in * 2, sv.records_in);
-    EXPECT_EQ(so.accepted * 2, sv.accepted);
-    EXPECT_EQ(so.rejected * 2, sv.rejected);
-    EXPECT_EQ(so.malformed, 0u);
-    EXPECT_EQ(sv.malformed, 0u);
-    EXPECT_EQ(sv.truncated, 0u);
+    ASSERT_NO_FATAL_FAILURE(
+        check_engine_against_oracle(*desc, rules, batch, 60, 120, rng));
   }
 }
 
 TEST_P(RecordViewProperty, BytecodeEngineEqualsCompiledEngine) {
-  // The two match engines behind the view path — the flat bytecode
-  // interpreter (default) and the structured compiled walker — must render
-  // byte-identical logs and identical counters on the same stream. Batches
-  // are large enough to push hot types past the bytecode's adaptive
-  // reorder window mid-stream.
+  // The bytecode engine against the owned-record reference filter, and
+  // the same rules compiled into a standalone program that runs record by
+  // record without the engine's reassembly or validate scratch. Batches
+  // are large enough that every type passes the bytecode's 256-evaluation
+  // reorder window inside one feed, so the reordered programs are checked
+  // too.
   util::Rng rng(GetParam() * 911 + 13);
+  auto desc = Descriptions::parse(default_descriptions_text());
+  ASSERT_TRUE(desc.has_value());
 
+  constexpr int kRecords = 4000;
   for (int trial = 0; trial < 4; ++trial) {
     const std::string rules = random_rules(rng);
-    auto mk = [&](MatchEngine match) {
-      auto d = Descriptions::parse(default_descriptions_text());
-      auto t = Templates::parse(rules);
-      EXPECT_TRUE(t.has_value()) << rules;
-      return FilterEngine(std::move(*d), std::move(*t), EvalPath::view,
-                          nullptr, match);
-    };
-    const util::Bytes batch = random_batch(rng, 400);
-
-    FilterEngine compiled = mk(MatchEngine::compiled);
-    FilterEngine bytecode = mk(MatchEngine::bytecode);
-    const std::string a = compiled.feed(1, batch);
-    const std::string b = bytecode.feed(1, batch);
-    ASSERT_EQ(a, b) << "rules:\n" << rules;
-
-    // Chunked through the bytecode engine: the partial-buffer reassembly
-    // path composes with the bytecode dispatch exactly like whole-batch.
-    std::string chunked;
-    const std::size_t step = 1 + static_cast<std::size_t>(rng.uniform(1, 200));
-    for (std::size_t pos = 0; pos < batch.size(); pos += step) {
-      const std::size_t n = std::min(step, batch.size() - pos);
-      chunked += bytecode.feed(
-          2, util::Bytes(batch.begin() + static_cast<std::ptrdiff_t>(pos),
-                         batch.begin() + static_cast<std::ptrdiff_t>(pos + n)));
+    std::map<int, int> per_type;
+    const util::Bytes batch = random_batch(rng, kRecords, &per_type);
+    ASSERT_EQ(per_type.size(), 10u);
+    for (const auto& [type, n] : per_type) {
+      ASSERT_GT(n, 256) << "type " << type;
     }
-    bytecode.end_connection(2);
-    ASSERT_EQ(chunked, a) << "rules:\n" << rules << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(
+        check_engine_against_oracle(*desc, rules, batch, kRecords, 200, rng));
 
-    const FilterStats sc = compiled.stats();
-    const FilterStats sb = bytecode.stats();
-    EXPECT_EQ(sc.records_in * 2, sb.records_in);
-    EXPECT_EQ(sc.accepted * 2, sb.accepted);
-    EXPECT_EQ(sc.rejected * 2, sb.rejected);
-    // Both engines decide on the compiled plan: nothing falls back to the
-    // interpreted evaluator on either side.
-    EXPECT_EQ(sc.eval_interpreted, 0u);
-    EXPECT_EQ(sb.eval_interpreted, 0u);
-    EXPECT_EQ(sc.eval_compiled * 2, sb.eval_compiled);
-    // The bytecode engine accounts its dispatch work (the accept-all
-    // short-circuit of an empty rule set executes no ops by design).
-    if (!rules.empty()) {
-      EXPECT_GT(bytecode.obs().counter("filter.bytecode_ops").value(), 0u);
+    auto templ = Templates::parse(rules);
+    ASSERT_TRUE(templ.has_value()) << rules;
+    FilterBytecode bytecode = FilterBytecode::compile(*templ, *desc);
+    std::size_t pos = 0;
+    while (pos < batch.size()) {
+      const std::uint32_t size =
+          static_cast<std::uint32_t>(batch[pos]) |
+          static_cast<std::uint32_t>(batch[pos + 1]) << 8 |
+          static_cast<std::uint32_t>(batch[pos + 2]) << 16 |
+          static_cast<std::uint32_t>(batch[pos + 3]) << 24;
+      ASSERT_EQ(bytecode_line(*desc, bytecode, batch.data() + pos, size,
+                              /*scratch=*/false),
+                oracle_line(*desc, *templ, batch.data() + pos, size))
+          << "rules:\n" << rules << "record at " << pos;
+      pos += size;
     }
-    EXPECT_EQ(compiled.obs().counter("filter.bytecode_ops").value(), 0u);
   }
 }
 
