@@ -7,7 +7,15 @@
 //   events_per_s   analysis throughput (real time)
 //   pairs          matched send/receive pairs found
 //   anomalies      clock anomalies detected
+//
+// `--smoke` skips the timings and checks E6's figures on the same traces
+// instead: every line parses, every message pairs, every cross-machine
+// pair under the -60 ms skew is a clock anomaly, and full_report equals
+// its sections run as standalone routines. Exits nonzero on a mismatch.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstring>
 
 #include "analysis/report.h"
 #include "filter/descriptions.h"
@@ -142,7 +150,62 @@ BENCHMARK(BM_OrderingUnderSkew);
 BENCHMARK(BM_Parallelism)->Arg(2)->Arg(8);
 BENCHMARK(BM_FullReport)->Arg(8);
 
+/// Checks one synthetic trace of `pairs` x `msgs`; false on any mismatch.
+/// With `all_anomalies`, every cross-machine pair must be flagged.
+bool check_trace(int pairs, int msgs, std::int64_t skew_us,
+                 bool all_anomalies) {
+  const analysis::Trace trace =
+      analysis::read_trace(synthetic_trace(pairs, msgs, skew_us));
+  const analysis::Ordering o = analysis::order_events(trace);
+  // Per pair: connect, accept, msgs x (send, recvcall, recv), 2 termprocs.
+  const auto want_events = static_cast<std::size_t>(pairs * (4 + 3 * msgs));
+  const auto want_pairs = static_cast<std::size_t>(pairs * msgs);
+  const std::string composed =
+      analysis::render_comm_stats(analysis::communication_statistics(trace)) +
+      analysis::render_connections(analysis::connection_table(trace)) +
+      analysis::render_ordering(trace, o) +
+      analysis::render_parallelism(analysis::measure_parallelism(trace)) +
+      "== timeline ==\n" + analysis::render_timeline(trace) +
+      analysis::diagnose(trace).render();
+  const bool events_ok =
+      trace.events.size() == want_events && trace.malformed == 0;
+  const bool pairs_ok = o.message_pairs == want_pairs && !o.had_cycle;
+  const bool anomalies_ok =
+      !all_anomalies || (o.cross_machine_pairs == want_pairs &&
+                         o.clock_anomalies == o.cross_machine_pairs);
+  const bool report_ok = analysis::full_report(trace) == composed;
+  std::printf(
+      "pairs=%d msgs=%d skew=%lldus: events %zu/%zu malformed %zu, "
+      "message_pairs %zu/%zu, anomalies %zu of %zu cross-machine, "
+      "full_report %s composed routines\n",
+      pairs, msgs, static_cast<long long>(skew_us), trace.events.size(),
+      want_events, trace.malformed, o.message_pairs, want_pairs,
+      o.clock_anomalies, o.cross_machine_pairs,
+      report_ok ? "==" : "!=");
+  return events_ok && pairs_ok && anomalies_ok && report_ok;
+}
+
+int smoke() {
+  bool ok = true;
+  // The traces the benchmarks above time, at their sizes and skews.
+  for (int pairs : {2, 8, 32}) ok = check_trace(pairs, 50, 0, false) && ok;
+  for (int pairs : {2, 8}) ok = check_trace(pairs, 50, 3000, false) && ok;
+  ok = check_trace(8, 50, 2000, false) && ok;
+  ok = check_trace(4, 100, -60000, true) && ok;
+  std::printf("bench_analysis smoke: %s\n", ok ? "ok" : "FAILED");
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 }  // namespace dpm::bench
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) return dpm::bench::smoke();
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

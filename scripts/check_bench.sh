@@ -8,9 +8,11 @@
 # byte-identical logs), then re-runs the full-scale end-to-end comparison
 # and fails if any workload's ring-over-socket speedup (both transports
 # feed the same bytecode matcher) fell more than 20% below the value
-# recorded in the committed BENCH_pipeline.json. Everything runs in a
-# scratch directory: both smokes write their JSON into the cwd, and the
-# committed files must not be clobbered by a gate run.
+# recorded in the committed BENCH_pipeline.json. It also runs the
+# analysis smoke (bench_analysis --smoke checks EXPERIMENTS E6's figures on
+# its synthetic traces). Everything runs in a scratch directory: the
+# smokes write their JSON into the cwd, and the committed files must not
+# be clobbered by a gate run.
 # Usage: scripts/check_bench.sh [build-dir]   (default: build)
 set -eu
 
@@ -20,7 +22,7 @@ build="${1:-build}"
 bench="$repo/$build/bench"
 
 for bin in bench_pipeline bench_filter bench_scale bench_perturbation \
-           bench_provenance; do
+           bench_provenance bench_analysis; do
   if [ ! -x "$bench/$bin" ]; then
     echo "check_bench: $bench/$bin not built" >&2
     exit 1
@@ -116,5 +118,8 @@ done
 
 echo "== bench_provenance --smoke (per-stage tracing gate)"
 "$bench/bench_provenance" --smoke
+
+echo "== bench_analysis --smoke (E6 figures, full_report == its sections)"
+"$bench/bench_analysis" --smoke
 
 exit "$fail"

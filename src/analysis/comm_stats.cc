@@ -3,15 +3,19 @@
 namespace dpm::analysis {
 
 CommStats communication_statistics(const Trace& trace) {
+  return communication_statistics(trace, ConnectionMatcher(trace));
+}
+
+CommStats communication_statistics(const Trace& trace,
+                                   const ConnectionMatcher& matcher) {
   CommStats out;
-  out.graph = build_comm_graph(trace);
+  out.graph = build_comm_graph(trace, matcher);
 
   for (const Event& e : trace.events) {
-    ProcessStats& p = out.per_process[e.proc()];
+    auto [it, fresh] = out.per_process.try_emplace(e.proc());
+    ProcessStats& p = it->second;
     ++out.total_events;
-    if (p.first_cpu_time == 0 && p.last_cpu_time == 0) {
-      p.first_cpu_time = e.cpu_time;
-    }
+    if (fresh) p.first_cpu_time = e.cpu_time;
     p.last_cpu_time = e.cpu_time;
     p.final_proc_time = e.proc_time;
 

@@ -36,5 +36,8 @@ struct CommStats {
 };
 
 CommStats communication_statistics(const Trace& trace);
+/// The same statistics from a matcher already built over `trace`.
+CommStats communication_statistics(const Trace& trace,
+                                   const ConnectionMatcher& matcher);
 
 }  // namespace dpm::analysis

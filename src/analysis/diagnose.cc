@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "analysis/comm_stats.h"
-#include "analysis/ordering.h"
-#include "analysis/parallelism.h"
 #include "util/strings.h"
 
 namespace dpm::analysis {
@@ -29,80 +26,44 @@ std::string Diagnosis::render() const {
   return out;
 }
 
-namespace {
-
-/// Per-process wait accounting (recvcall -> matching receive, aligned
-/// clocks), plus the peer whose messages ended the longest waits.
-struct WaitProfile {
-  std::int64_t window = 0;
-  std::int64_t waiting = 0;
-  std::map<ProcKey, std::int64_t> waited_on;  // peer -> summed wait
-};
-
-std::map<ProcKey, WaitProfile> wait_profiles(const Trace& trace,
-                                             const Ordering& ordering,
-                                             const ClockAlignment& clocks) {
-  std::map<ProcKey, WaitProfile> out;
-  struct Open {
-    std::int64_t since = 0;
-  };
-  std::map<std::pair<ProcKey, std::uint64_t>, Open> open;
-  std::map<ProcKey, std::pair<std::int64_t, std::int64_t>> window;
-
-  for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    const Event& e = trace.events[i];
-    const std::int64_t t = clocks.aligned(e);
-    auto [wit, fresh] = window.try_emplace(e.proc(), std::make_pair(t, t));
-    if (!fresh) {
-      wit->second.first = std::min(wit->second.first, t);
-      wit->second.second = std::max(wit->second.second, t);
-    }
-    if (e.type == meter::EventType::recvcall) {
-      open[{e.proc(), e.sock}] = Open{t};
-    } else if (e.type == meter::EventType::recv) {
-      auto oit = open.find({e.proc(), e.sock});
-      if (oit == open.end()) continue;
-      const std::int64_t waited = std::max<std::int64_t>(0, t - oit->second.since);
-      open.erase(oit);
-      WaitProfile& p = out[e.proc()];
-      p.waiting += waited;
-      if (ordering.events[i].matched_send) {
-        const Event& send = trace.events[*ordering.events[i].matched_send];
-        p.waited_on[send.proc()] += waited;
-      }
-    }
-  }
-  for (auto& [key, p] : out) {
-    auto wit = window.find(key);
-    if (wit != window.end()) p.window = wit->second.second - wit->second.first;
-  }
-  return out;
+Diagnosis diagnose(const Trace& trace) {
+  const TraceFacts facts(trace);
+  return diagnose(facts, communication_statistics(trace, facts.matcher),
+                  measure_parallelism(facts));
 }
 
-}  // namespace
-
-Diagnosis diagnose(const Trace& trace) {
+Diagnosis diagnose(const TraceFacts& facts, const CommStats& stats,
+                   const ParallelismProfile& par) {
   Diagnosis d;
+  const Trace& trace = facts.trace;
   if (trace.events.empty()) return d;
-
-  const Ordering ordering = order_events(trace);
-  const ClockAlignment clocks = estimate_clock_alignment(trace, ordering);
-  const CommStats stats = communication_statistics(trace);
-  const ParallelismProfile par = measure_parallelism(trace);
+  const Ordering& ordering = facts.ordering;
 
   // ---- starved processes ----
-  for (const auto& [key, p] : wait_profiles(trace, ordering, clocks)) {
-    if (p.window <= 0) continue;
-    const double frac = static_cast<double>(p.waiting) /
-                        static_cast<double>(p.window);
+  // Waiting is summed over recvcall→receive intervals on aligned clocks,
+  // against the process's whole aligned window (lo..hi), and attributed
+  // to the peer whose matched send ended each wait.
+  for (const auto& [key, a] : facts.activity) {
+    const std::int64_t window = a.hi - a.lo;
+    if (window <= 0) continue;
+    std::int64_t waiting = 0;
+    std::map<ProcKey, std::int64_t> waited_on;  // peer -> summed wait
+    for (const Wait& w : a.waits) {
+      waiting += w.to - w.from;
+      if (const auto send = ordering.events[w.recv].matched_send) {
+        waited_on[trace.events[*send].proc()] += w.to - w.from;
+      }
+    }
+    const double frac = static_cast<double>(waiting) /
+                        static_cast<double>(window);
     if (frac < 0.5) continue;
     std::string msg = util::strprintf(
         "%s spends %.0f%% of its window waiting for messages",
         proc_key_text(key).c_str(), 100.0 * frac);
     const auto dominant = std::max_element(
-        p.waited_on.begin(), p.waited_on.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    if (dominant != p.waited_on.end() && dominant->second > 0) {
+        waited_on.begin(), waited_on.end(),
+        [](const auto& x, const auto& y) { return x.second < y.second; });
+    if (dominant != waited_on.end() && dominant->second > 0) {
       msg += ", mostly on " + proc_key_text(dominant->first);
     }
     d.findings.push_back({Severity::warning, "wait", msg});
@@ -141,15 +102,14 @@ Diagnosis diagnose(const Trace& trace) {
 
   // ---- datagram loss ----
   {
-    ConnectionMatcher matcher(trace);
     std::uint64_t dgram_sends = 0, dgram_recvs = 0;
     for (const Event& e : trace.events) {
       if (e.type == meter::EventType::send && !e.dest_name.empty() &&
-          matcher.owner_of_name(e.dest_name)) {
+          facts.matcher.owner_of_name(e.dest_name)) {
         ++dgram_sends;
       }
       if (e.type == meter::EventType::recv && !e.source_name.empty() &&
-          matcher.owner_of_name(e.source_name)) {
+          facts.matcher.owner_of_name(e.source_name)) {
         ++dgram_recvs;
       }
     }

@@ -14,6 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/comm_stats.h"
+#include "analysis/facts.h"
+#include "analysis/parallelism.h"
 #include "analysis/trace_reader.h"
 
 namespace dpm::analysis {
@@ -34,5 +37,9 @@ struct Diagnosis {
 };
 
 Diagnosis diagnose(const Trace& trace);
+/// The same rules over analyses already derived from one trace (the
+/// statistics and profile full_report also renders).
+Diagnosis diagnose(const TraceFacts& facts, const CommStats& stats,
+                   const ParallelismProfile& par);
 
 }  // namespace dpm::analysis

@@ -23,16 +23,18 @@ Ordering order_events(const Trace& trace) {
   live::PairingCore pairing;
   for (std::size_t i = 0; i < n; ++i) pairing.observe(trace.events[i], i);
 
-  std::vector<std::vector<std::size_t>> succ(n);
-  std::vector<std::size_t> indeg(n, 0);
-  auto add_edge = [&](std::size_t a, std::size_t b) {
-    succ[a].push_back(b);
-    ++indeg[b];
-  };
+  // Every event has at most two successors in the happens-before DAG:
+  // its matched receive (a send pairs at most once) and the next event of
+  // its process. Two flat arrays hold them; kNone marks "no successor".
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> recv_of(n, kNone);
+  std::vector<std::size_t> next_in_proc(n, kNone);
+  std::vector<std::uint32_t> indeg(n, 0);
 
   for (const auto& p : pairing.take_pairs()) {
     out.events[p.recv].matched_send = p.send;
-    add_edge(p.send, p.recv);
+    recv_of[p.send] = p.recv;
+    ++indeg[p.recv];
     ++out.message_pairs;
     const Event& se = trace.events[p.send];
     const Event& re = trace.events[p.recv];
@@ -51,29 +53,31 @@ Ordering order_events(const Trace& trace) {
   for (std::size_t i = 0; i < n; ++i) {
     auto [it, fresh] = last_of.try_emplace(trace.events[i].proc(), i);
     if (!fresh) {
-      add_edge(it->second, i);
+      next_in_proc[it->second] = i;
+      ++indeg[i];
       it->second = i;
     }
   }
 
   // ---- Lamport clocks by topological order (Kahn) ----
-  std::deque<std::size_t> ready;
+  // `ready` is the FIFO: every event is pushed at most once, so a vector
+  // read from `head` never needs to drop its front.
+  std::vector<std::size_t> ready;
+  ready.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.events[i].lamport = 1;
     if (indeg[i] == 0) ready.push_back(i);
   }
-  std::size_t visited = 0;
-  while (!ready.empty()) {
-    const std::size_t i = ready.front();
-    ready.pop_front();
-    ++visited;
-    for (std::size_t j : succ[i]) {
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const std::size_t i = ready[head];
+    for (const std::size_t j : {recv_of[i], next_in_proc[i]}) {
+      if (j == kNone) continue;
       out.events[j].lamport =
           std::max(out.events[j].lamport, out.events[i].lamport + 1);
       if (--indeg[j] == 0) ready.push_back(j);
     }
   }
-  out.had_cycle = visited != n;  // possible only from mis-matched pairs
+  out.had_cycle = ready.size() != n;  // possible only from mis-matched pairs
   return out;
 }
 

@@ -1,66 +1,34 @@
 #include "analysis/parallelism.h"
 
 #include <algorithm>
-#include <map>
-
-#include "analysis/ordering.h"
 
 namespace dpm::analysis {
 
 ParallelismProfile measure_parallelism(const Trace& trace) {
+  return measure_parallelism(TraceFacts(trace));
+}
+
+ParallelismProfile measure_parallelism(const TraceFacts& facts) {
   ParallelismProfile out;
-  if (trace.events.empty()) return out;
+  if (facts.activity.empty()) return out;
+  out.processes = facts.activity.size();
 
-  // Local clocks are skewed across machines; align them using the offsets
-  // deducible from the trace's own message pairs before sweeping.
-  const Ordering ordering = order_events(trace);
-  const ClockAlignment clocks = estimate_clock_alignment(trace, ordering);
-
-  struct ProcWindow {
-    std::int64_t first = 0;
-    std::int64_t last = 0;
-    bool seen = false;
-    // Wait intervals: recvcall -> matching recv on the same socket.
-    std::map<std::uint64_t, std::int64_t> pending_recvcall;  // sock -> time
-    std::vector<std::pair<std::int64_t, std::int64_t>> waits;
-  };
-  std::map<ProcKey, ProcWindow> procs;
-
-  for (const Event& e : trace.events) {
-    ProcWindow& w = procs[e.proc()];
-    const std::int64_t t = clocks.aligned(e);
-    if (!w.seen) {
-      w.first = t;
-      w.last = t;
-      w.seen = true;
-    }
-    w.last = std::max(w.last, t);
-    if (e.type == meter::EventType::recvcall) {
-      w.pending_recvcall[e.sock] = t;
-    } else if (e.type == meter::EventType::recv) {
-      auto it = w.pending_recvcall.find(e.sock);
-      if (it != w.pending_recvcall.end()) {
-        if (t > it->second) w.waits.emplace_back(it->second, t);
-        w.pending_recvcall.erase(it);
-      }
-    }
-  }
-  out.processes = procs.size();
-
-  // Build +1/-1 deltas for activity intervals (window minus waits).
-  std::map<std::int64_t, int> deltas;
+  // Local clocks are skewed across machines, so the sweep runs on the
+  // aligned times of the facts' activity pass. Build +1/-1 deltas for
+  // activity intervals (window minus waits), swept in time order.
+  std::vector<std::pair<std::int64_t, int>> deltas;
   std::int64_t lo = INT64_MAX, hi = INT64_MIN;
-  for (auto& [key, w] : procs) {
-    lo = std::min(lo, w.first);
-    hi = std::max(hi, w.last);
-    deltas[w.first] += 1;
-    deltas[w.last] -= 1;
-    for (auto& [a, b] : w.waits) {
-      const std::int64_t wa = std::clamp(a, w.first, w.last);
-      const std::int64_t wb = std::clamp(b, w.first, w.last);
+  for (const auto& [key, a] : facts.activity) {
+    lo = std::min(lo, a.first);
+    hi = std::max(hi, a.hi);
+    deltas.emplace_back(a.first, 1);
+    deltas.emplace_back(a.hi, -1);
+    for (const Wait& w : a.waits) {
+      const std::int64_t wa = std::clamp(w.from, a.first, a.hi);
+      const std::int64_t wb = std::clamp(w.to, a.first, a.hi);
       if (wb <= wa) continue;
-      deltas[wa] -= 1;
-      deltas[wb] += 1;
+      deltas.emplace_back(wa, -1);
+      deltas.emplace_back(wb, 1);
     }
   }
   if (hi <= lo) {
@@ -68,8 +36,12 @@ ParallelismProfile measure_parallelism(const Trace& trace) {
     return out;
   }
   out.total_us = hi - lo;
-  out.time_at_level.assign(procs.size() + 1, 0);
+  out.time_at_level.assign(out.processes + 1, 0);
 
+  // Deltas at one instant apply together: only the first of them sees a
+  // span (t > prev), with the level every earlier instant left.
+  std::sort(deltas.begin(), deltas.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   int level = 0;
   std::int64_t prev = lo;
   double weighted = 0.0;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis/facts.h"
 #include "analysis/trace_reader.h"
 
 namespace dpm::analysis {
@@ -35,5 +36,8 @@ struct ParallelismProfile {
 };
 
 ParallelismProfile measure_parallelism(const Trace& trace);
+/// The same profile from facts already derived: each process is active
+/// from its first event to its latest aligned stamp, minus its waits.
+ParallelismProfile measure_parallelism(const TraceFacts& facts);
 
 }  // namespace dpm::analysis

@@ -91,13 +91,14 @@ std::string render_connections(const std::vector<ConnStat>& conns) {
 }
 
 std::string full_report(const Trace& trace) {
-  const CommStats stats = communication_statistics(trace);
-  const Ordering ordering = order_events(trace);
-  const ParallelismProfile parallelism = measure_parallelism(trace);
-  return render_comm_stats(stats) + render_connections(connection_table(trace)) +
-         render_ordering(trace, ordering) + render_parallelism(parallelism) +
-         "== timeline ==\n" + render_timeline(trace) +
-         diagnose(trace).render();
+  const TraceFacts facts(trace);
+  const CommStats stats = communication_statistics(trace, facts.matcher);
+  const ParallelismProfile parallelism = measure_parallelism(facts);
+  return render_comm_stats(stats) +
+         render_connections(connection_table(trace, facts.matcher)) +
+         render_ordering(trace, facts.ordering) +
+         render_parallelism(parallelism) + "== timeline ==\n" +
+         render_timeline(facts) + diagnose(facts, stats, parallelism).render();
 }
 
 }  // namespace dpm::analysis

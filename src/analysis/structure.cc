@@ -73,7 +73,11 @@ const CommEdge* CommGraph::edge(const ProcKey& from, const ProcKey& to) const {
 }
 
 CommGraph build_comm_graph(const Trace& trace) {
-  ConnectionMatcher matcher(trace);
+  return build_comm_graph(trace, ConnectionMatcher(trace));
+}
+
+CommGraph build_comm_graph(const Trace& trace,
+                           const ConnectionMatcher& matcher) {
 
   struct Tally {
     std::uint64_t messages = 0;
@@ -150,7 +154,11 @@ CommGraph build_comm_graph(const Trace& trace) {
 }
 
 std::vector<ConnStat> connection_table(const Trace& trace) {
-  ConnectionMatcher matcher(trace);
+  return connection_table(trace, ConnectionMatcher(trace));
+}
+
+std::vector<ConnStat> connection_table(const Trace& trace,
+                                       const ConnectionMatcher& matcher) {
 
   // Traffic per sending endpoint.
   struct Tally {

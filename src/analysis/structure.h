@@ -64,6 +64,9 @@ struct CommGraph {
 };
 
 CommGraph build_comm_graph(const Trace& trace);
+/// The same graph from a matcher already built over `trace`.
+CommGraph build_comm_graph(const Trace& trace,
+                           const ConnectionMatcher& matcher);
 
 /// Per-connection statistics: each matched stream connection with its
 /// traffic in both directions (the channel-level view of the structure
@@ -78,5 +81,8 @@ struct ConnStat {
 };
 
 std::vector<ConnStat> connection_table(const Trace& trace);
+/// The same table from a matcher already built over `trace`.
+std::vector<ConnStat> connection_table(const Trace& trace,
+                                       const ConnectionMatcher& matcher);
 
 }  // namespace dpm::analysis

@@ -1,49 +1,25 @@
 #include "analysis/timeline.h"
 
 #include <algorithm>
-#include <map>
 
-#include "analysis/ordering.h"
 #include "util/strings.h"
 
 namespace dpm::analysis {
 
 std::string render_timeline(const Trace& trace, TimelineOptions opts) {
-  if (trace.events.empty()) return "(empty trace)\n";
+  return render_timeline(TraceFacts(trace), opts);
+}
+
+std::string render_timeline(const TraceFacts& facts, TimelineOptions opts) {
+  if (facts.activity.empty()) return "(empty trace)\n";
   const int width = std::max(8, opts.width);
 
-  const Ordering ordering = order_events(trace);
-  const ClockAlignment clocks = estimate_clock_alignment(trace, ordering);
-
-  struct Row {
-    std::int64_t first = 0;
-    std::int64_t last = 0;
-    bool seen = false;
-    std::map<std::uint64_t, std::int64_t> pending;  // sock -> recvcall time
-    std::vector<std::pair<std::int64_t, std::int64_t>> waits;
-  };
-  std::map<ProcKey, Row> rows;
+  // The window spans every aligned stamp; a row runs from its process's
+  // first event to its latest stamp.
   std::int64_t lo = INT64_MAX, hi = INT64_MIN;
-
-  for (const Event& e : trace.events) {
-    Row& r = rows[e.proc()];
-    const std::int64_t t = clocks.aligned(e);
-    if (!r.seen) {
-      r.first = r.last = t;
-      r.seen = true;
-    }
-    r.last = std::max(r.last, t);
-    lo = std::min(lo, t);
-    hi = std::max(hi, t);
-    if (e.type == meter::EventType::recvcall) {
-      r.pending[e.sock] = t;
-    } else if (e.type == meter::EventType::recv) {
-      auto it = r.pending.find(e.sock);
-      if (it != r.pending.end()) {
-        if (t > it->second) r.waits.emplace_back(it->second, t);
-        r.pending.erase(it);
-      }
-    }
+  for (const auto& [key, a] : facts.activity) {
+    lo = std::min(lo, a.lo);
+    hi = std::max(hi, a.hi);
   }
   if (hi <= lo) hi = lo + 1;
 
@@ -53,13 +29,13 @@ std::string render_timeline(const Trace& trace, TimelineOptions opts) {
   };
 
   std::string out;
-  for (const auto& [key, r] : rows) {
+  for (const auto& [key, a] : facts.activity) {
     std::string line(static_cast<std::size_t>(width), ' ');
-    for (int b = bucket_of(r.first); b <= bucket_of(r.last); ++b) {
+    for (int b = bucket_of(a.first); b <= bucket_of(a.hi); ++b) {
       line[static_cast<std::size_t>(b)] = '#';
     }
-    for (const auto& [a, b] : r.waits) {
-      for (int i = bucket_of(a); i <= bucket_of(b); ++i) {
+    for (const Wait& w : a.waits) {
+      for (int i = bucket_of(w.from); i <= bucket_of(w.to); ++i) {
         line[static_cast<std::size_t>(i)] = '.';
       }
     }

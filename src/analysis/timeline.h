@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "analysis/facts.h"
 #include "analysis/trace_reader.h"
 
 namespace dpm::analysis {
@@ -21,5 +22,7 @@ struct TimelineOptions {
 };
 
 std::string render_timeline(const Trace& trace, TimelineOptions opts = {});
+/// The same rendering from facts already derived.
+std::string render_timeline(const TraceFacts& facts, TimelineOptions opts = {});
 
 }  // namespace dpm::analysis

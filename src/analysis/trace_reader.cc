@@ -1,6 +1,8 @@
 #include "analysis/trace_reader.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <set>
 
 #include "util/strings.h"
@@ -75,104 +77,167 @@ std::optional<meter::EventType> type_for_name(std::string_view name) {
   return std::nullopt;
 }
 
-std::string unescape_value(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      auto hi = util::parse_int_base(s.substr(i + 1, 2), 16);
-      if (hi) {
-        out.push_back(static_cast<char>(*hi));
-        i += 2;
-        continue;
-      }
-    }
-    out.push_back(s[i]);
+/// The bytes the token scan stops at: separators, '=' and '%'.
+constexpr auto kSpecial = [] {
+  std::array<bool, 256> t{};
+  for (const unsigned char c : {' ', '\t', '=', '%'}) t[c] = true;
+  return t;
+}();
+
+/// The trace fields an Event keeps, plus `event` itself. Every other
+/// field name (size, traceType, domain, ...) is `other` and its value is
+/// never parsed.
+enum class Field : std::uint8_t {
+  machine, cpu_time, proc_time, pid, pc, sock, new_sock, msg_length,
+  new_pid, status, dest_name, source_name, sock_name, peer_name,
+  event, other,
+};
+
+Field field_of(std::string_view name) {
+  switch (name.front()) {
+    case 'c':
+      if (name == "cpuTime") return Field::cpu_time;
+      break;
+    case 'd':
+      if (name == "destName") return Field::dest_name;
+      break;
+    case 'e':
+      if (name == "event") return Field::event;
+      break;
+    case 'm':
+      if (name == "machine") return Field::machine;
+      if (name == "msgLength") return Field::msg_length;
+      break;
+    case 'n':
+      if (name == "newSock") return Field::new_sock;
+      if (name == "newPid") return Field::new_pid;
+      break;
+    case 'p':
+      if (name == "pid") return Field::pid;
+      if (name == "pc") return Field::pc;
+      if (name == "procTime") return Field::proc_time;
+      if (name == "peerName") return Field::peer_name;
+      break;
+    case 's':
+      if (name == "sock") return Field::sock;
+      if (name == "status") return Field::status;
+      if (name == "sourceName") return Field::source_name;
+      if (name == "sockName") return Field::sock_name;
+      break;
+    default:
+      break;
   }
-  return out;
+  return Field::other;
 }
 
 /// The Event's copy of a string field. Numeric tokens are canonicalized
-/// through their parsed value, matching what the Record-based path
-/// produced (parse_trace_line + field_value_text).
-std::string text_of(std::string_view value) {
-  if (auto n = util::parse_int(value)) return std::to_string(*n);
-  return std::string(value);
+/// through their parsed value, as Record::text renders a value that
+/// parse_trace_line stored as an integer ("007" -> "7").
+void assign_text(std::string& out, std::string_view value) {
+  if (const auto n = util::parse_int(value)) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, *n);
+    out.assign(buf, res.ptr);
+  } else {
+    out.assign(value);
+  }
 }
 
-void apply_field(Event& e, std::string_view name, std::string_view value) {
-  const auto num = util::parse_int(value);
-  if (name == "machine") {
-    if (num) e.machine = static_cast<std::uint16_t>(*num);
-  } else if (name == "cpuTime") {
-    if (num) e.cpu_time = *num;
-  } else if (name == "procTime") {
-    if (num) e.proc_time = *num;
-  } else if (name == "pid") {
-    if (num) e.pid = static_cast<std::int32_t>(*num);
-  } else if (name == "pc") {
-    if (num) e.pc = static_cast<std::uint32_t>(*num);
-  } else if (name == "sock") {
-    if (num) e.sock = static_cast<std::uint64_t>(*num);
-  } else if (name == "newSock") {
-    if (num) e.new_sock = static_cast<std::uint64_t>(*num);
-  } else if (name == "msgLength") {
-    if (num) e.msg_length = static_cast<std::uint32_t>(*num);
-  } else if (name == "newPid") {
-    if (num) e.new_pid = static_cast<std::int32_t>(*num);
-  } else if (name == "status") {
-    if (num) e.status = static_cast<std::int32_t>(*num);
-  } else if (name == "destName") {
-    e.dest_name = text_of(value);
-  } else if (name == "sourceName") {
-    e.source_name = text_of(value);
-  } else if (name == "sockName") {
-    e.sock_name = text_of(value);
-  } else if (name == "peerName") {
-    e.peer_name = text_of(value);
+void apply_field(Event& e, Field f, std::string_view value) {
+  switch (f) {
+    case Field::dest_name: return assign_text(e.dest_name, value);
+    case Field::source_name: return assign_text(e.source_name, value);
+    case Field::sock_name: return assign_text(e.sock_name, value);
+    case Field::peer_name: return assign_text(e.peer_name, value);
+    default: break;
   }
-  // Other names (size, traceType, ...) carry nothing the Event keeps.
+  const auto num = util::parse_int(value);
+  if (!num) return;
+  switch (f) {
+    case Field::machine: e.machine = static_cast<std::uint16_t>(*num); break;
+    case Field::cpu_time: e.cpu_time = *num; break;
+    case Field::proc_time: e.proc_time = *num; break;
+    case Field::pid: e.pid = static_cast<std::int32_t>(*num); break;
+    case Field::pc: e.pc = static_cast<std::uint32_t>(*num); break;
+    case Field::sock: e.sock = static_cast<std::uint64_t>(*num); break;
+    case Field::new_sock: e.new_sock = static_cast<std::uint64_t>(*num); break;
+    case Field::msg_length:
+      e.msg_length = static_cast<std::uint32_t>(*num);
+      break;
+    case Field::new_pid: e.new_pid = static_cast<std::int32_t>(*num); break;
+    case Field::status: e.status = static_cast<std::int32_t>(*num); break;
+    default: break;
+  }
 }
 
 }  // namespace
 
-/// Tokens are scanned as views; the only allocations are the Event's own
-/// string fields (and an unescape scratch, for the rare '%'-escaped
-/// value).
+/// One scan per token finds its end, its first '=' and whether its value
+/// holds a '%'. The only allocations are the Event's own string fields
+/// (and an unescape scratch, for the rare '%'-escaped value). Repeated
+/// names resolve as the Record path does: a data field keeps its first
+/// value (Record::find), `event` its last (parse_trace_line).
 bool parse_trace_event_line(std::string_view line, Event& e) {
+  std::string_view event_name;
   bool saw_event = false;
+  bool event_escaped = false;
+  std::uint32_t seen = 0;  // one bit per Field already applied
+  std::string scratch;
+  constexpr std::size_t npos = std::string_view::npos;
   std::size_t pos = 0;
   while (pos < line.size()) {
-    while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-    if (pos >= line.size()) break;
-    std::size_t end = line.find_first_of(" \t", pos);
-    if (end == std::string_view::npos) end = line.size();
-    const std::string_view tok = line.substr(pos, end - pos);
-    pos = end;
-
-    const std::size_t eq = tok.find('=');
-    if (eq == std::string_view::npos || eq == 0) return false;
-    const std::string_view name = tok.substr(0, eq);
-    std::string_view value = tok.substr(eq + 1);
-    std::string scratch;
-    if (value.find('%') != std::string_view::npos) {
-      scratch = unescape_value(value);
-      value = scratch;
+    if (line[pos] == ' ' || line[pos] == '\t') {
+      ++pos;
+      continue;
     }
-    if (name == "event") {
-      const auto t = type_for_name(value);
-      if (!t) return false;
-      e.type = *t;
+    const std::size_t tok = pos;
+    std::size_t eq = npos;
+    bool escaped = false;
+    for (; pos < line.size(); ++pos) {
+      const char c = line[pos];
+      if (!kSpecial[static_cast<unsigned char>(c)]) continue;
+      if (c == ' ' || c == '\t') break;
+      if (c == '=') {
+        if (eq == npos) eq = pos;
+      } else if (eq != npos) {
+        escaped = true;  // a '%' in the value
+      }
+    }
+    if (eq == npos || eq == tok) return false;
+    const Field f = field_of(line.substr(tok, eq - tok));
+    std::string_view value = line.substr(eq + 1, pos - eq - 1);
+    if (f == Field::event) {
+      event_name = value;
+      event_escaped = escaped;
       saw_event = true;
       continue;
     }
-    apply_field(e, name, value);
+    const std::uint32_t bit = 1u << static_cast<unsigned>(f);
+    if (f == Field::other || (seen & bit) != 0) continue;
+    seen |= bit;
+    if (escaped) {
+      scratch = filter::unescape_value(value);
+      value = scratch;
+    }
+    apply_field(e, f, value);
   }
-  return saw_event;
+  if (!saw_event) return false;
+  if (event_escaped) {
+    scratch = filter::unescape_value(event_name);
+    event_name = scratch;
+  }
+  const auto t = type_for_name(event_name);
+  if (!t) return false;
+  e.type = *t;
+  return true;
 }
 
 Trace read_trace(const std::string& text) {
   Trace out;
+  // One Event per line at most: reserving up front keeps the vector from
+  // regrowing (and moving every Event) as a large trace loads.
+  out.events.reserve(static_cast<std::size_t>(
+                         std::count(text.begin(), text.end(), '\n')) + 1);
   const std::string_view sv{text};
   std::size_t start = 0;
   while (start < sv.size()) {
@@ -181,13 +246,13 @@ Trace read_trace(const std::string& text) {
     const std::string_view line = util::trim(sv.substr(start, end - start));
     start = end + 1;
     if (line.empty() || line[0] == '#') continue;
-    Event e;
+    Event& e = out.events.emplace_back();
     if (!parse_trace_event_line(line, e)) {
+      out.events.pop_back();
       ++out.malformed;
       continue;
     }
-    e.index = out.events.size();
-    out.events.push_back(std::move(e));
+    e.index = out.events.size() - 1;
   }
   return out;
 }

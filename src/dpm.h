@@ -17,6 +17,7 @@
 
 #include "analysis/comm_stats.h"      // IWYU pragma: export
 #include "analysis/diagnose.h"        // IWYU pragma: export
+#include "analysis/facts.h"           // IWYU pragma: export
 #include "analysis/ordering.h"        // IWYU pragma: export
 #include "analysis/parallelism.h"     // IWYU pragma: export
 #include "analysis/report.h"          // IWYU pragma: export

@@ -36,14 +36,24 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-std::string unescape(const std::string& s) {
+int hex_digit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+}  // namespace
+
+std::string unescape_value(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s[i] == '%' && i + 2 < s.size()) {
-      auto hi = util::parse_int_base(s.substr(i + 1, 2), 16);
-      if (hi) {
-        out.push_back(static_cast<char>(*hi));
+      const int hi = hex_digit(s[i + 1]);
+      const int lo = hex_digit(s[i + 2]);
+      if (hi >= 0 && lo >= 0) {
+        out.push_back(static_cast<char>(hi << 4 | lo));
         i += 2;
         continue;
       }
@@ -52,8 +62,6 @@ std::string unescape(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string trace_line(const Record& rec, const std::set<std::string>& discard) {
   std::string out = "event=" + rec.event_name;
@@ -100,7 +108,8 @@ std::optional<Record> parse_trace_line(const std::string& line) {
     auto eq = tok.find('=');
     if (eq == std::string::npos || eq == 0) return std::nullopt;
     const std::string name = tok.substr(0, eq);
-    const std::string value = unescape(tok.substr(eq + 1));
+    const std::string value =
+        unescape_value(std::string_view(tok).substr(eq + 1));
     if (name == "event") {
       rec.event_name = value;
       continue;

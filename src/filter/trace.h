@@ -38,6 +38,12 @@ bool trace_line_view(const WirePlan& plan, const RecordView& v,
                      const std::vector<bool>* discard_mask,
                      const std::string_view* strings, std::string& out);
 
+/// Decodes a trace value: '%' followed by exactly two hex digits becomes
+/// that byte, as the renderer escapes it; any other '%' stays literal.
+/// The one unescape both trace parsers (parse_trace_line and
+/// analysis::read_trace) use.
+std::string unescape_value(std::string_view s);
+
 /// Parses one trace line back into a Record (numbers become ints, other
 /// values strings). Returns nullopt for blank/comment lines.
 std::optional<Record> parse_trace_line(const std::string& line);

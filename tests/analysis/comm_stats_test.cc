@@ -41,6 +41,19 @@ TEST(CommStats, PerProcessCounters) {
   EXPECT_EQ(p.final_proc_time, 30000);
 }
 
+TEST(CommStats, FirstCpuTimeKeepsAZeroStamp) {
+  // A process whose first record is stamped 0 is still "seen" there.
+  auto trace = analysis_testing::make_trace({
+      {Stamp{0, 0, 0}, MeterSockCrt{1, 0, 5, 2, 1, 0}},
+      {Stamp{0, 100, 0}, MeterSend{1, 0, 5, 8, ""}},
+      {Stamp{0, 200, 0}, MeterTermProc{1, 0, 0}},
+  });
+  const CommStats s = communication_statistics(trace);
+  const ProcessStats& p = s.per_process.at(ProcKey{0, 1});
+  EXPECT_EQ(p.first_cpu_time, 0);
+  EXPECT_EQ(p.last_cpu_time, 200);
+}
+
 TEST(CommStats, Totals) {
   auto trace = analysis_testing::make_trace({
       {Stamp{0, 1, 0}, MeterSend{1, 0, 5, 10, ""}},

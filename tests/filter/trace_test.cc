@@ -50,6 +50,24 @@ TEST(Trace, EscapesAwkwardValues) {
   EXPECT_EQ(parsed->text("destName").value(), "a b=c");
 }
 
+TEST(Trace, UnescapeDecodesOnlyTwoHexDigits) {
+  // The renderer writes '%' plus two hex digits and nothing else, so a
+  // sign ("%-f") or a short tail ("%4") stays literal.
+  EXPECT_EQ(unescape_value("a%-fb"), "a%-fb");
+  EXPECT_EQ(unescape_value("%4A%4a%20"), "JJ ");
+  EXPECT_EQ(unescape_value("%zz%4"), "%zz%4");
+  auto parsed = parse_trace_line("event=SEND destName=a%-fb");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->text("destName").value(), "a%-fb");
+  // The same bytes as a rendered value escape their '%' and come back.
+  Record r;
+  r.event_name = "SEND";
+  r.fields = {{"destName", std::string{"a%-fb%4"}}};
+  auto back = parse_trace_line(trace_line(r, {}));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->text("destName").value(), "a%-fb%4");
+}
+
 TEST(Trace, ParseWholeFile) {
   std::string file = trace_line(sample_record(), {}) +
                      "# comment line\n"

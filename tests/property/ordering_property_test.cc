@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ordering.h"
+#include "analysis/report.h"
 #include "analysis/analysis_testing.h"
 #include "util/rng.h"
 
@@ -124,6 +125,21 @@ TEST_P(OrderingProperty, InvariantsOnRandomWorkloads) {
     EXPECT_GE(a.aligned(recv), a.aligned(send))
         << "pair " << *oe.matched_send << " -> " << oe.index;
   }
+}
+
+TEST_P(OrderingProperty, FullReportComposesStandaloneRoutines) {
+  // full_report shares one set of derived facts across its sections; each
+  // section must read exactly as the routine run on its own.
+  util::Rng rng(GetParam() + 31);
+  Workload w = random_workload(rng, static_cast<int>(rng.uniform(2, 8)));
+  auto trace = dpm::analysis_testing::make_trace(w.events);
+  const std::string composed =
+      render_comm_stats(communication_statistics(trace)) +
+      render_connections(connection_table(trace)) +
+      render_ordering(trace, order_events(trace)) +
+      render_parallelism(measure_parallelism(trace)) + "== timeline ==\n" +
+      render_timeline(trace) + diagnose(trace).render();
+  EXPECT_EQ(full_report(trace), composed);
 }
 
 TEST_P(OrderingProperty, LogShufflingDoesNotChangePairing) {
