@@ -41,7 +41,7 @@ void BM_RpcTemporaryConnections(benchmark::State& state) {
         req.uid = 100;
         req.pid = *victim;
         req.flags = meter::M_SEND;
-        auto reply = daemon::rpc_call(sys, *addr, req);
+        auto reply = daemon::rpc_call(sys, *addr, req, daemon::RpcOptions{});
         benchmark::DoNotOptimize(reply.ok());
       }
       elapsed = sim_us(sys.world()) - t0;

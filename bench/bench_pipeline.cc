@@ -1,22 +1,27 @@
 // Meter→filter pipeline (§3.2–§3.4, §4).
 //
-// The monitor's hot path is meter_emit → transport → filter framing →
+// The monitor's hot path is meter_emit → meter socket → filter framing →
 // selection → log. This benchmark replays each workload (send/recv-heavy,
-// accept/connect-heavy, mixed) through kernel::meter_emit in a live World,
-// carried by batched socket sends versus the shared meter ring into the
-// same filter engine, timed in real seconds with the produced logs
-// byte-compared across the two transports. The filter engine's own
-// throughput per rule set is bench_filter's (E3).
+// accept/connect-heavy, mixed) through kernel::meter_emit in a live World
+// whose app and sink sit on different machines, so every pending batch
+// crosses the fabric as a stream send into a FilterEngine. Each workload
+// reports its host throughput (events per real second around World::run)
+// next to the simulated per-layer counts of the pass: meter flushes and
+// bytes, fabric packets and cross-machine bytes, filter records in.
+// Metering CPU costs are zeroed, so those counts are deterministic and
+// every pass of a workload must produce the same log and the same counts.
+// The filter engine's own throughput per rule set is bench_filter's (E3).
 //
-// With no argument it runs the full-size comparison and writes
-// BENCH_pipeline.json (the per-workload e2e comparison and the
-// equivalence verdicts); `--e2e` is the regression gate's run (below).
-// `bench_pipeline --smoke` checks that the
-// engine renders exactly the reference log (decode + Templates::evaluate +
-// trace_line per record; whole-batch and chunked feeds), that every
-// workload's socket and ring logs byte-compare equal, validates the JSON,
-// and exits; it is registered under ctest and also run under the
-// sanitizer configuration.
+// With no argument it runs the full-size passes and writes
+// BENCH_pipeline.json; `--e2e` runs the same passes for the regression
+// gate and writes BENCH_e2e.json, whose counts scripts/check_bench.sh
+// requires to reproduce the committed file exactly. `bench_pipeline
+// --smoke` checks that the engine renders exactly the reference log
+// (decode + Templates::evaluate + trace_line per record; whole-batch and
+// chunked feeds), that every workload's metered bytes all crossed the
+// fabric (net.bytes_remote >= kernel.meter_bytes), validates the JSON, and
+// exits; it is registered under ctest and also run under the sanitizer
+// configuration.
 #include "bench_util.h"
 
 #include <algorithm>
@@ -36,35 +41,38 @@
 namespace dpm::bench {
 namespace {
 
-// ---- end to end: meter_emit → transport → filter → log --------------------
+// ---- end to end: meter_emit → meter socket → filter → log ----------------
 
-/// Ring size for the ring-transport side; 0 selects batched socket sends.
-constexpr std::size_t kRingBytes = 256 * 1024;
+/// The simulated per-layer counts of one pass. Deterministic for a given
+/// workload and event count: metering CPU costs are zeroed, so emission
+/// instants, batches and fabric traffic repeat exactly.
+struct PassCounts {
+  std::uint64_t meter_flushes = 0;   // kernel.meter_flushes
+  std::uint64_t meter_bytes = 0;     // kernel.meter_bytes
+  std::uint64_t packets_sent = 0;    // net.packets_sent
+  std::uint64_t bytes_remote = 0;    // net.bytes_remote
+  std::uint64_t records_in = 0;      // the sink engine's filter.records_in
+  std::uint64_t bytecode_ops = 0;    // the sink engine's filter.bytecode_ops
 
-/// One full pipeline pass: an app process replays a workload's event
+  bool operator==(const PassCounts&) const = default;
+};
+
+/// One full pipeline pass: an app process on m0 replays a workload's event
 /// bodies through kernel::meter_emit (yielding periodically so the
-/// consumer keeps up), the configured transport carries them — batched
-/// stream sends when ring_bytes == 0, the shared SPSC ring otherwise —
-/// and a sink process drains its meter connection into a FilterEngine.
-/// Metering CPU costs are zeroed so emission instants (and therefore the
-/// record headers) are identical across transports: the produced logs
-/// must byte-compare equal, which the caller checks.
+/// consumer keeps up), its meter socket carries the pending batches across
+/// the fabric, and a sink process on m1 drains the connection into a
+/// FilterEngine.
 struct E2EPass {
   std::string log;
   std::uint64_t events = 0;
   double seconds = 0;
-  std::uint64_t ring_wakeups = 0;
-  std::uint64_t ring_overflow_drops = 0;
-  std::uint64_t bytecode_ops = 0;
+  PassCounts counts;
 };
 
-E2EPass run_e2e_pass(Workload w, int events, std::size_t ring_bytes) {
+E2EPass run_e2e_pass(Workload w, int events) {
   kernel::WorldConfig cfg;
-  // meter_buffer_msgs stays at the shipped default: that is the batching
-  // the socket transport actually runs with (the ring transport ignores
-  // it — records encode straight into the ring).
-  cfg.meter_ring_bytes = ring_bytes;
-  cfg.meter_ring_wakeup_bytes = 8 * 1024;
+  // meter_buffer_msgs/bytes stay at the shipped defaults: that is the
+  // batching every session runs with.
   cfg.costs.meter_event = util::usec(0);
   cfg.costs.meter_flush_base = util::usec(0);
   cfg.costs.meter_flush_per_kb = util::usec(0);
@@ -105,8 +113,8 @@ E2EPass run_e2e_pass(Workload w, int events, std::size_t ring_bytes) {
           sys.world(), *self,
           kernel::MeterEventDraft{meter::M_ALL,
                                   meter::MeterBody(std::move(msgs[i].body))});
-      // Yield every 256 events: the consumer drains, the ring never
-      // overflows, and the socket's stream window never fills.
+      // Yield every 256 events: the consumer drains and the socket's
+      // stream window never fills.
       if (i % 256 == 255) sys.sleep(util::usec(500));
     }
   });
@@ -118,26 +126,27 @@ E2EPass run_e2e_pass(Workload w, int events, std::size_t ring_bytes) {
           .count();
   benchmark::DoNotOptimize(pass.log);
   pass.events = world->meter_stats().events;
-  pass.ring_wakeups = world->obs().counter("ring.wakeups").value();
-  pass.ring_overflow_drops =
-      world->obs().counter("ring.overflow_drops").value();
-  pass.bytecode_ops = engine.obs().counter("filter.bytecode_ops").value();
+  obs::Registry& o = world->obs();
+  pass.counts.meter_flushes = o.counter("kernel.meter_flushes").value();
+  pass.counts.meter_bytes = o.counter("kernel.meter_bytes").value();
+  pass.counts.packets_sent = o.counter("net.packets_sent").value();
+  pass.counts.bytes_remote = o.counter("net.bytes_remote").value();
+  pass.counts.records_in = engine.obs().counter("filter.records_in").value();
+  pass.counts.bytecode_ops =
+      engine.obs().counter("filter.bytecode_ops").value();
   return pass;
 }
 
 // ---- BENCH_pipeline.json --------------------------------------------------
 
-/// One workload's end-to-end comparison: batched socket sends versus the
-/// shared ring, same event bodies and filter, logs byte-compared.
+/// One workload's end-to-end result: the best host rate over its passes
+/// and the simulated counts every pass reproduced.
 struct E2EResult {
   Workload workload = Workload::mixed;
-  double socket_eps = 0;  // events/sec through the whole pipeline
-  double ring_eps = 0;
-  double speedup = 0;
-  bool logs_identical = false;
-  std::uint64_t ring_wakeups = 0;  // from the ring pass
-  std::uint64_t ring_overflow_drops = 0;
-  std::uint64_t bytecode_ops = 0;
+  int events = 0;         // events replayed per pass
+  double events_per_s = 0;  // host: best over the passes
+  PassCounts counts;        // simulated: identical in every pass
+  bool deterministic = false;  // every pass gave the same log and counts
 };
 
 struct PipelineBenchResult {
@@ -152,32 +161,34 @@ double events_per_s(const E2EPass& pass) {
                           : 0;
 }
 
-/// Measures one workload end-to-end over both transports: the best rate
-/// over `reps` passes per side (fresh World each pass, wall-clock around
-/// World::run only). The sides alternate pass by pass, so a slow phase of
-/// a shared host lands on both rather than on whichever side it overlaps.
-/// The first pass of each side is byte-compared — the equivalence verdict
-/// the JSON carries.
+/// Runs one workload `reps` times (fresh World each pass, wall-clock
+/// around World::run only) and keeps the best rate. Every pass must
+/// reproduce the first pass's log and counts.
 E2EResult run_e2e(Workload w, int events, int reps) {
   E2EResult r;
   r.workload = w;
-  std::string socket_log, ring_log;
+  r.events = events;
+  std::string first_log;
+  r.deterministic = true;
   for (int i = 0; i < reps; ++i) {
-    E2EPass socket = run_e2e_pass(w, events, 0);
-    E2EPass ring = run_e2e_pass(w, events, kRingBytes);
-    r.socket_eps = std::max(r.socket_eps, events_per_s(socket));
-    r.ring_eps = std::max(r.ring_eps, events_per_s(ring));
+    E2EPass pass = run_e2e_pass(w, events);
+    r.events_per_s = std::max(r.events_per_s, events_per_s(pass));
     if (i == 0) {
-      socket_log = std::move(socket.log);
-      ring_log = std::move(ring.log);
-      r.ring_wakeups = ring.ring_wakeups;
-      r.ring_overflow_drops = ring.ring_overflow_drops;
-      r.bytecode_ops = ring.bytecode_ops;
+      first_log = std::move(pass.log);
+      r.counts = pass.counts;
+    } else if (pass.log != first_log || pass.counts != r.counts) {
+      r.deterministic = false;
     }
   }
-  r.speedup = r.socket_eps > 0 ? r.ring_eps / r.socket_eps : 0;
-  r.logs_identical = !socket_log.empty() && socket_log == ring_log;
+  r.deterministic = r.deterministic && !first_log.empty();
   return r;
+}
+
+/// Every metered byte of a pass rode the fabric: the app and the sink sit
+/// on different machines and the meter socket is the only transport.
+bool paid_the_fabric(const E2EResult& e) {
+  return e.counts.meter_bytes > 0 &&
+         e.counts.bytes_remote >= e.counts.meter_bytes;
 }
 
 /// `engine` renders exactly the reference log, whole-batch and chunked
@@ -218,6 +229,32 @@ PipelineBenchResult run_pipeline_bench(int events, int e2e_events,
 
 constexpr const char* kJsonPath = "BENCH_pipeline.json";
 
+/// The "e2e" array: one row per workload, shared by BENCH_pipeline.json
+/// and the gate's BENCH_e2e.json so the two compare field for field.
+std::string e2e_rows(const std::vector<E2EResult>& rows) {
+  std::string out = "  \"e2e\": [\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const E2EResult& e = rows[i];
+    out += util::strprintf(
+        "    {\"workload\": \"%s\", \"events\": %d, "
+        "\"events_per_s\": %.0f, \"deterministic\": %s, "
+        "\"meter_flushes\": %llu, \"meter_bytes\": %llu, "
+        "\"packets_sent\": %llu, \"bytes_remote\": %llu, "
+        "\"records_in\": %llu, \"bytecode_ops\": %llu}%s\n",
+        workload_name(e.workload), e.events, e.events_per_s,
+        e.deterministic ? "true" : "false",
+        static_cast<unsigned long long>(e.counts.meter_flushes),
+        static_cast<unsigned long long>(e.counts.meter_bytes),
+        static_cast<unsigned long long>(e.counts.packets_sent),
+        static_cast<unsigned long long>(e.counts.bytes_remote),
+        static_cast<unsigned long long>(e.counts.records_in),
+        static_cast<unsigned long long>(e.counts.bytecode_ops),
+        i + 1 < rows.size() ? "," : "");
+  }
+  out += "  ]";
+  return out;
+}
+
 bool write_bench_json(const PipelineBenchResult& r, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
@@ -227,23 +264,7 @@ bool write_bench_json(const PipelineBenchResult& r, const std::string& path) {
       "  \"workload\": \"%s\",\n"
       "  \"events\": %d,\n",
       workload_name(Workload::mixed), r.events);
-  out << "  \"e2e\": [\n";
-  for (std::size_t i = 0; i < r.e2e.size(); ++i) {
-    const E2EResult& e = r.e2e[i];
-    out << util::strprintf(
-        "    {\"workload\": \"%s\", "
-        "\"socket_events_per_s\": %.0f, \"ring_events_per_s\": %.0f, "
-        "\"speedup\": %.2f, \"logs_identical\": %s, "
-        "\"ring_wakeups\": %llu, \"ring_overflow_drops\": %llu, "
-        "\"bytecode_ops\": %llu}%s\n",
-        workload_name(e.workload), e.socket_eps, e.ring_eps, e.speedup,
-        e.logs_identical ? "true" : "false",
-        static_cast<unsigned long long>(e.ring_wakeups),
-        static_cast<unsigned long long>(e.ring_overflow_drops),
-        static_cast<unsigned long long>(e.bytecode_ops),
-        i + 1 < r.e2e.size() ? "," : "");
-  }
-  out << "  ],\n";
+  out << e2e_rows(r.e2e) << ",\n";
   out << util::strprintf(
       "  \"output_identical\": %s,\n"
       "  \"obs_snapshot\": %s\n"
@@ -264,33 +285,38 @@ bool validate_bench_json(const std::string& path) {
     return false;
   }
   for (const char* key :
-       {"\"bench\"", "\"events\"", "\"e2e\"", "\"socket_events_per_s\"",
-        "\"ring_events_per_s\"", "\"output_identical\"",
-        "\"obs_snapshot\""}) {
+       {"\"bench\"", "\"events\"", "\"e2e\"", "\"events_per_s\"",
+        "\"meter_flushes\"", "\"bytes_remote\"", "\"records_in\"",
+        "\"output_identical\"", "\"obs_snapshot\""}) {
     if (text.find(key) == std::string::npos) return false;
   }
   // Equivalence is the pass signal: the engine-vs-reference comparison and
-  // every per-workload cross-transport log comparison must all hold.
+  // every per-workload determinism check must all hold.
   return text.find("\"output_identical\": true") != std::string::npos &&
-         text.find("\"logs_identical\": false") == std::string::npos &&
-         text.find("\"logs_identical\": true") != std::string::npos;
+         text.find("\"deterministic\": false") == std::string::npos &&
+         text.find("\"deterministic\": true") != std::string::npos;
 }
 
-bool all_e2e_logs_identical(const PipelineBenchResult& r) {
+/// Every workload ran deterministically and paid the fabric for every
+/// metered byte.
+bool all_e2e_sound(const PipelineBenchResult& r) {
   for (const E2EResult& e : r.e2e) {
-    if (!e.logs_identical) return false;
+    if (!e.deterministic || !paid_the_fabric(e)) return false;
   }
   return !r.e2e.empty();
 }
 
 void print_e2e(const E2EResult& e) {
   std::printf(
-      "  e2e %-13s socket %8.0f ev/s -> ring %8.0f ev/s (%.2fx) "
-      "logs_identical=%s wakeups=%llu drops=%llu\n",
-      workload_name(e.workload), e.socket_eps, e.ring_eps, e.speedup,
-      e.logs_identical ? "true" : "false",
-      static_cast<unsigned long long>(e.ring_wakeups),
-      static_cast<unsigned long long>(e.ring_overflow_drops));
+      "  e2e %-13s %8.0f ev/s  flushes=%llu meter_bytes=%llu "
+      "bytes_remote=%llu packets=%llu records_in=%llu deterministic=%s\n",
+      workload_name(e.workload), e.events_per_s,
+      static_cast<unsigned long long>(e.counts.meter_flushes),
+      static_cast<unsigned long long>(e.counts.meter_bytes),
+      static_cast<unsigned long long>(e.counts.bytes_remote),
+      static_cast<unsigned long long>(e.counts.packets_sent),
+      static_cast<unsigned long long>(e.counts.records_in),
+      e.deterministic ? "true" : "false");
 }
 
 void print_result(const PipelineBenchResult& r, const char* tag) {
@@ -299,43 +325,36 @@ void print_result(const PipelineBenchResult& r, const char* tag) {
   for (const E2EResult& e : r.e2e) print_e2e(e);
 }
 
-/// --e2e: full-scale end-to-end comparison only (no google-benchmark
-/// micros), fast enough for the regression gate in scripts/check_bench.sh.
-/// Writes BENCH_e2e.json so the gate can jq-compare per-workload speedups
-/// against the committed BENCH_pipeline.json like-for-like: the smoke's
-/// smaller event count carries a higher fixed-cost share and reads
-/// systematically below the recorded full-scale ratios.
+/// Full-size passes per workload: the committed file's and the gate's.
+constexpr int kE2EEvents = 20000;
+constexpr int kE2EReps = 9;
+
+/// --e2e: the full-size passes only (no equivalence batch), fast enough
+/// for the regression gate in scripts/check_bench.sh. Writes BENCH_e2e.json
+/// with the same e2e rows as BENCH_pipeline.json, so the gate can
+/// jq-compare the simulated counts against the committed file exactly.
 int run_e2e_only() {
   PipelineBenchResult r;
   for (Workload w : kWorkloads) {
-    r.e2e.push_back(run_e2e(w, 20000, 9));
+    r.e2e.push_back(run_e2e(w, kE2EEvents, kE2EReps));
   }
   std::ofstream out("BENCH_e2e.json", std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "bench_pipeline: cannot write BENCH_e2e.json\n");
     return 1;
   }
-  out << "{\n  \"e2e\": [\n";
-  for (std::size_t i = 0; i < r.e2e.size(); ++i) {
-    const E2EResult& e = r.e2e[i];
-    out << util::strprintf(
-        "    {\"workload\": \"%s\", \"speedup\": %.2f, "
-        "\"logs_identical\": %s}%s\n",
-        workload_name(e.workload), e.speedup,
-        e.logs_identical ? "true" : "false",
-        i + 1 < r.e2e.size() ? "," : "");
-  }
-  out << "  ]\n}\n";
+  out << "{\n" << e2e_rows(r.e2e) << "\n}\n";
   for (const E2EResult& e : r.e2e) print_e2e(e);
-  return out.good() && all_e2e_logs_identical(r) ? 0 : 1;
+  return out.good() && all_e2e_sound(r) ? 0 : 1;
 }
 
 /// --smoke: the fast ctest (and sanitizer) entry point. Equivalence —
-/// engine == reference output and socket == ring logs on every workload —
-/// is the pass/fail signal; rates are reported, not asserted, since
-/// sanitized or loaded machines make timing assertions flaky.
+/// engine == reference output, every workload deterministic across two
+/// passes, every metered byte on the fabric — is the pass/fail signal;
+/// rates are reported, not asserted, since sanitized or loaded machines
+/// make timing assertions flaky.
 int run_smoke() {
-  const PipelineBenchResult r = run_pipeline_bench(512, 2000, 1);
+  const PipelineBenchResult r = run_pipeline_bench(512, 2000, 2);
   const std::string snap_err = obs::validate_snapshot(r.obs_snapshot_jsonl);
   if (!snap_err.empty()) {
     std::fprintf(stderr, "bench_pipeline: bad embedded snapshot: %s\n",
@@ -352,7 +371,7 @@ int run_smoke() {
   }
   print_result(r, "--smoke");
   std::printf("wrote %s\n", kJsonPath);
-  return r.output_identical && all_e2e_logs_identical(r) ? 0 : 1;
+  return r.output_identical && all_e2e_sound(r) ? 0 : 1;
 }
 
 }  // namespace
@@ -365,9 +384,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: bench_pipeline [--smoke | --e2e]\n");
     return 1;
   }
-  const auto r = dpm::bench::run_pipeline_bench(2000, 20000, 9);
+  const auto r = dpm::bench::run_pipeline_bench(2000, dpm::bench::kE2EEvents,
+                                                dpm::bench::kE2EReps);
   if (!dpm::bench::write_bench_json(r, dpm::bench::kJsonPath)) return 1;
   dpm::bench::print_result(r, "full");
   std::printf("wrote %s\n", dpm::bench::kJsonPath);
-  return r.output_identical && dpm::bench::all_e2e_logs_identical(r) ? 0 : 1;
+  return r.output_identical && dpm::bench::all_e2e_sound(r) ? 0 : 1;
 }

@@ -3,19 +3,19 @@
 // Two claims get measured and recorded into BENCH_provenance.json:
 //
 //   * Overhead: the deterministic 1-in-N sampler rides the meter hot path
-//     (ring push, filter decision) for every record, sampled or not. The
-//     sendrecv pipeline workload (bench_pipeline's e2e harness: meter_emit
-//     through the shared ring into a bytecode filter) runs tracing-off
-//     (prov_sample_period = 0) and tracing-on (= 64); the filter logs must
-//     byte-compare equal — identities live in a side-table, never on the
-//     wire — and the full run asserts the wall-clock overhead stays under
-//     2%.
+//     (emit stamp, batch delivery, filter decision) for every record,
+//     sampled or not. The sendrecv pipeline workload (bench_pipeline's e2e
+//     harness: meter_emit through the meter socket into a bytecode
+//     filter) runs tracing-off (prov_sample_period = 0) and tracing-on
+//     (= 64); the filter logs must byte-compare equal — identities live in
+//     a side-table, never on the wire — and the full run asserts the
+//     wall-clock overhead stays under 2%.
 //
 //   * Stage breakdown: a full monitored session (4 sender machines behind
 //     an arity-2 fan-in tree into a root filter with online predicates)
 //     runs on a calm fabric and again under injected latency spikes + a
 //     loss burst (net/faults.h). Every stage histogram the tracker feeds —
-//     emit->ring, ring->filter, fan-in hop, live settle, verdict, e2e
+//     emit->enqueue, enqueue->filter, fan-in hop, live settle, verdict, e2e
 //     freshness — is dumped as count/p50/p95/p99 rows per scenario, and
 //     each scenario is run twice: the full bucket vectors must be
 //     bit-identical (the sim is deterministic, so tracing must be too).
@@ -56,14 +56,12 @@ struct TransportPass {
   std::uint64_t rejected = 0;
 };
 
-/// One sendrecv pass through meter_emit -> shared ring -> bytecode filter,
-/// with record provenance off (period 0) or on. Metering CPU costs are
-/// zeroed so emission instants are identical across configurations: the
-/// produced logs must byte-compare equal, which the caller checks.
+/// One sendrecv pass through meter_emit -> meter socket -> bytecode
+/// filter, with record provenance off (period 0) or on. Metering CPU costs
+/// are zeroed so emission instants are identical across configurations:
+/// the produced logs must byte-compare equal, which the caller checks.
 TransportPass run_transport_pass(int events, std::uint32_t period) {
   kernel::WorldConfig cfg;
-  cfg.meter_ring_bytes = 256 * 1024;
-  cfg.meter_ring_wakeup_bytes = 8 * 1024;
   cfg.costs.meter_event = util::usec(0);
   cfg.costs.meter_flush_base = util::usec(0);
   cfg.costs.meter_flush_per_kb = util::usec(0);

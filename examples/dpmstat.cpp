@@ -104,11 +104,7 @@ void pretty_print(const obs::Snapshot& snap) {
 /// A scripted two-machine metered session; returns its world snapshots
 /// taken mid-run and at the end.
 int run_smoke(const std::string& out_path) {
-  // A shared-memory meter ring per connection, so the ring transport (and
-  // its ring.occupancy gauge) is part of what the snapshot must surface.
-  kernel::WorldConfig cfg;
-  cfg.meter_ring_bytes = 256 * 1024;
-  kernel::World world(cfg);
+  kernel::World world;
   world.add_machine("red");
   world.add_machine("green");
   for (int i = 1; i <= 3; ++i) world.add_machine("g" + std::to_string(i));
@@ -165,7 +161,7 @@ int run_smoke(const std::string& out_path) {
   // The transport queue-depth gauges must surface with their high-water
   // marks: a queue that spiked and drained mid-run shows up here (and in
   // the diff below) even when its current value is back to zero.
-  for (const char* key : {"ring.occupancy", "fanin.queue_bytes"}) {
+  for (const char* key : {"kernel.meter_pending_bytes", "fanin.queue_bytes"}) {
     const auto it = b.gauges.find(key);
     if (it == b.gauges.end()) {
       std::cerr << "dpmstat --smoke: gauge '" << key << "' missing\n";

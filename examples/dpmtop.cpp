@@ -93,7 +93,7 @@ void render_pipeline(kernel::World& world) {
         static_cast<long long>(p.p99));
   }
   const auto& gauges = world.obs().gauges();
-  for (const char* key : {"ring.occupancy", "fanin.queue_bytes"}) {
+  for (const char* key : {"kernel.meter_pending_bytes", "fanin.queue_bytes"}) {
     const auto it = gauges.find(key);
     if (it == gauges.end()) continue;
     if (!any) {
@@ -101,7 +101,7 @@ void render_pipeline(kernel::World& world) {
       any = true;
     }
     std::cout << util::strprintf(
-        "  queue %-22s now=%-8lld high-water=%lld\n", key,
+        "  queue %-26s now=%-8lld high-water=%lld\n", key,
         static_cast<long long>(it->second.value()),
         static_cast<long long>(it->second.high_water()));
   }

@@ -4,7 +4,8 @@
 # 1. dpmstat --smoke writes a schema-validated snapshot of a fan-in
 #    session; the gate then requires every provenance stage histogram
 #    (stage.*, e2e.*), the sampler's accounting counters (prov.*), the
-#    transport queue gauges, and the span-ring overflow field to be
+#    queue gauges (kernel.meter_pending_bytes, fanin.queue_bytes), and the
+#    span-ring overflow field to be
 #    present in it — the "is the pipeline observable at all" check.
 # 2. bench_provenance --smoke runs twice in separate scratch dirs; the
 #    simulated sections of BENCH_provenance.json (scenario stage
@@ -35,7 +36,7 @@ fail=0
 for key in stage.emit_to_ring_us stage.ring_to_filter_us \
            stage.fanin_hop_us stage.settle_us stage.verdict_us \
            e2e.freshness_us prov.sampled prov.completed prov.dropped \
-           prov.inflight ring.occupancy fanin.queue_bytes; do
+           prov.inflight kernel.meter_pending_bytes fanin.queue_bytes; do
   if grep -q "\"key\":\"$key\"" obs_snapshot.jsonl; then
     echo "   instrument $key present"
   else

@@ -24,25 +24,20 @@ void PairingCore::try_pair(Chan& c) {
   }
 }
 
-void PairingCore::learn_name(const std::string& name, Endpoint ep) {
-  if (name.empty()) return;
-  auto it = names_.find(name);
-  if (it != names_.end() && it->second.sock != 0) return;  // first winner keeps
-  names_[name] = ep;
-  if (ep.sock == 0) return;
-
-  // The name just became resolvable: route everything parked on it, in
-  // index order (the vector preserves arrival = index order per name).
+void PairingCore::route_named(const std::string& name,
+                              const Endpoint& owner) {
+  // Everything parked on the name routes now, in index order (the vector
+  // preserves arrival = index order per name).
   auto pit = parked_by_name_.find(name);
   if (pit == parked_by_name_.end()) return;
   for (const ParkedDgram& w : pit->second) {
     --parked_;
     if (w.is_send) {
-      Chan& c = dgram_[{Endpoint{w.proc, w.sock}, ep.proc}];
+      Chan& c = dgram_[{Endpoint{w.proc, w.sock}, owner.proc}];
       push_side(c.sends, w.index);
       try_pair(c);
     } else {
-      Chan& c = dgram_[{ep, w.proc}];
+      Chan& c = dgram_[{owner, w.proc}];
       push_side(c.recvs, w.index);
       try_pair(c);
     }
@@ -50,18 +45,11 @@ void PairingCore::learn_name(const std::string& name, Endpoint ep) {
   parked_by_name_.erase(pit);
 }
 
-void PairingCore::set_peer(Endpoint ep, Endpoint other) {
-  auto [it, fresh] = peers_.try_emplace({ep.proc, ep.sock}, other);
-  if (!fresh) {
-    // An endpoint re-pairing (socket-id reuse) would let the batch
-    // algorithm route earlier receives with this *later* mapping.
-    if (!(it->second == other)) disorder_ = true;
-    it->second = other;
-  }
+void PairingCore::route_joined(const Endpoint& ep, const Endpoint& remote) {
   // Stream receives at `ep` route to the channel keyed by the remote.
   auto pit = parked_stream_recvs_.find({ep.proc, ep.sock});
   if (pit == parked_stream_recvs_.end()) return;
-  Chan& c = stream_[{other.proc, other.sock}];
+  Chan& c = stream_[{remote.proc, remote.sock}];
   for (const ParkedStreamRecv& w : pit->second) {
     --parked_;
     push_side(c.recvs, w.index);
@@ -70,38 +58,17 @@ void PairingCore::set_peer(Endpoint ep, Endpoint other) {
   try_pair(c);
 }
 
-void PairingCore::join_connections(
-    const std::pair<std::string, std::string>& key) {
-  auto cit = connects_.find(key);
-  auto ait = accepts_.find(key);
-  if (cit == connects_.end() || ait == accepts_.end()) return;
-  auto& cq = cit->second;
-  auto& aq = ait->second;
-  while (!cq.empty() && !aq.empty()) {
-    const Endpoint c = cq.front();
-    const Endpoint a = aq.front();
-    cq.pop_front();
-    aq.pop_front();
-    ++matched_;
-    set_peer(c, a);
-    set_peer(a, c);
-  }
-}
-
 void PairingCore::observe(const Event& e, std::size_t index) {
   switch (e.type) {
-    case meter::EventType::connect: {
-      const Endpoint ep{e.proc(), e.sock};
-      connects_[{e.sock_name, e.peer_name}].push_back(ep);
-      learn_name(e.sock_name, ep);
-      join_connections({e.sock_name, e.peer_name});
-      break;
-    }
+    case meter::EventType::connect:
     case meter::EventType::accept: {
-      accepts_[{e.peer_name, e.sock_name}].push_back(
-          Endpoint{e.proc(), e.new_sock});
-      learn_name(e.sock_name, Endpoint{e.proc(), e.sock});
-      join_connections({e.peer_name, e.sock_name});
+      const ConnectionMatcher::Learned learned = join_.observe(e);
+      if (learned.named) route_named(e.sock_name, learned.owner);
+      if (learned.joined) {
+        const auto& [c, a] = *learned.joined;
+        route_joined(c, a);
+        route_joined(a, c);
+      }
       break;
     }
     case meter::EventType::send: {
@@ -109,9 +76,8 @@ void PairingCore::observe(const Event& e, std::size_t index) {
         Chan& c = stream_[{e.proc(), e.sock}];
         push_side(c.sends, index);
         try_pair(c);
-      } else if (auto it = names_.find(e.dest_name);
-                 it != names_.end() && it->second.sock != 0) {
-        Chan& c = dgram_[{Endpoint{e.proc(), e.sock}, it->second.proc}];
+      } else if (auto owner = join_.owner_of_name(e.dest_name)) {
+        Chan& c = dgram_[{Endpoint{e.proc(), e.sock}, owner->proc}];
         push_side(c.sends, index);
         try_pair(c);
       } else {
@@ -123,8 +89,8 @@ void PairingCore::observe(const Event& e, std::size_t index) {
     }
     case meter::EventType::recv: {
       if (e.source_name.empty()) {
-        if (auto it = peers_.find({e.proc(), e.sock}); it != peers_.end()) {
-          Chan& c = stream_[{it->second.proc, it->second.sock}];
+        if (auto remote = join_.remote_of(e.proc(), e.sock)) {
+          Chan& c = stream_[{remote->proc, remote->sock}];
           push_side(c.recvs, index);
           try_pair(c);
         } else {
@@ -132,9 +98,8 @@ void PairingCore::observe(const Event& e, std::size_t index) {
               ParkedStreamRecv{index, progress_});
           ++parked_;
         }
-      } else if (auto it = names_.find(e.source_name);
-                 it != names_.end() && it->second.sock != 0) {
-        Chan& c = dgram_[{it->second, e.proc()}];
+      } else if (auto owner = join_.owner_of_name(e.source_name)) {
+        Chan& c = dgram_[{*owner, e.proc()}];
         push_side(c.recvs, index);
         try_pair(c);
       } else {

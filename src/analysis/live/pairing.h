@@ -6,7 +6,8 @@
 // Stream channels are keyed by the sending endpoint (proc, sock), found
 // by joining CONNECT records with their mirrored ACCEPT records by name
 // pair; datagram traffic is keyed by (source-name owner endpoint,
-// receiving process), found by socket-name ownership.
+// receiving process), found by socket-name ownership. Both joins are the
+// ConnectionMatcher's, fed one record at a time.
 //
 // The batch algorithm routes every receive with the *final* connection
 // table. To produce the identical pairing one event at a time, the core
@@ -54,7 +55,9 @@ class PairingCore {
   std::vector<Pair> take_pairs();
 
   /// Matched connect/accept joins so far.
-  std::size_t matched_connections() const { return matched_; }
+  std::size_t matched_connections() const {
+    return join_.matched_connections();
+  }
 
   /// Events parked awaiting routing evidence (stream receives with no
   /// connection join yet, datagram traffic with unresolved names).
@@ -64,7 +67,7 @@ class PairingCore {
   /// have resolved differently (see the header comment); pairs remain
   /// index-sorted best-effort but exact batch equivalence is no longer
   /// guaranteed.
-  bool disorder() const { return disorder_; }
+  bool disorder() const { return disorder_ || join_.rebound(); }
 
   // ---- fault tolerance: bounded parking ----------------------------------
   //
@@ -124,17 +127,13 @@ class PairingCore {
 
   void push_side(Side& s, std::size_t index);
   void try_pair(Chan& c);
-  void learn_name(const std::string& name, Endpoint ep);
-  void join_connections(const std::pair<std::string, std::string>& key);
-  void set_peer(Endpoint ep, Endpoint other);
+  /// Routes the datagram traffic parked on `name`, which just got `owner`.
+  void route_named(const std::string& name, const Endpoint& owner);
+  /// Routes the stream receives parked at `ep`, whose remote is `remote`.
+  void route_joined(const Endpoint& ep, const Endpoint& remote);
   void sweep();
 
-  // Connection joining (the incremental ConnectionMatcher).
-  std::map<std::pair<std::string, std::string>, std::deque<Endpoint>> connects_;
-  std::map<std::pair<std::string, std::string>, std::deque<Endpoint>> accepts_;
-  std::map<std::pair<ProcKey, std::uint64_t>, Endpoint> peers_;
-  std::map<std::string, Endpoint> names_;
-  std::size_t matched_ = 0;
+  ConnectionMatcher join_;
 
   // Channels, keyed exactly as in order_events().
   std::map<std::pair<ProcKey, std::uint64_t>, Chan> stream_;

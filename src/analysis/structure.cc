@@ -1,68 +1,80 @@
 #include "analysis/structure.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 
 namespace dpm::analysis {
 
 ConnectionMatcher::ConnectionMatcher(const Trace& trace) {
-  // Connect and accept records may appear in either order in the log
-  // (each process's meter connection flushes independently), so both
-  // sides are collected first and joined by name pair afterwards. A
-  // connect is keyed by its (sockName, peerName); the matching accept
-  // carries the mirror image — its sockName is the listener's name the
-  // connector targeted, its peerName is the connector's name. Repeated
-  // connections with identical name pairs (impossible for internet names,
-  // which embed unique ephemeral ports) pair in order of appearance.
-  std::map<std::pair<std::string, std::string>, std::deque<Endpoint>> connects;
-  std::map<std::pair<std::string, std::string>, std::deque<Endpoint>> accepts;
-
-  auto learn_name = [this](const std::string& name, Endpoint ep) {
-    if (name.empty()) return;
-    auto it = names_.find(name);
-    if (it == names_.end() || it->second.sock == 0) names_[name] = ep;
-  };
-
+  // Skip the call for the records that carry no evidence: they are almost
+  // the whole trace.
   for (const Event& e : trace.events) {
-    if (e.type == meter::EventType::connect) {
-      connects[{e.sock_name, e.peer_name}].push_back(Endpoint{e.proc(), e.sock});
-      learn_name(e.sock_name, Endpoint{e.proc(), e.sock});
-    } else if (e.type == meter::EventType::accept) {
-      accepts[{e.peer_name, e.sock_name}].push_back(Endpoint{e.proc(), e.new_sock});
-      learn_name(e.sock_name, Endpoint{e.proc(), e.sock});
-    }
-  }
-
-  for (auto& [key, cq] : connects) {
-    auto it = accepts.find(key);
-    if (it == accepts.end()) continue;
-    auto& aq = it->second;
-    while (!cq.empty() && !aq.empty()) {
-      const Endpoint c = cq.front();
-      const Endpoint a = aq.front();
-      cq.pop_front();
-      aq.pop_front();
-      peers_[{c.proc, c.sock}] = a;
-      peers_[{a.proc, a.sock}] = c;
-      ++matched_;
+    if (e.type == meter::EventType::connect ||
+        e.type == meter::EventType::accept) {
+      (void)observe(e);
     }
   }
 }
 
-std::optional<Endpoint> ConnectionMatcher::remote_of(const ProcKey& proc,
-                                                     std::uint64_t sock) const {
-  auto it = peers_.find({proc, sock});
-  if (it == peers_.end()) return std::nullopt;
-  return it->second;
+ConnectionMatcher::Learned ConnectionMatcher::observe(const Event& e) {
+  Learned out;
+  if (e.type == meter::EventType::connect) {
+    // A connect is keyed by its (sockName, peerName); the matching accept
+    // carries the mirror image — its sockName is the listener's name the
+    // connector targeted, its peerName is the connector's name.
+    const Endpoint ep{e.proc(), e.sock};
+    out.named = learn_name(e.sock_name, ep);
+    out.owner = ep;
+    auto it = connects_.try_emplace({e.sock_name, e.peer_name}).first;
+    it->second.push_back(ep);
+    out.joined = join(it->first);
+  } else if (e.type == meter::EventType::accept) {
+    const Endpoint listener{e.proc(), e.sock};
+    out.named = learn_name(e.sock_name, listener);
+    out.owner = listener;
+    auto it = accepts_.try_emplace({e.peer_name, e.sock_name}).first;
+    it->second.push_back(Endpoint{e.proc(), e.new_sock});
+    out.joined = join(it->first);
+  }
+  return out;
 }
 
-std::optional<Endpoint> ConnectionMatcher::owner_of_name(
-    const std::string& name) const {
-  auto it = names_.find(name);
-  if (it == names_.end() || it->second.sock == 0) return std::nullopt;
-  return it->second;
+bool ConnectionMatcher::learn_name(const std::string& name, Endpoint ep) {
+  if (name.empty()) return false;
+  auto [it, fresh] = names_.try_emplace(name, ep);
+  if (!fresh) {
+    if (it->second.sock != 0) return false;  // the first real owner keeps it
+    it->second = ep;
+  }
+  return ep.sock != 0;
+}
+
+std::optional<std::pair<Endpoint, Endpoint>> ConnectionMatcher::join(
+    const NamePair& key) {
+  // Each observe() queues one side, so at most one join completes.
+  auto cit = connects_.find(key);
+  auto ait = accepts_.find(key);
+  if (cit == connects_.end() || ait == accepts_.end() || cit->second.empty() ||
+      ait->second.empty()) {
+    return std::nullopt;
+  }
+  const Endpoint c = cit->second.front();
+  const Endpoint a = ait->second.front();
+  cit->second.pop_front();
+  ait->second.pop_front();
+  ++matched_;
+  set_peer(c, a);
+  set_peer(a, c);
+  return std::make_pair(c, a);
+}
+
+void ConnectionMatcher::set_peer(const Endpoint& ep, const Endpoint& remote) {
+  auto [it, fresh] = peers_.try_emplace({ep.proc, ep.sock}, remote);
+  if (!fresh) {
+    if (!(it->second == remote)) rebound_ = true;
+    it->second = remote;
+  }
 }
 
 const CommEdge* CommGraph::edge(const ProcKey& from, const ProcKey& to) const {

@@ -8,11 +8,18 @@
 // the acceptor's connection socket id. Datagram traffic is matched by
 // name: a SEND's destName is the receiving socket's bound name, and a
 // RECEIVE's sourceName is the sending socket's bound name.
+//
+// The matcher is the one implementation of that join. Batch analysis
+// builds it over a whole trace; live::PairingCore feeds it one record at
+// a time and routes the traffic it parked off what each record
+// established.
 #pragma once
 
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/trace_reader.h"
@@ -28,22 +35,72 @@ struct Endpoint {
 
 class ConnectionMatcher {
  public:
+  ConnectionMatcher() = default;
+  /// The matcher over every record of `trace`.
   explicit ConnectionMatcher(const Trace& trace);
 
-  /// The remote endpoint of (proc, sock), when the trace pins it down.
+  /// What one record established.
+  struct Learned {
+    /// The record's sockName just got its owner: the first endpoint naming
+    /// it with a non-zero socket id. A later owner never replaces it.
+    bool named = false;
+    Endpoint owner;
+    /// The record completed a connection: (connector, acceptor).
+    std::optional<std::pair<Endpoint, Endpoint>> joined;
+  };
+
+  /// Feeds one record, in trace order. Only CONNECT and ACCEPT records
+  /// carry evidence; connects and accepts with the same name pair join
+  /// first-come first-served (repeats are impossible for internet names,
+  /// which embed unique ephemeral ports), in whichever order the two
+  /// sides appear — each process's meter connection flushes on its own.
+  Learned observe(const Event& e);
+
+  // The two lookups are inline: PairingCore asks one of them for every
+  // send and receive it routes.
+
+  /// The remote endpoint of (proc, sock), when the records so far pin it
+  /// down.
   std::optional<Endpoint> remote_of(const ProcKey& proc,
-                                    std::uint64_t sock) const;
+                                    std::uint64_t sock) const {
+    auto it = peers_.find({proc, sock});
+    if (it == peers_.end()) return std::nullopt;
+    return it->second;
+  }
 
   /// Socket-name ownership: which endpoint bound `name` (datagram
-  /// matching). Accept/connect/receive records teach us names.
-  std::optional<Endpoint> owner_of_name(const std::string& name) const;
+  /// matching), once an owner with a non-zero socket id is known.
+  std::optional<Endpoint> owner_of_name(const std::string& name) const {
+    auto it = names_.find(name);
+    if (it == names_.end() || it->second.sock == 0) return std::nullopt;
+    return it->second;
+  }
 
   std::size_t matched_connections() const { return matched_; }
 
+  /// True once an endpoint joined a second connection with a different
+  /// remote (socket-id reuse, which this simulator never produces):
+  /// remote_of then answers with the later join.
+  bool rebound() const { return rebound_; }
+
  private:
+  using NamePair = std::pair<std::string, std::string>;
+
+  /// Records `ep` as the owner of `name` unless one with a non-zero socket
+  /// id is already known; true when `ep` is the first such owner.
+  bool learn_name(const std::string& name, Endpoint ep);
+  /// Pairs the oldest unjoined connect and accept under `key`, if both
+  /// exist.
+  std::optional<std::pair<Endpoint, Endpoint>> join(const NamePair& key);
+  void set_peer(const Endpoint& ep, const Endpoint& remote);
+
+  // Unjoined connects by (sockName, peerName); accepts by the mirror image.
+  std::map<NamePair, std::deque<Endpoint>> connects_;
+  std::map<NamePair, std::deque<Endpoint>> accepts_;
   std::map<std::pair<ProcKey, std::uint64_t>, Endpoint> peers_;
   std::map<std::string, Endpoint> names_;
   std::size_t matched_ = 0;
+  bool rebound_ = false;
 };
 
 /// The communication graph: per ordered process pair, message count and

@@ -64,14 +64,12 @@ std::vector<std::string_view> split_ws(std::string_view s) {
 /// not a silent wrong replay.
 std::string config_to_string(const kernel::WorldConfig& c) {
   return util::strprintf(
-      "meter_buffer_bytes=%zu meter_buffer_msgs=%u meter_ring_bytes=%zu "
-      "meter_ring_wakeup_bytes=%zu fanin_queue_bytes=%zu "
+      "meter_buffer_bytes=%zu meter_buffer_msgs=%u fanin_queue_bytes=%zu "
       "prov_sample_period=%u cpu_grain_us=%lld max_descriptors=%zu "
       "stream_window=%zu dgram_queue_max=%zu",
-      c.meter_buffer_bytes, c.meter_buffer_msgs, c.meter_ring_bytes,
-      c.meter_ring_wakeup_bytes, c.fanin_queue_bytes, c.prov_sample_period,
-      static_cast<long long>(util::count_us(c.cpu_grain)), c.max_descriptors,
-      c.stream_window, c.dgram_queue_max);
+      c.meter_buffer_bytes, c.meter_buffer_msgs, c.fanin_queue_bytes,
+      c.prov_sample_period, static_cast<long long>(util::count_us(c.cpu_grain)),
+      c.max_descriptors, c.stream_window, c.dgram_queue_max);
 }
 
 bool config_parse(std::string_view text, kernel::WorldConfig* c,
@@ -89,8 +87,6 @@ bool config_parse(std::string_view text, kernel::WorldConfig* c,
     }
     if (key == "meter_buffer_bytes") c->meter_buffer_bytes = v;
     else if (key == "meter_buffer_msgs") c->meter_buffer_msgs = static_cast<std::uint32_t>(v);
-    else if (key == "meter_ring_bytes") c->meter_ring_bytes = v;
-    else if (key == "meter_ring_wakeup_bytes") c->meter_ring_wakeup_bytes = v;
     else if (key == "fanin_queue_bytes") c->fanin_queue_bytes = v;
     else if (key == "prov_sample_period") c->prov_sample_period = static_cast<std::uint32_t>(v);
     else if (key == "cpu_grain_us") c->cpu_grain = util::usec(static_cast<std::int64_t>(v));

@@ -528,40 +528,6 @@ const char* rpc_name(MsgType t) {
   }
 }
 
-}  // namespace
-
-util::SysResult<DaemonMsg> rpc_call(kernel::Sys& sys, const net::SockAddr& to,
-                                    const DaemonMsg& request) {
-  // Client-side request→reply latency, one histogram per request type.
-  // RPCs are control-plane rare, so the by-name histogram lookup is fine.
-  obs::Registry& reg = sys.world().obs();
-  const std::string name = rpc_name(msg_type(request));
-  reg.counter("daemon.rpc_calls").add(1);
-  obs::ObsSpan span(reg, "daemon.rpc_" + name,
-                    &reg.histogram("daemon.rpc_" + name + "_us"));
-
-  auto fd = sys.socket(kernel::SockDomain::internet, kernel::SockType::stream);
-  if (!fd) return fd.error();
-  auto conn = sys.connect(*fd, to);
-  if (!conn) {
-    (void)sys.close(*fd);
-    reg.counter("daemon.rpc_failures").add(1);
-    return conn.error();
-  }
-  auto sent = send_msg(sys, *fd, request);
-  if (!sent) {
-    (void)sys.close(*fd);
-    reg.counter("daemon.rpc_failures").add(1);
-    return sent.error();
-  }
-  auto reply = recv_msg(sys, *fd);
-  (void)sys.close(*fd);
-  if (!reply) reg.counter("daemon.rpc_failures").add(1);
-  return reply;
-}
-
-namespace {
-
 /// Whether one failed attempt is worth another try on a fresh connection.
 bool retryable(Err e) {
   return e == Err::etimedout || e == Err::econnrefused ||

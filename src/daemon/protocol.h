@@ -234,13 +234,10 @@ struct RpcOptions {
 };
 
 /// One full RPC exchange over a temporary connection (§3.5.1): connect to
-/// `to`, send `request`, await the reply, close. Blocks indefinitely.
-util::SysResult<DaemonMsg> rpc_call(kernel::Sys& sys, const net::SockAddr& to,
-                                    const DaemonMsg& request);
-
-/// Hardened variant: per-attempt deadline, bounded exponential backoff,
-/// retry on etimedout/econnrefused/econnreset/epipe. Requests that create
-/// state must carry a nonce so a retry cannot double-apply.
+/// `to`, send `request`, await the reply, close — with a per-attempt
+/// deadline, bounded exponential backoff, and retry on
+/// etimedout/econnrefused/econnreset/epipe. Requests that create state
+/// must carry a nonce so a retry cannot double-apply.
 util::SysResult<DaemonMsg> rpc_call(kernel::Sys& sys, const net::SockAddr& to,
                                     const DaemonMsg& request,
                                     const RpcOptions& opts);

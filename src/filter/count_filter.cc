@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "filter/descriptions.h"
 #include "filter/filter_program.h"
-#include "filter/templates.h"
 #include "kernel/syscalls.h"
 #include "util/strings.h"
 
@@ -17,19 +15,6 @@ using kernel::Fd;
 using kernel::SockDomain;
 using kernel::SockType;
 using kernel::Sys;
-
-std::string read_whole_file(Sys& sys, const std::string& path) {
-  auto fd = sys.open(path, Sys::OpenMode::read);
-  if (!fd) return {};
-  std::string text;
-  for (;;) {
-    auto chunk = sys.read(*fd, 4096);
-    if (!chunk || chunk->empty()) break;
-    text += util::to_string(*chunk);
-  }
-  (void)sys.close(*fd);
-  return text;
-}
 
 /// Aggregated view of the accepted records.
 class Counters {
@@ -87,20 +72,21 @@ kernel::ProcessMain make_count_filter_main(
       sys.exit(1);
     }
     const std::string& logfile = argv[1];
-    auto desc = Descriptions::parse(read_whole_file(sys, argv[2]));
-    auto templ = Templates::parse(read_whole_file(sys, argv[3]));
-    const auto port = util::parse_int(argv[4]).value_or(0);
-    if (!desc || !templ || port <= 0) {
-      (void)sys.print("countfilter: bad support files\n");
+    const auto port = util::parse_int(argv[4]);
+    if (!port || *port <= 0 || *port > 65535) {
+      (void)sys.print("countfilter: bad port\n");
       sys.exit(1);
     }
+    auto files = load_support_files(sys, "countfilter", argv[2], argv[3]);
+    if (!files) sys.exit(1);
     // The engine does framing, selection and the decode of accepted
     // records; this filter only aggregates them. It accounts into the
     // world's registry like the standard filter.
-    FilterEngine engine(std::move(*desc), *templ, &sys.world().obs());
+    FilterEngine engine(std::move(files->descriptions), files->templates,
+                        &sys.world().obs());
 
     auto lsock = sys.socket(SockDomain::internet, SockType::stream);
-    if (!lsock || !sys.bind_port(*lsock, static_cast<net::Port>(port)) ||
+    if (!lsock || !sys.bind_port(*lsock, static_cast<net::Port>(*port)) ||
         !sys.listen(*lsock, 32)) {
       sys.exit(1);
     }

@@ -136,19 +136,6 @@ class FrameSplitter {
   obs::Counter* desyncs_;
 };
 
-std::string read_whole_file(kernel::Sys& sys, const std::string& path) {
-  auto fd = sys.open(path, kernel::Sys::OpenMode::read);
-  if (!fd) return {};
-  std::string text;
-  for (;;) {
-    auto chunk = sys.read(*fd, 4096);
-    if (!chunk || chunk->empty()) break;
-    text += util::to_string(*chunk);
-  }
-  (void)sys.close(*fd);
-  return text;
-}
-
 }  // namespace
 
 kernel::ProcessMain make_localfilter_main(
@@ -168,26 +155,16 @@ kernel::ProcessMain make_localfilter_main(
       sys.exit(1);
     }
 
-    DescriptionError desc_err;
-    auto desc = Descriptions::parse(read_whole_file(sys, argv[1]), &desc_err);
-    if (!desc) {
-      (void)sys.print("localfilter: bad descriptions: " + desc_err.message +
-                      "\n");
-      sys.exit(1);
-    }
-    std::string err;
-    auto templ = Templates::parse(read_whole_file(sys, argv[2]), &err);
-    if (!templ) {
-      (void)sys.print("localfilter: bad templates: " + err + "\n");
-      sys.exit(1);
-    }
+    auto files = load_support_files(sys, "localfilter", argv[1], argv[2]);
+    if (!files) sys.exit(1);
 
     // Accounts under "localfilter.*" so the edge stage and the session
     // filter stay separable in the world's one registry. No live sink:
     // the root is the session's single live tap, and tapping here would
     // force a decode of every accepted record on every machine.
     obs::Registry& reg = sys.world().obs();
-    FilterEngine engine(std::move(*desc), *templ, &reg, "localfilter");
+    FilterEngine engine(std::move(files->descriptions), files->templates,
+                        &reg, "localfilter");
     obs::Counter& batches_out = reg.counter("localfilter.batches_out");
     obs::Counter& reconnects = reg.counter("localfilter.reconnects");
 

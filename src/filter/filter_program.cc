@@ -193,6 +193,42 @@ void FilterEngine::feed_forward(std::uint64_t conn, const util::Bytes& data,
             const std::vector<bool>*) { fn(v.data, v.size); });
 }
 
+namespace {
+
+std::string read_whole_file(kernel::Sys& sys, const std::string& path) {
+  auto fd = sys.open(path, kernel::Sys::OpenMode::read);
+  if (!fd) return {};
+  std::string text;
+  for (;;) {
+    auto chunk = sys.read(*fd, 4096);
+    if (!chunk || chunk->empty()) break;
+    text += util::to_string(*chunk);
+  }
+  (void)sys.close(*fd);
+  return text;
+}
+
+}  // namespace
+
+std::optional<SupportFiles> load_support_files(kernel::Sys& sys,
+                                               const std::string& prog,
+                                               const std::string& desc_path,
+                                               const std::string& templ_path) {
+  DescriptionError desc_err;
+  auto desc = Descriptions::parse(read_whole_file(sys, desc_path), &desc_err);
+  if (!desc) {
+    (void)sys.print(prog + ": bad descriptions: " + desc_err.message + "\n");
+    return std::nullopt;
+  }
+  std::string err;
+  auto templ = Templates::parse(read_whole_file(sys, templ_path), &err);
+  if (!templ) {
+    (void)sys.print(prog + ": bad templates: " + err + "\n");
+    return std::nullopt;
+  }
+  return SupportFiles{std::move(*desc), std::move(*templ)};
+}
+
 kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
   return [argv](kernel::Sys& sys) {
     if (argv.size() < 5) {
@@ -200,43 +236,19 @@ kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
       sys.exit(1);
     }
     const std::string& logfile = argv[1];
-    const std::string& desc_path = argv[2];
-    const std::string& templ_path = argv[3];
     const auto port = util::parse_int(argv[4]);
     if (!port || *port <= 0 || *port > 65535) {
       (void)sys.print("filter: bad port\n");
       sys.exit(1);
     }
 
-    auto read_file = [&sys](const std::string& path) -> std::string {
-      auto fd = sys.open(path, kernel::Sys::OpenMode::read);
-      if (!fd) return {};
-      std::string text;
-      for (;;) {
-        auto chunk = sys.read(*fd, 4096);
-        if (!chunk || chunk->empty()) break;
-        text += util::to_string(*chunk);
-      }
-      (void)sys.close(*fd);
-      return text;
-    };
-
-    DescriptionError desc_err;
-    auto desc = Descriptions::parse(read_file(desc_path), &desc_err);
-    if (!desc) {
-      (void)sys.print("filter: bad descriptions: " + desc_err.message + "\n");
-      sys.exit(1);
-    }
-    std::string err;
-    auto templ = Templates::parse(read_file(templ_path), &err);
-    if (!templ) {
-      (void)sys.print("filter: bad templates: " + err + "\n");
-      sys.exit(1);
-    }
+    auto files = load_support_files(sys, "filter", argv[2], argv[3]);
+    if (!files) sys.exit(1);
     // Account into the world's registry so the filter shows up in
     // world.obs_snapshot() alongside the kernel and fabric.
     obs::Registry& reg = sys.world().obs();
-    FilterEngine engine(std::move(*desc), *templ, &reg);
+    FilterEngine engine(std::move(files->descriptions), files->templates,
+                        &reg);
     // A live sink installed on the world (install_live_sink) taps this
     // filter's accepted records as they stream in. Held here so the sink
     // outlives the engine even if the harness drops its reference.

@@ -30,30 +30,10 @@ bool meter_conn_healthy(World& world, const Socket* ms) {
       ms->peer == 0 || ms->eof) {
     return false;
   }
-  if (ms->ring) {
-    // Ring transport: consumer-side teardown closes the shared ring in the
-    // same step that destroys the peer socket, so the closed flag already
-    // answers the peer-liveness question — no per-event socket lookup.
-    return !ms->ring->closed;
-  }
   return world.find_socket(ms->peer) != nullptr;
 }
 
 }  // namespace
-
-// The meter connection died underneath the process: release it, flip to
-// accounted drop mode and tell the parent (the meterdaemon forwards this
-// upstream as a state note). Shared by the legacy flush path and the ring
-// emit path so both degrade identically.
-void meter_degrade(World& world, Process& p) {
-  if (p.meter_sock == 0) return;
-  world.socket_unref(p.meter_sock);
-  p.meter_sock = 0;
-  p.meter_degraded = true;
-  Machine& mm = world.machine(p.machine);
-  world.push_child_change(mm, p.parent,
-                          ChildChange{p.pid, ChildEvent::meter_lost, 0});
-}
 
 void meter_emit(World& world, Process& p, MeterEventDraft&& draft) {
   if ((p.meter_flags & draft.guard) == 0) return;
@@ -85,66 +65,6 @@ void meter_emit(World& world, Process& p, MeterEventDraft&& draft) {
   // otherwise runs on every metered event.
   msg.header.proc_time = cpu_used < grain ? 0 : (cpu_used / grain) * grain;
 
-  // Ring transport: encode straight into the shared ring, no pending batch
-  // and no per-batch fabric payload. The conservation invariant is kept
-  // event by event — every emitted record is immediately either in the
-  // ring (buffered), dropped on overflow, or dropped by degrade.
-  if (p.meter_sock_cache_id != p.meter_sock) {
-    p.meter_sock_cache = world.find_socket(p.meter_sock);
-    p.meter_sock_cache_id = p.meter_sock;
-  }
-  Socket* ms = p.meter_sock_cache;
-  // A cached socket may have been destroyed since; the object survives
-  // (World keeps it), so its own state carries the verdict find_socket
-  // would give.
-  if (ms != nullptr && ms->sstate == Socket::StreamState::closed &&
-      ms->refs == 0) {
-    ms = nullptr;
-  }
-  if (ms && ms->ring) {
-    if (!meter_conn_healthy(world, ms)) {
-      meter_degrade(world, p);
-      ++p.meter_events;
-      world.mobs_.events->add(1);
-      world.mobs_.dropped_records->add(1);
-      return;
-    }
-    meter::MeterRing& ring = *ms->ring;
-    ++p.meter_events;
-    world.mobs_.events->add(1);
-    book_cpu(world, m, p, cfg.costs.meter_event);
-    const std::size_t wrote = ring.push(msg);
-    if (wrote == 0) {
-      // Overflow-to-drop: the record did not fit the free space. It is
-      // dropped whole with exact accounting — never truncated, never
-      // wedged half-written — and the consumer gets an urgent doorbell so
-      // the ring drains instead of dropping the whole burst.
-      const std::size_t sz = msg.wire_size();
-      p.meter_dropped_bytes += sz;
-      world.mobs_.dropped_records->add(1);
-      world.mobs_.dropped_bytes->add(sz);
-      world.mobs_.ring_overflow_drops->add(1);
-      world.kernel_ring_wakeup(p.meter_sock, /*reliable=*/false);
-      return;
-    }
-    p.meter_bytes += wrote;
-    world.mobs_.bytes->add(wrote);
-    world.mobs_.ring_occupancy->add(static_cast<std::int64_t>(wrote));
-    if (obs::ProvenanceTracker* prov = world.provenance()) {
-      // The push *is* the enqueue: index assigned here, where the
-      // conservation ledger counts the record as buffered. Overflow drops
-      // above never reach this line, so they never consume an index.
-      prov->on_ring_push(ms->peer, util::count_us(world.exec().now()));
-    }
-    ring.unsignalled_bytes += wrote;
-    ++ring.unsignalled_records;
-    const bool immediate = (p.meter_flags & meter::M_IMMEDIATE) != 0;
-    if (immediate || ring.unsignalled_bytes >= cfg.meter_ring_wakeup_bytes) {
-      world.kernel_ring_wakeup(p.meter_sock, /*reliable=*/false);
-    }
-    return;
-  }
-
   // Encode straight into the pending batch. The reservation covers a full
   // batch (re-established after meter_flush's swap hands the capacity
   // away), so steady-state emission appends without reallocating.
@@ -155,9 +75,9 @@ void meter_emit(World& world, Process& p, MeterEventDraft&& draft) {
   msg.serialize_into(p.meter_pending);
   ++p.meter_pending_count;
   if (world.provenance() != nullptr) {
-    // Legacy transport: the record's index is assigned at delivery, but
-    // its emit time must be captured now — the stamp rides beside the
-    // pending batch, one entry per record in wire order.
+    // The record's provenance index is assigned at delivery, but its emit
+    // time must be captured now — the stamp rides beside the pending
+    // batch, one entry per record in wire order.
     p.prov_emit_us.push_back(util::count_us(world.exec().now()));
   }
   ++p.meter_events;
@@ -175,25 +95,6 @@ void meter_emit(World& world, Process& p, MeterEventDraft&& draft) {
 }
 
 void meter_flush(World& world, Process& p) {
-  // Ring transport: nothing is batched in the process — flushing means
-  // forcing the doorbell so the consumer drains what is already in the
-  // ring. The wakeup rides reliably: flushes happen at termination and at
-  // setmeter changes, where the ring must drain even under fault storms.
-  if (Socket* ms = p.meter_sock ? world.find_socket(p.meter_sock) : nullptr;
-      ms && ms->ring && p.meter_pending.empty()) {
-    if (!meter_conn_healthy(world, ms)) {
-      meter_degrade(world, p);
-      return;
-    }
-    if (ms->ring->unsignalled_bytes > 0) {
-      Machine& m = world.machine(p.machine);
-      book_cpu(world, m, p, world.config().costs.meter_flush_base);
-      ++p.meter_flushes;
-      world.mobs_.flushes->add(1);
-      world.kernel_ring_wakeup(p.meter_sock, /*reliable=*/true);
-    }
-    return;
-  }
   if (p.meter_pending.empty()) return;
   util::Bytes batch;
   batch.swap(p.meter_pending);
@@ -220,7 +121,16 @@ void meter_flush(World& world, Process& p) {
     world.mobs_.dropped_batches->add(1);
     world.mobs_.dropped_bytes->add(batch.size());
     world.mobs_.dropped_records->add(batch_msgs);
-    meter_degrade(world, p);
+    if (p.meter_sock != 0) {
+      // The meter connection died underneath the process: release it,
+      // flip to accounted drop mode and tell the parent (the meterdaemon
+      // forwards this upstream as a state note).
+      world.socket_unref(p.meter_sock);
+      p.meter_sock = 0;
+      p.meter_degraded = true;
+      world.push_child_change(world.machine(p.machine), p.parent,
+                              ChildChange{p.pid, ChildEvent::meter_lost, 0});
+    }
     return;
   }
 

@@ -36,10 +36,6 @@ inline bool metered(const Process& p, meter::Flags flag) {
 /// syscall — metering is transparent to the program (§2.2).
 void meter_emit(World& world, Process& p, MeterEventDraft&& draft);
 
-/// Releases a meter socket that died underneath the process and flips it
-/// to accounted drop mode (shared by the flush and ring emit paths).
-void meter_degrade(World& world, Process& p);
-
 /// Sends any pending meter messages over the meter connection.
 void meter_flush(World& world, Process& p);
 

@@ -23,7 +23,6 @@
 namespace dpm::kernel {
 
 class Machine;
-class Socket;
 
 enum class ProcStatus { embryo, alive, dead };
 
@@ -65,22 +64,15 @@ class Process {
   // ---- the paper's three metering fields ----
   SocketId meter_sock = 0;           // hidden from the descriptor table
   meter::Flags meter_flags = 0;
-  /// Resolved meter-socket handle, memoized by id: World keeps Socket
-  /// objects alive (and at stable addresses) for its whole lifetime, so
-  /// meter_emit skips the socket-table lookup on every metered event. Only
-  /// trusted while `meter_sock_cache_id == meter_sock`; destruction shows
-  /// up in the cached object's own state.
-  Socket* meter_sock_cache = nullptr;
-  SocketId meter_sock_cache_id = 0;
   /// The owning machine, resolved once: a process never migrates, and
-  /// Machine objects are as long-lived as Sockets.
+  /// World keeps Machine objects alive for its whole lifetime.
   Machine* machine_cache = nullptr;
   util::Bytes meter_pending;         // serialized, unsent meter messages
   std::uint32_t meter_pending_count = 0;
-  /// Record provenance on the legacy batch transport: one emit stamp
-  /// (sim-time us) per record in meter_pending, in wire order. Moved into
-  /// kernel_stream_send at flush so delivery can open sampled entries;
-  /// always empty when the world traces nothing.
+  /// Record provenance: one emit stamp (sim-time us) per record in
+  /// meter_pending, in wire order. Moved into kernel_stream_send at flush
+  /// so delivery can open sampled entries; always empty when the world
+  /// traces nothing.
   std::vector<std::int64_t> prov_emit_us;
   /// Set when the meter connection died under the process (dead filter,
   /// reset socket): metered events are then counted as accounted drops

@@ -25,11 +25,9 @@ struct FrameRemainder {
   std::uint64_t tail = 0;
 };
 
-/// Core of the remainder walk over any indexable byte source: the receive
-/// buffer on the legacy transport, the ring's wrap-aware spans on the ring
-/// transport. `at(i)` must be valid for i in [0, n).
-template <typename ByteAt>
-FrameRemainder count_frames_over(const Socket& s, std::size_t n, ByteAt at) {
+FrameRemainder count_remaining_frames(const Socket& s) {
+  const std::deque<std::uint8_t>& buf = s.rbuf;
+  const std::size_t n = buf.size();
   FrameRemainder out;
   std::size_t pos = 0;
   std::uint8_t hdr[4] = {s.frame_hdr[0], s.frame_hdr[1], s.frame_hdr[2],
@@ -39,7 +37,7 @@ FrameRemainder count_frames_over(const Socket& s, std::size_t n, ByteAt at) {
   if (hdr_have > 0 || need > 0) {
     out.head = 1;
     if (need == 0) {
-      while (hdr_have < 4 && pos < n) hdr[hdr_have++] = at(pos++);
+      while (hdr_have < 4 && pos < n) hdr[hdr_have++] = buf[pos++];
       if (hdr_have < 4) return out;  // remainder all belongs to the head
       const std::uint32_t size = static_cast<std::uint32_t>(hdr[0]) |
                                  static_cast<std::uint32_t>(hdr[1]) << 8 |
@@ -52,28 +50,16 @@ FrameRemainder count_frames_over(const Socket& s, std::size_t n, ByteAt at) {
   }
   while (n - pos >= 4) {
     const std::uint32_t size =
-        static_cast<std::uint32_t>(at(pos)) |
-        static_cast<std::uint32_t>(at(pos + 1)) << 8 |
-        static_cast<std::uint32_t>(at(pos + 2)) << 16 |
-        static_cast<std::uint32_t>(at(pos + 3)) << 24;
+        static_cast<std::uint32_t>(buf[pos]) |
+        static_cast<std::uint32_t>(buf[pos + 1]) << 8 |
+        static_cast<std::uint32_t>(buf[pos + 2]) << 16 |
+        static_cast<std::uint32_t>(buf[pos + 3]) << 24;
     if (size < 4 || n - pos < size) break;  // cut-short (or garbage) tail
     pos += size;
     ++out.complete;
   }
   if (pos < n) out.tail = 1;
   return out;
-}
-
-FrameRemainder count_remaining_frames(const Socket& s) {
-  if (s.ring_rx && s.ring && !s.ring->empty()) {
-    const auto sp = s.ring->spans();
-    return count_frames_over(
-        s, sp[0].size + sp[1].size, [&sp](std::size_t i) {
-          return i < sp[0].size ? sp[0].data[i] : sp[1].data[i - sp[0].size];
-        });
-  }
-  return count_frames_over(s, s.rbuf.size(),
-                           [&s](std::size_t i) { return s.rbuf[i]; });
 }
 
 }  // namespace
@@ -146,8 +132,7 @@ void World::destroy_socket(SocketId id) {
   if (s.sstate == Socket::StreamState::connected) close_stream(s);
   s.sstate = Socket::StreamState::closed;
   if (s.is_meter_conn &&
-      (!s.rbuf.empty() || s.frame_hdr_have > 0 || s.frame_need > 0 ||
-       (s.ring_rx && s.ring && !s.ring->empty()))) {
+      (!s.rbuf.empty() || s.frame_hdr_have > 0 || s.frame_need > 0)) {
     // Undelivered meter bytes die with the socket. Frame them the way the
     // filter would have: complete unread records are stranded, records cut
     // short (a partially-consumed head, a partial tail) are malformed —
@@ -169,17 +154,6 @@ void World::destroy_socket(SocketId id) {
   }
   mobs_.rbuf_bytes->sub(static_cast<std::int64_t>(s.rbuf.size()));
   s.rbuf.clear();
-  if (s.ring) {
-    if (s.ring_rx) {
-      // The draining endpoint dies: whatever ring residue was just booked
-      // as stranded/malformed is discarded, and the ring is closed so any
-      // surviving producer degrades instead of writing into the void.
-      mobs_.ring_occupancy->sub(static_cast<std::int64_t>(s.ring->size()));
-      s.ring->clear();
-      s.ring->closed = true;
-    }
-    s.ring.reset();
-  }
   s.dgrams.clear();
   if (prov_ && s.is_meter_conn) {
     // Provenance edges are keyed on the consuming socket id; entries on a
@@ -245,30 +219,6 @@ void World::kernel_stream_send(SocketId from, util::Bytes data,
                                            util::count_us(exec_.now()));
                  }
                  deliver_stream(peer_id, std::move(data), /*accounted=*/false);
-               });
-}
-
-void World::kernel_ring_wakeup(SocketId from, bool reliable) {
-  Socket* s = find_socket(from);
-  if (!s || s->sstate != Socket::StreamState::connected || s->peer == 0) return;
-  Socket* peer = find_socket(s->peer);
-  if (!peer) return;
-  if (s->ring) {
-    s->ring->unsignalled_bytes = 0;
-    s->ring->unsignalled_records = 0;
-  }
-  mobs_.ring_wakeups->add(1);
-  const SocketId peer_id = peer->id;
-  // The data already sits in the shared ring; only this one-byte doorbell
-  // crosses the fabric. Threshold wakeups are droppable (the fault fabric
-  // may eat or delay them — a later wakeup, flush, or EOF re-arms the
-  // consumer); flush-forced wakeups ride reliably so termination always
-  // drains the ring.
-  fabric_.send(s->net_hint, s->machine, peer->machine, s->tx_channel,
-               /*droppable=*/!reliable, 1, [this, peer_id] {
-                 auto it = sockets_.find(peer_id);
-                 if (it == sockets_.end()) return;
-                 it->second->readers.wake_all(exec_);
                });
 }
 

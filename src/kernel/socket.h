@@ -13,12 +13,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "kernel/types.h"
 #include "kernel/wait.h"
-#include "meter/ring.h"
 #include "net/address.h"
 #include "util/bytes.h"
 #include "util/result.h"
@@ -79,14 +77,6 @@ class Socket {
   /// Records are counted per tier so each ledger balances on its own.
   std::uint8_t meter_tier = 0;
 
-  // ---- Ring transport (meter conns with WorldConfig::meter_ring_bytes) ----
-  // Both endpoints of a meter connection share one ring: the metered
-  // process's kernel edge pushes encoded records, the filter's recv pops
-  // them. ring_rx marks the draining endpoint — residue accounting and the
-  // conservation walk count ring bytes there, and only there.
-  std::shared_ptr<meter::MeterRing> ring;
-  bool ring_rx = false;
-
   // Incremental frame cursor over *consumed* bytes (meter conns only):
   // tracks how far the reader has advanced through the framed record
   // stream, so record consumption is counted exactly and teardown can
@@ -98,7 +88,7 @@ class Socket {
   std::uint8_t frame_hdr_have = 0;
 
   bool stream_readable() const {
-    return !rbuf.empty() || (ring_rx && ring && !ring->empty()) || eof ||
+    return !rbuf.empty() || eof ||
            (sstate == StreamState::listening && !accept_queue.empty());
   }
   bool readable() const {

@@ -732,14 +732,13 @@ util::SysResult<util::Bytes> Sys::recv(Fd fd, std::size_t max) {
 
   wait_on(s.readers, [this, sid] {
     Socket* sock = world_.find_socket(sid);
-    return !sock || !sock->rbuf.empty() ||
-           (sock->ring_rx && sock->ring && !sock->ring->empty()) ||
-           sock->eof || sock->sstate != Socket::StreamState::connected;
+    return !sock || !sock->rbuf.empty() || sock->eof ||
+           sock->sstate != Socket::StreamState::connected;
   });
 
   Socket* sock = world_.find_socket(sid);
   if (!sock) return Err::ebadf;
-  std::size_t n = std::min(max, sock->rbuf.size());
+  const std::size_t n = std::min(max, sock->rbuf.size());
   util::Bytes out(sock->rbuf.begin(),
                   sock->rbuf.begin() + static_cast<std::ptrdiff_t>(n));
   sock->rbuf.erase(sock->rbuf.begin(),
@@ -752,19 +751,6 @@ util::SysResult<util::Bytes> Sys::recv(Fd fd, std::size_t max) {
     // Advance the conservation frame cursor: these bytes are now the
     // reader's problem; whole records crossing the cursor count consumed.
     world_.meter_consume(*sock, out.data(), n);
-  }
-  if (n < max && sock->ring_rx && sock->ring && !sock->ring->empty()) {
-    // Ring transport: drain the shared ring directly — the bytes never
-    // crossed the fabric, only the wakeup doorbell did. The same frame
-    // cursor counts consumption, so conservation cannot tell transports
-    // apart.
-    const std::size_t at = out.size();
-    const std::size_t got = sock->ring->pop(out, max - n);
-    world_.mobs_.ring_occupancy->sub(static_cast<std::int64_t>(got));
-    if (got > 0 && sock->is_meter_conn) {
-      world_.meter_consume(*sock, out.data() + at, got);
-    }
-    n += got;
   }
   if (n > 0) sock->writers.wake_all(world_.exec());  // window opened
 
@@ -1177,18 +1163,6 @@ util::SysResult<void> Sys::setmeter(std::int32_t proc, std::int32_t flags,
       // loss (MeterStats::malformed_records).
       if (Socket* peer = world_.find_socket(ms.peer)) {
         peer->is_meter_conn = true;
-        // Ring transport: map one shared SPSC ring across this edge. The
-        // kernel edge of the metered process produces, the filter side
-        // consumes; further setmeter calls (and forked children) sharing
-        // the socket reuse the same ring.
-        const std::size_t rb = world_.config().meter_ring_bytes;
-        if (rb > 0 && !ms.ring &&
-            ms.sstate == Socket::StreamState::connected) {
-          auto ring = std::make_shared<meter::MeterRing>(rb);
-          ms.ring = ring;
-          peer->ring = std::move(ring);
-          peer->ring_rx = true;
-        }
       }
     }
   }

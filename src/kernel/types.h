@@ -60,15 +60,6 @@ struct WorldConfig {
   /// sufficient number of messages have been stored").
   std::size_t meter_buffer_bytes = 1024;
   std::uint32_t meter_buffer_msgs = 8;
-  /// Ring transport for the meter path. Non-zero enables a shared SPSC
-  /// byte ring of this capacity per meter connection: meter_emit encodes
-  /// records straight into the ring and only small wakeup packets cross
-  /// the fabric. Zero keeps the legacy batch-over-socket transport.
-  std::size_t meter_ring_bytes = 0;
-  /// Wakeup batching: a (droppable) wakeup packet is sent once this many
-  /// unsignalled bytes sit in the ring; M_IMMEDIATE events and meter_flush
-  /// force one regardless.
-  std::size_t meter_ring_wakeup_bytes = 4096;
   /// Fan-in tier backpressure bound: a forwarded batch arriving at an
   /// aggregation-tier socket whose receive buffer already holds this many
   /// bytes is dropped whole, with every record booked to the tier's

@@ -36,9 +36,6 @@ World::World(WorldConfig cfg)
   mobs_.rbuf_bytes = &obs_.gauge("kernel.rbuf_bytes");
   mobs_.batch_bytes = &obs_.histogram("kernel.meter_batch_bytes");
   mobs_.batch_msgs = &obs_.histogram("kernel.meter_batch_msgs");
-  mobs_.ring_occupancy = &obs_.gauge("ring.occupancy");
-  mobs_.ring_wakeups = &obs_.counter("ring.wakeups");
-  mobs_.ring_overflow_drops = &obs_.counter("ring.overflow_drops");
   fobs_.forwarded = &obs_.counter("fanin.forwarded_records");
   fobs_.consumed = &obs_.counter("fanin.records_consumed");
   fobs_.lost = &obs_.counter("fanin.lost_records");
@@ -532,8 +529,7 @@ void mix_socket(Digest& d, const Socket& s) {
   for (std::uint8_t b : s.rbuf) d.mix(static_cast<std::uint64_t>(b));
   d.mix(static_cast<std::uint64_t>(s.in_flight));
   d.mix(static_cast<std::uint64_t>((s.eof ? 1u : 0u) |
-                                   (s.is_meter_conn ? 2u : 0u) |
-                                   (s.ring_rx ? 4u : 0u)));
+                                   (s.is_meter_conn ? 2u : 0u)));
   d.mix(static_cast<std::uint64_t>(s.backlog));
   d.mix(static_cast<std::uint64_t>(s.accept_queue.size()));
   for (SocketId q : s.accept_queue) d.mix(q);
@@ -553,17 +549,6 @@ void mix_socket(Digest& d, const Socket& s) {
   d.mix(static_cast<std::uint64_t>(s.meter_tier));
   d.mix(static_cast<std::uint64_t>(s.frame_need));
   mix_bytes(d, s.frame_hdr, s.frame_hdr_have);
-  if (s.ring) {
-    d.mix(static_cast<std::uint64_t>(s.ring->capacity()));
-    d.mix(static_cast<std::uint64_t>(s.ring->head()));
-    d.mix(static_cast<std::uint64_t>(s.ring->size()));
-    for (const auto& span : s.ring->spans()) mix_bytes(d, span.data, span.size);
-    d.mix(static_cast<std::uint64_t>(s.ring->unsignalled_bytes));
-    d.mix(s.ring->unsignalled_records);
-    d.mix(static_cast<std::uint64_t>(s.ring->closed ? 1 : 0));
-  } else {
-    d.mix(std::uint64_t{0xffffffffffffffffULL});
-  }
 }
 
 }  // namespace

@@ -208,13 +208,6 @@ class World {
                           std::uint32_t meter_msgs = 0,
                           std::vector<std::int64_t> prov_emit_us = {});
 
-  /// Ring transport doorbell: sends a one-byte wakeup packet from the
-  /// producer endpoint toward the consumer so its parked readers re-check
-  /// the shared ring. Droppable unless `reliable` (flush/termination), so
-  /// the fault fabric can drop or spike the signalling edge without ever
-  /// touching ring data.
-  void kernel_ring_wakeup(SocketId from, bool reliable);
-
   /// Fan-in tier send (Sys::meter_forward): ships a frame-aligned batch of
   /// `records` meter records up a tier-1 edge, bypassing the stream window.
   /// Every record is booked `fanin.forwarded_records` here and lands in
@@ -321,7 +314,6 @@ class World {
   friend class Sys;
   friend void meter_emit(World&, Process&, struct MeterEventDraft&&);
   friend void meter_flush(World&, Process&);
-  friend void meter_degrade(World&, Process&);
 
   void finalize_exit(std::shared_ptr<Process> p, int status, bool was_killed);
   void push_child_change(Machine& m, Pid parent, ChildChange change);
@@ -374,10 +366,6 @@ class World {
     obs::Gauge* rbuf_bytes = nullptr;      // sum of socket receive buffers
     obs::Histogram* batch_bytes = nullptr; // per delivered flush
     obs::Histogram* batch_msgs = nullptr;
-    // Ring transport instruments (meter_ring_bytes > 0).
-    obs::Gauge* ring_occupancy = nullptr;  // bytes across rings, high-water
-    obs::Counter* ring_wakeups = nullptr;  // wakeup packets sent
-    obs::Counter* ring_overflow_drops = nullptr;  // records dropped ring-full
   };
   MeterObs mobs_;
 

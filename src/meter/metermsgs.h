@@ -155,13 +155,13 @@ struct MeterMsg {
   void serialize_into(util::Bytes& out) const;
 
   /// Encodes through an already-positioned writer — the shared core of
-  /// serialize()/serialize_into() and the ring transport's in-place encode.
-  /// The size word is back-patched; in span mode the writer refuses to pass
-  /// capacity (w.ok() turns false) rather than truncate.
+  /// serialize() and serialize_into(). The size word is back-patched; in
+  /// span mode the writer refuses to pass capacity (w.ok() turns false)
+  /// rather than truncate.
   void encode_into(util::BinaryWriter& w) const;
 
-  /// Exact wire size in bytes without encoding, so a ring producer can
-  /// reserve contiguous space (or drop the whole record) up front.
+  /// Exact wire size in bytes without encoding, so serialize_into can
+  /// size its span encode up front.
   /// Invariant: wire_size() == serialize().size().
   std::size_t wire_size() const;
 

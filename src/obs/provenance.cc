@@ -71,13 +71,6 @@ void ProvenanceTracker::open_entry(std::uint64_t edge, std::uint64_t index,
                                              live_entries_.size()));
 }
 
-void ProvenanceTracker::on_ring_push(std::uint64_t edge, std::int64_t now_us) {
-  EdgeState& es = edge_state(edge);
-  const std::uint64_t idx = es.next_index++;
-  if ((idx + es.phase) % cfg_.sample_period != 0) return;
-  open_entry(edge, idx, now_us, now_us);
-}
-
 void ProvenanceTracker::on_batch_deliver(
     std::uint64_t edge, const std::vector<std::int64_t>& emit_us,
     std::int64_t flush_us, std::int64_t now_us) {

@@ -8,23 +8,24 @@
 // meter edge with a seeded, deterministic sampler and stamps sim-time at
 // each stage of the record's life:
 //
-//   emit -> ring enqueue (or pending-batch flush) -> filter decision ->
-//   each fan-in hop -> live-analysis settle -> predicate verdict
+//   emit -> pending-batch flush -> filter decision -> each fan-in hop ->
+//   live-analysis settle -> predicate verdict
 //
 // Identity is the record's *conservation identity* — (edge, index) where
 // `edge` is the consuming socket id and `index` the record's position in
 // that edge's delivered stream — carried in this side-table, never on the
 // wire: filter logs stay byte-identical with sampling on or off. Indices
-// are assigned where the conservation ledgers count: at ring push for the
-// ring transport, at delivery for batch transports (a dropped batch never
-// gets indices, so the filter-side per-connection record counter stays
-// aligned with the table by construction).
+// are assigned where the conservation ledgers count: at batch delivery (a
+// dropped batch never gets indices, so the filter-side per-connection
+// record counter stays aligned with the table by construction).
 //
 // The stamps feed log2 histograms (stage.emit_to_ring_us,
 // stage.ring_to_filter_us, stage.fanin_hop_us, stage.settle_us,
 // stage.verdict_us, e2e.freshness_us) and a bounded ring of completed
 // journeys that trace2chrome --flows renders as Chrome trace_event flow
-// chains.
+// chains. The first two keys measure emit -> flush and flush -> filter;
+// they keep the names they had when an alternative shared-memory meter
+// transport existed, so recorded snapshots stay comparable.
 //
 // Layering: this is an obs-level component (kernel, filter, and analysis
 // all stamp through it), so it speaks only raw integers — edge ids are
@@ -70,7 +71,7 @@ class ProvenanceTracker {
     std::uint64_t edge = 0;        // tier-0 edge the record was emitted on
     std::uint64_t index = 0;       // per-edge record index on that edge
     std::int64_t emit_us = -1;
-    std::int64_t enqueue_us = -1;  // ring push / pending-batch flush
+    std::int64_t enqueue_us = -1;  // pending-batch flush
     std::int64_t filter_us = -1;   // first filter decision
     std::vector<Hop> hops;         // fan-in tier traversals, in order
     std::int64_t accept_us = -1;   // final (live-sink) filter accept
@@ -105,13 +106,7 @@ class ProvenanceTracker {
   }
 
   // ---- tier-0: emit and transport ---------------------------------------
-  /// Ring transport: meter_emit pushed one record into the edge's shared
-  /// ring. Assigns the edge's next index, samples, and (when sampled)
-  /// opens an entry with emit == enqueue == now (the push is the enqueue).
-  void on_ring_push(std::uint64_t edge, std::int64_t now_us);
-
-  /// Legacy batch transport: a flushed pending batch landed in the
-  /// consumer's receive buffer. `emit_us` carries one emit stamp per
+  /// A flushed pending batch landed in the consumer's receive buffer. `emit_us` carries one emit stamp per
   /// record in wire order (kernel keeps it beside the pending batch);
   /// `flush_us` is when the batch left the producer. Indices are assigned
   /// here, in delivery order — a batch dropped before delivery was never

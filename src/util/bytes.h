@@ -22,10 +22,10 @@ using Bytes = std::vector<std::uint8_t>;
 /// the default constructor writes into an internal buffer (take() moves it
 /// out); the Bytes& constructor appends to a caller-owned buffer in place
 /// (zero-copy serialization into an existing batch); the span constructor
-/// encodes into a caller-owned fixed region (zero-copy serialization into
-/// ring-buffer storage). In the latter two modes size() and patch_u32()
-/// are relative to where this writer started, so back-patched size words
-/// work identically in all modes.
+/// encodes into a caller-owned fixed region (a record pre-sized into its
+/// batch by MeterMsg::serialize_into). In the latter two modes size() and
+/// patch_u32() are relative to where this writer started, so back-patched
+/// size words work identically in all modes.
 ///
 /// The span mode never writes past the given capacity: an oversized write
 /// is diverted to an internal discard buffer, ok() turns false, and the

@@ -4,6 +4,9 @@
 
 #include "apps/apps.h"
 #include "control/session.h"
+#include "filter/count_filter.h"
+#include "filter/descriptions.h"
+#include "filter/templates.h"
 #include "testing.h"
 
 namespace dpm {
@@ -78,6 +81,41 @@ TEST(CountFilterTest, StandardAndCustomFiltersCoexist) {
   EXPECT_NE(t1->find("event=TERMPROC"), std::string::npos);  // raw records
   EXPECT_NE(t2->find("# countfilter summary"), std::string::npos);
   EXPECT_NE(t2->find("event TERMPROC 1"), std::string::npos);
+}
+
+TEST(CountFilterTest, ReportsWhyItsSupportFilesAreBad) {
+  // countfilter loads its support files like every filter program, so a
+  // bad file is reported with the parser's typed reason, not a generic
+  // failure.
+  auto run = [](const std::string& descriptions, const std::string& templates) {
+    kernel::World world(dpm::testing::quick_config(53));
+    auto machines = dpm::testing::add_machines(world, {"yellow"});
+    world.add_account_everywhere(100);
+    world.machine(machines[0]).fs.put_text("desc", descriptions);
+    world.machine(machines[0]).fs.put_text("templ", templates);
+    auto out = std::make_shared<kernel::HostPipe>();
+    kernel::SpawnOpts opts;
+    opts.stdout_fd = kernel::Descriptor::for_pipe(out);
+    (void)world.spawn(machines[0], "countfilter", 100,
+                      filter::make_count_filter_main(
+                          {"countfilter", "summary", "desc", "templ", "4870"}),
+                      opts);
+    world.run();
+    return out->host_drain();
+  };
+
+  // RECV reuses SEND's type number on line 3.
+  const std::string dup = "SEND 1, pid,0,4,10\n# comment\nRECV 1, pid,0,4,10\n";
+  const std::string desc_out = run(dup, filter::default_templates_text());
+  EXPECT_EQ(desc_out.rfind("countfilter: bad descriptions: line 3: ", 0), 0u)
+      << desc_out;
+
+  const std::string templ_out =
+      run(filter::default_descriptions_text(), "nonsense\n");
+  EXPECT_EQ(templ_out.rfind("countfilter: bad templates: line 1: bad clause",
+                            0),
+            0u)
+      << templ_out;
 }
 
 }  // namespace

@@ -20,6 +20,11 @@ using kernel::SockType;
 using kernel::Sys;
 using util::Err;
 
+/// Status of a request whose reply is a SimpleReply.
+int simple_status(Sys& sys, const net::SockAddr& to, const DaemonMsg& req) {
+  return std::get<SimpleReply>(*rpc_call(sys, to, req, RpcOptions{})).status;
+}
+
 class DaemonRpcTest : public ::testing::Test {
  protected:
   DaemonRpcTest() : world_(dpm::testing::quick_config()) {
@@ -62,7 +67,7 @@ TEST_F(DaemonRpcTest, CreateStartsSuspendedThenRuns) {
     req.control_host = "red";
     auto daemon_addr = sys.resolve("green", kDaemonPort);
     ASSERT_TRUE(daemon_addr.has_value());
-    auto reply = rpc_call(sys, *daemon_addr, req);
+    auto reply = rpc_call(sys, *daemon_addr, req, RpcOptions{});
     ASSERT_TRUE(reply.ok());
     auto* cr = std::get_if<CreateReply>(&*reply);
     ASSERT_NE(cr, nullptr);
@@ -81,7 +86,7 @@ TEST_F(DaemonRpcTest, CreateStartsSuspendedThenRuns) {
     start.what = MsgType::start_request;
     start.uid = 100;
     start.pid = created;
-    auto sr = rpc_call(sys, *daemon_addr, start);
+    auto sr = rpc_call(sys, *daemon_addr, start, RpcOptions{});
     ASSERT_TRUE(sr.ok());
     EXPECT_EQ(std::get<SimpleReply>(*sr).status, 0);
 
@@ -118,7 +123,7 @@ TEST_F(DaemonRpcTest, CreateOfMissingFileFails) {
     req.uid = 100;
     req.filename = "no-such-program";
     auto addr = sys.resolve("green", kDaemonPort);
-    auto reply = rpc_call(sys, *addr, req);
+    auto reply = rpc_call(sys, *addr, req, RpcOptions{});
     ASSERT_TRUE(reply.ok());
     auto* cr = std::get_if<CreateReply>(&*reply);
     ASSERT_NE(cr, nullptr);
@@ -135,7 +140,7 @@ TEST_F(DaemonRpcTest, FilterCreationReportsMeterPort) {
     req.descriptions = "descriptions";
     req.templates = "templates";
     auto addr = sys.resolve("green", kDaemonPort);
-    auto reply = rpc_call(sys, *addr, req);
+    auto reply = rpc_call(sys, *addr, req, RpcOptions{});
     ASSERT_TRUE(reply.ok());
     auto* fr = std::get_if<FilterReply>(&*reply);
     ASSERT_NE(fr, nullptr);
@@ -157,19 +162,19 @@ TEST_F(DaemonRpcTest, StopAndContinueThroughDaemon) {
     req.filename = "pingpong_server";  // blocks in accept forever
     req.params = {"4900", "1"};
     auto addr = sys.resolve("red", kDaemonPort);
-    auto reply = rpc_call(sys, *addr, req);
+    auto reply = rpc_call(sys, *addr, req, RpcOptions{});
     auto* cr = std::get_if<CreateReply>(&*reply);
     ASSERT_NE(cr, nullptr);
     ASSERT_EQ(cr->status, 0);
 
     ProcRequest start{MsgType::start_request, 100, cr->pid};
-    ASSERT_EQ(std::get<SimpleReply>(*rpc_call(sys, *addr, start)).status, 0);
+    ASSERT_EQ(simple_status(sys, *addr, start), 0);
     ProcRequest stop{MsgType::stop_request, 100, cr->pid};
-    ASSERT_EQ(std::get<SimpleReply>(*rpc_call(sys, *addr, stop)).status, 0);
+    ASSERT_EQ(simple_status(sys, *addr, stop), 0);
     ProcRequest cont{MsgType::start_request, 100, cr->pid};
-    ASSERT_EQ(std::get<SimpleReply>(*rpc_call(sys, *addr, cont)).status, 0);
+    ASSERT_EQ(simple_status(sys, *addr, cont), 0);
     ProcRequest kill{MsgType::kill_request, 100, cr->pid};
-    ASSERT_EQ(std::get<SimpleReply>(*rpc_call(sys, *addr, kill)).status, 0);
+    ASSERT_EQ(simple_status(sys, *addr, kill), 0);
   });
 }
 
@@ -182,7 +187,7 @@ TEST_F(DaemonRpcTest, PermissionEnforcedPerRequestUid) {
     req.uid = 555;
     req.filename = "hello";
     auto addr = sys.resolve("green", kDaemonPort);
-    auto reply = rpc_call(sys, *addr, req);
+    auto reply = rpc_call(sys, *addr, req, RpcOptions{});
     ASSERT_TRUE(reply.ok());
     auto* cr = std::get_if<CreateReply>(&*reply);
     ASSERT_NE(cr, nullptr);
@@ -201,7 +206,7 @@ TEST_F(DaemonRpcTest, SignalingForeignProcessDenied) {
   as_controller([&](Sys& sys) {
     auto addr = sys.resolve("green", kDaemonPort);
     ProcRequest kill{MsgType::kill_request, 100, victim};
-    auto reply = rpc_call(sys, *addr, kill);
+    auto reply = rpc_call(sys, *addr, kill, RpcOptions{});
     ASSERT_TRUE(reply.ok());
     EXPECT_EQ(static_cast<Err>(std::get<SimpleReply>(*reply).status),
               Err::eperm);
@@ -235,12 +240,12 @@ TEST_F(DaemonRpcTest, StdinFileRedirection) {
     req.control_port = bound->port;
     req.control_host = "red";
     auto addr = sys.resolve("green", kDaemonPort);
-    auto reply = rpc_call(sys, *addr, req);
+    auto reply = rpc_call(sys, *addr, req, RpcOptions{});
     auto* cr = std::get_if<CreateReply>(&*reply);
     ASSERT_NE(cr, nullptr);
     ASSERT_EQ(cr->status, 0);
     ProcRequest start{MsgType::start_request, 100, cr->pid};
-    ASSERT_EQ(std::get<SimpleReply>(*rpc_call(sys, *addr, start)).status, 0);
+    ASSERT_EQ(simple_status(sys, *addr, start), 0);
 
     // Collect io notes until the exit note arrives.
     for (;;) {
@@ -285,18 +290,18 @@ TEST_F(DaemonRpcTest, IoSendReachesProcessStdin) {
     req.control_port = bound->port;
     req.control_host = "red";
     auto addr = sys.resolve("green", kDaemonPort);
-    auto reply = rpc_call(sys, *addr, req);
+    auto reply = rpc_call(sys, *addr, req, RpcOptions{});
     auto* cr = std::get_if<CreateReply>(&*reply);
     ASSERT_NE(cr, nullptr);
     ASSERT_EQ(cr->status, 0);
     ProcRequest start{MsgType::start_request, 100, cr->pid};
-    ASSERT_EQ(std::get<SimpleReply>(*rpc_call(sys, *addr, start)).status, 0);
+    ASSERT_EQ(simple_status(sys, *addr, start), 0);
 
     IoSend input;
     input.uid = 100;
     input.pid = cr->pid;
     input.data = "type this\n";
-    ASSERT_EQ(std::get<SimpleReply>(*rpc_call(sys, *addr, input)).status, 0);
+    ASSERT_EQ(simple_status(sys, *addr, input), 0);
 
     for (;;) {
       auto conn = sys.accept(*ns);

@@ -1,5 +1,7 @@
 // Kernel metering hooks (§3.2): buffering vs immediate delivery, flush on
-// termination, event counts per syscall, M_IMMEDIATE.
+// termination, event counts per syscall, M_IMMEDIATE, and the meter
+// socket as the one transport: records cross machines only as fabric
+// payload.
 #include "kernel/meter_hooks.h"
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include "kernel/world.h"
 #include "meter/meterflags.h"
 #include "meter/metermsgs.h"
+#include "net/faults.h"
 #include "testing.h"
 
 namespace dpm::kernel {
@@ -345,6 +348,74 @@ TEST_F(HooksTest, MeteringCostsCpuTime) {
   const auto unmetered = measure(false);
   const auto metered = measure(true);
   EXPECT_GT(metered, unmetered);
+}
+
+TEST_F(HooksTest, OversizedRecordIsDeliveredWhole) {
+  // A single record bigger than the whole batch byte threshold still
+  // arrives intact: the pending buffer overshoots the threshold and the
+  // flush ships the record whole, never clipped to meter_buffer_bytes.
+  WorldConfig cfg;
+  cfg.meter_buffer_bytes = 48;  // smaller than one accept record below
+  reset(cfg);
+  spawn_sink();
+  const std::string big_name(200, 'n');
+  run_metered(meter::M_ACCEPT, [&](Sys& sys) {
+    Process* self = sys.world().find_process(machines_[0], sys.getpid());
+    ASSERT_NE(self, nullptr);
+    meter::MeterAccept body{sys.getpid(), 0, 7, 8, big_name, big_name};
+    meter_emit(sys.world(), *self,
+               MeterEventDraft{meter::M_ACCEPT, std::move(body)});
+  });
+  auto msgs = messages();
+  ASSERT_EQ(msgs.size(), 1u);
+  const auto* acc = std::get_if<meter::MeterAccept>(&msgs[0].body);
+  ASSERT_NE(acc, nullptr);
+  EXPECT_EQ(acc->sock_name, big_name);
+  EXPECT_EQ(acc->peer_name, big_name);
+  EXPECT_TRUE(world_->meter_conservation().balanced());
+}
+
+using MeterTransport = HooksTest;
+
+TEST_F(MeterTransport, RemoteEdgePaysTheFabric) {
+  // The meter socket is the only transport, so a record metered on red
+  // reaches green's filter only as fabric payload: every metered byte is
+  // booked in net.bytes_remote, and a partition holds the batches back
+  // until it heals instead of letting them through.
+  auto plan = net::FaultPlan::parse("partition@20ms red green for=100ms");
+  ASSERT_TRUE(plan.has_value());
+  world_->install_faults(*plan);
+  spawn_sink();
+  (void)world_->spawn(machines_[0], "app", 100, [](Sys& sys) {
+    sys.sleep(util::msec(5));
+    auto addr = sys.resolve("green", 4500);
+    auto ms = sys.socket(SockDomain::internet, SockType::stream);
+    ASSERT_TRUE(sys.connect(*ms, *addr).ok());
+    ASSERT_TRUE(sys.setmeter(meter::SETMETER_SELF,
+                             static_cast<std::int32_t>(meter::M_SEND), *ms)
+                    .ok());
+    ASSERT_TRUE(sys.close(*ms).ok());
+    auto pair = sys.socketpair();
+    for (int i = 0; i < 16; ++i) (void)sys.send(pair->first, "x");
+    sys.sleep(util::msec(20));  // wake inside the partition window
+    for (int i = 0; i < 16; ++i) (void)sys.send(pair->first, "x");
+  });
+
+  // Mid-partition: the two batches flushed before it arrived; the two
+  // flushed during it are still held by the fabric.
+  world_->run_for(util::msec(80));
+  EXPECT_EQ(messages().size(), 16u);
+
+  world_->run();
+  EXPECT_EQ(messages().size(), 32u);
+  const std::uint64_t meter_bytes =
+      world_->obs().counter("kernel.meter_bytes").value();
+  EXPECT_GT(meter_bytes, 0u);
+  EXPECT_GE(world_->obs().counter("net.bytes_remote").value(), meter_bytes);
+  const MeterConservation cons = world_->meter_conservation();
+  EXPECT_EQ(cons.emitted, 32u);
+  EXPECT_EQ(cons.consumed, 32u);
+  EXPECT_TRUE(cons.balanced());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "meter/meterflags.h"
+#include "util/rng.h"
 
 namespace dpm::meter {
 namespace {
@@ -275,6 +276,60 @@ TEST(MeterMsgs, SerializeIntoBuildsParseableBatches) {
   }
   EXPECT_EQ(expect, 11u);
   EXPECT_EQ(pos, batch.size());
+}
+
+std::string random_name(util::Rng& rng) {
+  if (rng.bernoulli(0.15)) return "";
+  return std::to_string(rng.uniform(0, 300000));
+}
+
+/// A random message drawn from all ten event types.
+MeterMsg random_msg(util::Rng& rng) {
+  MeterMsg m;
+  const Pid pid = static_cast<Pid>(rng.uniform(1, 30));
+  const SocketId sock = rng.uniform(0, 8);
+  switch (rng.uniform(0, 10)) {
+    case 0:
+      m.body = MeterSend{pid, 0, sock,
+                         static_cast<std::uint32_t>(rng.uniform(0, 2048)),
+                         random_name(rng)};
+      break;
+    case 1:
+      m.body = MeterRecv{pid, 0, sock,
+                         static_cast<std::uint32_t>(rng.uniform(0, 2048)),
+                         random_name(rng)};
+      break;
+    case 2: m.body = MeterRecvCall{pid, 0, sock}; break;
+    case 3:
+      m.body = MeterSockCrt{pid, 0, sock, 2, 1, 0};
+      break;
+    case 4: m.body = MeterDup{pid, 0, sock, sock + 1}; break;
+    case 5: m.body = MeterDestSock{pid, 0, sock}; break;
+    case 6: m.body = MeterFork{pid, 0, static_cast<Pid>(pid + 1)}; break;
+    case 7:
+      m.body = MeterAccept{pid, 0, sock, sock + 1, random_name(rng),
+                           random_name(rng)};
+      break;
+    case 8:
+      m.body = MeterConnect{pid, 0, sock, random_name(rng), random_name(rng)};
+      break;
+    default: m.body = MeterTermProc{pid, 0, 0}; break;
+  }
+  m.header.machine = static_cast<std::uint16_t>(rng.uniform(0, 6));
+  m.header.cpu_time = rng.uniform(0, 20000);
+  m.header.proc_time = rng.uniform(0, 1000);
+  return m;
+}
+
+TEST(MeterMsgs, WireSizeMatchesSerializedSizeForEveryShape) {
+  // serialize_into sizes its span encode by wire_size(); a disagreement
+  // with the actual encoding would send every record down the re-encode
+  // fallback.
+  util::Rng rng(4242);
+  for (int i = 0; i < 2000; ++i) {
+    const MeterMsg m = random_msg(rng);
+    EXPECT_EQ(m.wire_size(), m.serialize().size()) << m.pretty();
+  }
 }
 
 }  // namespace

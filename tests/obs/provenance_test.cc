@@ -1,7 +1,7 @@
 // Record-lifecycle provenance tracker: deterministic sampling, the
-// (edge, index) conservation identity through ring push, filter decision,
-// fan-in re-keying, live binding and verdict settle, the bounded tables,
-// and the Chrome trace_event flow export.
+// (edge, index) conservation identity through batch delivery, filter
+// decision, fan-in re-keying, live binding and verdict settle, the bounded
+// tables, and the Chrome trace_event flow export.
 #include "obs/provenance.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,11 @@ ProvenanceTracker::Config cfg(std::uint32_t period,
   c.seed = 1;
   c.max_inflight = max_inflight;
   return c;
+}
+
+/// Delivers a one-record batch emitted and flushed at `t_us`.
+void deliver_one(ProvenanceTracker& t, std::uint64_t edge, std::int64_t t_us) {
+  t.on_batch_deliver(edge, {t_us}, /*flush_us=*/t_us, /*now_us=*/t_us);
 }
 
 TEST(ProvenanceSamplerTest, OneInNPerEdgeAndDeterministic) {
@@ -47,12 +52,13 @@ TEST(ProvenanceSamplerTest, OneInNPerEdgeAndDeterministic) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(ProvenanceTest, RingToVerdictLifecycleStampsEveryStage) {
+TEST(ProvenanceTest, BatchToVerdictLifecycleStampsEveryStage) {
   Registry reg;
   ProvenanceTracker t(cfg(1), &reg);  // sample everything
   t.set_final_stage(ProvenanceTracker::FinalStage::verdict);
 
-  t.on_ring_push(7, 100);
+  // Emitted at 100, flushed at 120, delivered at 130.
+  t.on_batch_deliver(7, {100}, /*flush_us=*/120, /*now_us=*/130);
   ASSERT_TRUE(t.tracked(7, 0));
   t.on_filter(7, 0, /*accepted=*/true, /*final_filter=*/true,
               /*machine=*/1, /*pid=*/42, /*type=*/3, /*cpu_time=*/999, 150);
@@ -64,15 +70,15 @@ TEST(ProvenanceTest, RingToVerdictLifecycleStampsEveryStage) {
   EXPECT_TRUE(j.accepted);
   EXPECT_EQ(j.edge, 7u);
   EXPECT_EQ(j.emit_us, 100);
-  EXPECT_EQ(j.enqueue_us, 100);  // ring push is the enqueue
+  EXPECT_EQ(j.enqueue_us, 120);  // the flush is the enqueue
   EXPECT_EQ(j.filter_us, 150);
   EXPECT_EQ(j.accept_us, 150);
   EXPECT_EQ(j.live_us, 200);
   EXPECT_EQ(j.verdict_us, 260);
   EXPECT_EQ(j.pid, 42);
 
-  EXPECT_EQ(reg.histogram("stage.emit_to_ring_us").sum(), 0);
-  EXPECT_EQ(reg.histogram("stage.ring_to_filter_us").sum(), 50);
+  EXPECT_EQ(reg.histogram("stage.emit_to_ring_us").sum(), 20);
+  EXPECT_EQ(reg.histogram("stage.ring_to_filter_us").sum(), 30);
   EXPECT_EQ(reg.histogram("stage.settle_us").sum(), 50);
   EXPECT_EQ(reg.histogram("stage.verdict_us").sum(), 60);
   EXPECT_EQ(reg.histogram("e2e.freshness_us").sum(), 160);
@@ -84,7 +90,7 @@ TEST(ProvenanceTest, RingToVerdictLifecycleStampsEveryStage) {
 TEST(ProvenanceTest, RejectedRecordFinishesAtTheFilter) {
   Registry reg;
   ProvenanceTracker t(cfg(1), &reg);
-  t.on_ring_push(7, 100);
+  deliver_one(t, 7, 100);
   t.on_filter(7, 0, /*accepted=*/false, /*final_filter=*/true, 1, 42, 3, 0,
               150);
   EXPECT_EQ(reg.counter("prov.rejected").value(), 1u);
@@ -100,8 +106,8 @@ TEST(ProvenanceTest, FaninDeliverRekeysToOutEdgeIndices) {
 
   // Tier 0: two records pushed on edge 7; the staging filter accepts both
   // into a forward batch (positions 0 and 1).
-  t.on_ring_push(7, 100);
-  t.on_ring_push(7, 110);
+  deliver_one(t, 7, 100);
+  deliver_one(t, 7, 110);
   t.on_filter(7, 0, true, /*final_filter=*/false, 1, 42, 3, 0, 150);
   t.on_filter(7, 1, true, /*final_filter=*/false, 1, 43, 3, 0, 151);
   t.arm_forward({{0, 7, 0}, {1, 7, 1}});
@@ -136,7 +142,7 @@ TEST(ProvenanceTest, FaninDeliverRekeysToOutEdgeIndices) {
 TEST(ProvenanceTest, CancelArmedKillsTheSamples) {
   Registry reg;
   ProvenanceTracker t(cfg(1), &reg);
-  t.on_ring_push(7, 100);
+  deliver_one(t, 7, 100);
   t.on_filter(7, 0, true, /*final_filter=*/false, 1, 42, 3, 0, 150);
   t.arm_forward({{0, 7, 0}});
   t.cancel_armed();  // the forward path bailed out
@@ -147,7 +153,7 @@ TEST(ProvenanceTest, CancelArmedKillsTheSamples) {
 TEST(ProvenanceTest, InflightTableIsBoundedWithEviction) {
   Registry reg;
   ProvenanceTracker t(cfg(1, /*max_inflight=*/4), &reg);
-  for (int i = 0; i < 6; ++i) t.on_ring_push(7, 100 + i);
+  for (int i = 0; i < 6; ++i) deliver_one(t, 7, 100 + i);
   EXPECT_EQ(t.inflight(), 4u);
   EXPECT_EQ(reg.counter("prov.evicted").value(), 2u);
   EXPECT_EQ(reg.gauge("prov.inflight").value(), 4);
@@ -157,15 +163,15 @@ TEST(ProvenanceTest, InflightTableIsBoundedWithEviction) {
 TEST(ProvenanceTest, EdgeCloseDropsInflightAndResetsTheCounter) {
   Registry reg;
   ProvenanceTracker t(cfg(1), &reg);
-  t.on_ring_push(7, 100);
-  t.on_ring_push(7, 110);
-  t.on_ring_push(8, 120);  // survives: different edge
+  deliver_one(t, 7, 100);
+  deliver_one(t, 7, 110);
+  deliver_one(t, 8, 120);  // survives: different edge
   t.on_edge_closed(7);
   EXPECT_EQ(reg.counter("prov.dropped").value(), 2u);
   EXPECT_EQ(t.inflight(), 1u);
   EXPECT_TRUE(t.tracked(8, 0));
   // A reconnected edge starts a fresh record stream at index 0.
-  t.on_ring_push(7, 200);
+  deliver_one(t, 7, 200);
   EXPECT_TRUE(t.tracked(7, 0));
 }
 
@@ -183,7 +189,7 @@ TEST(ProvenanceChromeTest, JourneysRenderAsFlowChains) {
   ProvenanceTracker t(cfg(1), &reg);
   EXPECT_EQ(journeys_chrome_events(t), "");  // nothing finished yet
 
-  t.on_ring_push(7, 100);
+  deliver_one(t, 7, 100);
   t.on_filter(7, 0, true, /*final_filter=*/true, 1, 42, 3, 0, 150);
   t.on_live_event(11, 1, 42, 3, 0, /*is_recv=*/false, 200);
 

@@ -79,10 +79,11 @@ TEST(SnapshotTest, SpansDroppedSurvivesTheRoundTrip) {
 
 TEST(SnapshotTest, DiffReportsHighWaterOnlyGaugeChanges) {
   // Regression: the differ used to compare current values only, so a
-  // queue that spiked and drained between snapshots (ring.occupancy,
-  // fanin.queue_bytes) vanished from the diff entirely.
+  // queue that spiked and drained between snapshots
+  // (kernel.meter_pending_bytes, fanin.queue_bytes) vanished from the diff
+  // entirely.
   Registry reg;
-  Gauge& g = reg.gauge("ring.occupancy");
+  Gauge& g = reg.gauge("kernel.meter_pending_bytes");
   g.add(1);
   auto a = parse_snapshot(reg.snapshot_jsonl());
   ASSERT_TRUE(a.has_value());
@@ -90,10 +91,10 @@ TEST(SnapshotTest, DiffReportsHighWaterOnlyGaugeChanges) {
   g.sub(99);  // back to the old value; only the high-water moved
   auto b = parse_snapshot(reg.snapshot_jsonl());
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->gauges.at("ring.occupancy").value, 1);
-  EXPECT_EQ(b->gauges.at("ring.occupancy").high_water, 100);
+  EXPECT_EQ(b->gauges.at("kernel.meter_pending_bytes").value, 1);
+  EXPECT_EQ(b->gauges.at("kernel.meter_pending_bytes").high_water, 100);
   const std::string d = diff_snapshots(*a, *b);
-  EXPECT_NE(d.find("ring.occupancy"), std::string::npos);
+  EXPECT_NE(d.find("kernel.meter_pending_bytes"), std::string::npos);
   EXPECT_NE(d.find("100"), std::string::npos);
 }
 

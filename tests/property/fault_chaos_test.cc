@@ -40,12 +40,10 @@ std::string repro_path(const char* stem, std::uint64_t seed) {
 /// One full randomized-fault monitoring session, silently: every chaos
 /// invariant that fails is recorded as "name: detail" instead of a gtest
 /// assertion, so the same function doubles as the FaultShrinker's
-/// re-execution probe. Shared by the legacy transport suite
-/// (cfg.meter_ring_bytes == 0) and the ring transport suite, so the same
-/// storms exercise both meter paths seed for seed. The workload draws
-/// from its own named RNG stream ("workload") — the same discipline the
-/// kernel/fabric/fault streams follow — so editing the fault plan can
-/// never perturb which workload the session runs.
+/// re-execution probe. The workload draws from its own named RNG stream
+/// ("workload") — the same discipline the kernel/fabric/fault streams
+/// follow — so editing the fault plan can never perturb which workload
+/// the session runs.
 std::vector<std::string> drive_session_chaos(std::uint64_t seed,
                                              const kernel::WorldConfig& cfg,
                                              const net::FaultPlan& plan) {
@@ -196,14 +194,6 @@ std::vector<std::string> drive_session_chaos(std::uint64_t seed,
   world.run();
   if (session.controller_alive()) {
     violate("controller_shutdown", "controller survived die");
-  }
-
-  // Ring-transport runs: the fast path really carried the session (the
-  // doorbell edge saw traffic) and its gauges drained — at quiescence no
-  // ring holds bytes that conservation has not already walked.
-  if (cfg.meter_ring_bytes > 0 &&
-      world.obs().counter("ring.wakeups").value() == 0) {
-    violate("ring_active", "no ring wakeups despite ring transport");
   }
   return violations;
 }
@@ -374,19 +364,6 @@ TEST_P(FaultChaosTest, ShardedFanInSessionSurvivesStorm) {
     control::replay::write_chaos_repro(path, seed, *plan, "sharded_fanin");
     ADD_FAILURE() << "repro written to " << path;
   }
-}
-
-TEST_P(FaultChaosTest, SessionSurvivesRandomFaultPlanOnRingTransport) {
-  // Satellite: the same seeded storms with the ring transport switched on.
-  // Seed 11 runs a deliberately tiny ring so wakeup loss + slow drains
-  // force overflow-to-drop bursts; conservation and the batch==live
-  // equivalence must hold regardless, and the generic counter sweep above
-  // checks ring.* monotonicity across the storm.
-  const std::uint64_t seed = GetParam();
-  kernel::WorldConfig cfg = dpm::testing::quick_config(seed);
-  cfg.meter_ring_bytes = seed == 11 ? 2 * 1024 : 16 * 1024;
-  cfg.meter_ring_wakeup_bytes = seed == 11 ? 256 : 1024;
-  run_session_chaos(seed, cfg);
 }
 
 }  // namespace

@@ -72,6 +72,38 @@ TEST(BinaryWriter, PatchU32) {
   EXPECT_EQ(r.u32().value(), w.size());
 }
 
+TEST(BinaryWriter, SpanWriterRefusesOverflowInsteadOfTruncating) {
+  // The span-mode contract MeterMsg::serialize_into relies on: a writer
+  // that runs out of capacity flips ok() to false, keeps counting the
+  // bytes the encode would have needed, and never writes past the region.
+  auto encode = [](BinaryWriter& w) {
+    w.u32(0);  // size word, back-patched
+    w.u16(7);
+    w.i64(-3);
+    w.lstring("123456");
+    w.patch_u32(0, static_cast<std::uint32_t>(w.size()));
+  };
+  BinaryWriter reference;
+  encode(reference);
+  const Bytes wire = reference.take();
+  ASSERT_GT(wire.size(), 8u);
+
+  Bytes region(wire.size(), 0xcd);
+  BinaryWriter short_w(region.data(), 8);
+  encode(short_w);
+  EXPECT_FALSE(short_w.ok());
+  EXPECT_EQ(short_w.size(), wire.size());  // needed capacity, not clipped
+  for (std::size_t i = 8; i < region.size(); ++i) {
+    ASSERT_EQ(region[i], 0xcd) << "wrote past capacity at " << i;
+  }
+
+  BinaryWriter exact_w(region.data(), region.size());
+  encode(exact_w);
+  EXPECT_TRUE(exact_w.ok());
+  EXPECT_EQ(exact_w.size(), wire.size());
+  EXPECT_EQ(region, wire);  // back-patched size word included
+}
+
 TEST(BinaryWriter, FixedStringTruncates) {
   BinaryWriter w;
   w.fixed_string("abcdef", 3);
