@@ -1,5 +1,5 @@
 // Cluster-scale monitoring: hierarchical fan-in vs a flat session, and
-// batched/pipelined controller RPC vs the serial per-process loops.
+// the controller's job ops across every machine.
 //
 // Two claims are measured, both in simulated time (deterministic, so the
 // recorded numbers are stable across runs and machines):
@@ -16,15 +16,14 @@
 //
 //  2. Controller latency. In the largest hierarchical world, waves of
 //     `waiter` processes are created/started/stopped/killed across all
-//     machines — one wave with `rpcmode serial` (the paper's per-process
-//     exchanges), the rest with `rpcmode batched` (multi-create/multi-kill
-//     requests pipelined across daemon shards). The batched waves also
+//     machines. Each op is one round of pipelined RPCs carrying one
+//     request per machine (multi-create, batch start/stop/kill), so each
+//     must add exactly `machines` to daemon.rpc_calls. The waves also
 //     push the session past 100k processes in full mode.
 //
 // Every run writes BENCH_scale.json. The "smoke" section is produced in
 // both modes at the same small sizes, so scripts/check_bench.sh can
-// compare a fresh --smoke run against the committed full-mode file
-// key-for-key.
+// compare a fresh --smoke run against the committed file key-for-key.
 #include "bench_util.h"
 
 #include <cstdio>
@@ -51,8 +50,7 @@ struct ScaleConfig {
   int every = 4;                   // 1-in-every is large (accepted)
   int gap_us = 300;                // inter-send gap
   int per_machine = 3;             // waiters per machine per wave
-  int extra_batched_waves = 0;     // batched waves beyond the timed pair
-  int window = 16;                 // pipelined in-flight window
+  int waves = 2;                   // waves through the peak session
 };
 
 struct TopoResult {
@@ -73,14 +71,15 @@ struct TopoResult {
 struct WaveResult {
   double create_ms = 0, start_ms = 0, stop_ms = 0, kill_ms = 0;
   std::uint64_t created = 0, started = 0, stopped = 0, removed = 0;
+  // daemon.rpc_calls added by addgroup/startjob/stopjob/removejob.
+  std::uint64_t rpcs[4] = {0, 0, 0, 0};
 };
 
 struct SuiteResult {
   std::vector<TopoResult> topologies;
   double hier_scaling = 0;  // per-machine eps, largest hier / smallest hier
   double flat_scaling = 0;
-  WaveResult serial, batched;
-  double speedup_create = 0, speedup_start = 0, speedup_kill = 0;
+  std::vector<WaveResult> waves;
   std::size_t session_machines = 0;
   std::uint64_t session_processes = 0;  // through the one peak session
   bool session_tier0_ok = false;
@@ -139,8 +138,6 @@ Cluster make_cluster(std::size_t machines, bool hier, const ScaleConfig& cfg,
   c.world->run();
   (void)c.session->drain_output();
 
-  (void)c.session->command("rpcmode batched " +
-                           std::to_string(cfg.window));
   (void)c.session->command("filter f1 hub filter descriptions tmpl_scale");
   if (hier) {
     const std::string out = c.session->command(util::strprintf(
@@ -223,56 +220,59 @@ TopoResult run_sender_load(Cluster& c, std::size_t machines, bool hier,
 }
 
 WaveResult run_wave(Cluster& c, const std::string& job, std::size_t machines,
-                    bool serial, const ScaleConfig& cfg, int* errors) {
+                    const ScaleConfig& cfg, int* errors) {
   WaveResult r;
   auto& world = *c.world;
   auto& s = *c.session;
   const auto expect = machines * static_cast<std::uint64_t>(cfg.per_machine);
+  const obs::Counter& rpc_calls = world.obs().counter("daemon.rpc_calls");
 
-  (void)s.command(serial ? std::string("rpcmode serial")
-                         : util::strprintf("rpcmode batched %d", cfg.window));
   (void)s.command(util::strprintf("newjob %s f1", job.c_str()));
 
-  double t = sim_us(world);
-  const std::string out_add = s.command(util::strprintf(
-      "addgroup %s m 1 %zu %d waiter", job.c_str(), machines,
-      cfg.per_machine));
-  r.create_ms = (sim_us(world) - t) / 1000.0;
+  // Runs one op, returning its output; `ms` gets its simulated duration
+  // and `rpcs` the RPCs it issued.
+  auto op = [&](const std::string& line, double* ms, std::uint64_t* rpcs) {
+    const double t = sim_us(world);
+    const std::uint64_t n = rpc_calls.value();
+    std::string out = s.command(line);
+    *ms = (sim_us(world) - t) / 1000.0;
+    *rpcs = rpc_calls.value() - n;
+    return out;
+  };
+  const std::string out_add =
+      op(util::strprintf("addgroup %s m 1 %zu %d waiter", job.c_str(),
+                         machines, cfg.per_machine),
+         &r.create_ms, &r.rpcs[0]);
   r.created = summary_count(out_add, "processes created");
-
-  t = sim_us(world);
-  const std::string out_start =
-      s.command(util::strprintf("startjob %s", job.c_str()));
-  r.start_ms = (sim_us(world) - t) / 1000.0;
-  r.started = serial ? count_substr(out_start, "' started.")
-                     : summary_count(out_start, "processes started.");
-
-  t = sim_us(world);
-  const std::string out_stop =
-      s.command(util::strprintf("stopjob %s", job.c_str()));
-  r.stop_ms = (sim_us(world) - t) / 1000.0;
-  r.stopped = serial ? count_substr(out_stop, "' stopped.")
-                     : summary_count(out_stop, "processes stopped.");
-
-  t = sim_us(world);
-  const std::string out_rm =
-      s.command(util::strprintf("removejob %s", job.c_str()));
-  r.kill_ms = (sim_us(world) - t) / 1000.0;
-  r.removed = count_substr(out_rm, "' removed");
+  r.started = count_substr(op("startjob " + job, &r.start_ms, &r.rpcs[1]),
+                           "' started.");
+  r.stopped = count_substr(op("stopjob " + job, &r.stop_ms, &r.rpcs[2]),
+                           "' stopped.");
+  r.removed = count_substr(op("removejob " + job, &r.kill_ms, &r.rpcs[3]),
+                           "' removed");
 
   if (r.created != expect || r.started != expect || r.stopped != expect ||
       r.removed != expect) {
     std::fprintf(
         stderr,
-        "bench_scale: wave '%s' (%s) created/started/stopped/removed = "
+        "bench_scale: wave '%s' created/started/stopped/removed = "
         "%llu/%llu/%llu/%llu, expected %llu each\n",
-        job.c_str(), serial ? "serial" : "batched",
-        static_cast<unsigned long long>(r.created),
+        job.c_str(), static_cast<unsigned long long>(r.created),
         static_cast<unsigned long long>(r.started),
         static_cast<unsigned long long>(r.stopped),
         static_cast<unsigned long long>(r.removed),
         static_cast<unsigned long long>(expect));
     ++*errors;
+  }
+  // One request per machine per op, whatever the process count.
+  for (std::uint64_t n : r.rpcs) {
+    if (n != machines) {
+      std::fprintf(stderr,
+                   "bench_scale: wave '%s' op cost %llu RPCs on %zu "
+                   "machines (want one per machine)\n",
+                   job.c_str(), static_cast<unsigned long long>(n), machines);
+      ++*errors;
+    }
   }
   return r;
 }
@@ -331,22 +331,11 @@ SuiteResult run_suite(const ScaleConfig& cfg) {
   const std::size_t peak_m = cfg.sizes.back();
   suite.session_machines = peak_m + 1;  // + hub
   suite.session_processes = peak_m;     // the senders already run
-  suite.serial = run_wave(peak, "w0", peak_m, /*serial=*/true, cfg,
-                          &suite.errors);
-  suite.batched = run_wave(peak, "w1", peak_m, /*serial=*/false, cfg,
-                           &suite.errors);
-  suite.session_processes += suite.serial.created + suite.batched.created;
-  for (int k = 0; k < cfg.extra_batched_waves; ++k) {
-    WaveResult w = run_wave(peak, util::strprintf("w%d", k + 2), peak_m,
-                            /*serial=*/false, cfg, &suite.errors);
-    suite.session_processes += w.created;
+  for (int k = 0; k < cfg.waves; ++k) {
+    suite.waves.push_back(run_wave(peak, util::strprintf("w%d", k), peak_m,
+                                   cfg, &suite.errors));
+    suite.session_processes += suite.waves.back().created;
   }
-  auto ratio = [](double serial, double batched) {
-    return batched > 0 ? serial / batched : 0;
-  };
-  suite.speedup_create = ratio(suite.serial.create_ms, suite.batched.create_ms);
-  suite.speedup_start = ratio(suite.serial.start_ms, suite.batched.start_ms);
-  suite.speedup_kill = ratio(suite.serial.kill_ms, suite.batched.kill_ms);
 
   const auto t0c = peak.world->meter_conservation();
   const auto t1c = peak.world->fanin_conservation();
@@ -387,19 +376,22 @@ std::string suite_json(const SuiteResult& s, int indent) {
   out += util::strprintf(
       "%s  \"scaling\": {\"hier\": %.3f, \"flat\": %.3f},\n", pad.c_str(),
       s.hier_scaling, s.flat_scaling);
-  auto wave = [&](const char* name, const WaveResult& w) {
-    return util::strprintf(
-        "%s  \"%s\": {\"create_ms\": %.2f, \"start_ms\": %.2f, "
-        "\"stop_ms\": %.2f, \"kill_ms\": %.2f, \"procs\": %llu},\n",
-        pad.c_str(), name, w.create_ms, w.start_ms, w.stop_ms, w.kill_ms,
-        static_cast<unsigned long long>(w.created));
-  };
-  out += wave("serial", s.serial);
-  out += wave("batched", s.batched);
-  out += util::strprintf(
-      "%s  \"speedup\": {\"create\": %.2f, \"start\": %.2f, "
-      "\"kill\": %.2f},\n",
-      pad.c_str(), s.speedup_create, s.speedup_start, s.speedup_kill);
+  out += pad + "  \"waves\": [\n";
+  for (std::size_t i = 0; i < s.waves.size(); ++i) {
+    const WaveResult& w = s.waves[i];
+    out += util::strprintf(
+        "%s    {\"create_ms\": %.2f, \"start_ms\": %.2f, "
+        "\"stop_ms\": %.2f, \"kill_ms\": %.2f, \"procs\": %llu, "
+        "\"rpcs_per_op\": [%llu, %llu, %llu, %llu]}%s\n",
+        pad.c_str(), w.create_ms, w.start_ms, w.stop_ms, w.kill_ms,
+        static_cast<unsigned long long>(w.created),
+        static_cast<unsigned long long>(w.rpcs[0]),
+        static_cast<unsigned long long>(w.rpcs[1]),
+        static_cast<unsigned long long>(w.rpcs[2]),
+        static_cast<unsigned long long>(w.rpcs[3]),
+        i + 1 < s.waves.size() ? "," : "");
+  }
+  out += pad + "  ],\n";
   out += util::strprintf(
       "%s  \"session\": {\"machines\": %zu, \"processes\": %llu, "
       "\"tier0_balanced\": %s, \"tier1_balanced\": %s}\n",
@@ -424,14 +416,18 @@ void print_suite(const char* label, const SuiteResult& s) {
         static_cast<unsigned long long>(r.bytes_remote), r.window_ms,
         r.events_per_s, r.per_machine_eps);
   }
+  for (const WaveResult& w : s.waves) {
+    std::printf(
+        "bench_scale %s: wave %llu procs: create %.2f, start %.2f, stop "
+        "%.2f, kill %.2f ms; %llu RPCs per op\n",
+        label, static_cast<unsigned long long>(w.created), w.create_ms,
+        w.start_ms, w.stop_ms, w.kill_ms,
+        static_cast<unsigned long long>(w.rpcs[1]));
+  }
   std::printf(
-      "bench_scale %s: scaling hier %.3f flat %.3f | wave %llu procs: "
-      "start %.2f->%.2f ms (%.1fx), kill %.2f->%.2f ms (%.1fx) | session "
-      "%zu machines, %llu processes\n",
-      label, s.hier_scaling, s.flat_scaling,
-      static_cast<unsigned long long>(s.serial.created), s.serial.start_ms,
-      s.batched.start_ms, s.speedup_start, s.serial.kill_ms,
-      s.batched.kill_ms, s.speedup_kill, s.session_machines,
+      "bench_scale %s: scaling hier %.3f flat %.3f | session %zu machines, "
+      "%llu processes\n",
+      label, s.hier_scaling, s.flat_scaling, s.session_machines,
       static_cast<unsigned long long>(s.session_processes));
 }
 
@@ -443,7 +439,7 @@ int run(bool full) {
   smoke_cfg.every = 4;
   smoke_cfg.gap_us = 300;
   smoke_cfg.per_machine = 3;
-  smoke_cfg.extra_batched_waves = 0;
+  smoke_cfg.waves = 2;
 
   SuiteResult smoke = run_suite(smoke_cfg);
   print_suite("smoke", smoke);
@@ -465,28 +461,16 @@ int run(bool full) {
     full_cfg.gap_us = 50000;
     full_cfg.per_machine = 10;
     // 10 waves of 10k waiters: >100k processes through the one session.
-    full_cfg.extra_batched_waves = 8;
+    full_cfg.waves = 10;
     fullr = run_suite(full_cfg);
     print_suite("full", fullr);
   }
 
   int errors = smoke.errors + fullr.errors;
-  // Deterministic sim-time floors. The smoke thresholds are deliberately
-  // loose; the full-mode ones are the issue's acceptance criteria.
-  if (smoke.speedup_start < 1.2 || smoke.speedup_kill < 1.2) {
-    std::fprintf(stderr, "bench_scale: smoke speedups %.2f/%.2f below 1.2\n",
-                 smoke.speedup_start, smoke.speedup_kill);
-    ++errors;
-  }
   if (full) {
     if (fullr.hier_scaling < 0.75) {
       std::fprintf(stderr, "bench_scale: hier scaling %.3f < 0.75\n",
                    fullr.hier_scaling);
-      ++errors;
-    }
-    if (fullr.speedup_start < 5 || fullr.speedup_kill < 5) {
-      std::fprintf(stderr, "bench_scale: full speedups %.2f/%.2f below 5x\n",
-                   fullr.speedup_start, fullr.speedup_kill);
       ++errors;
     }
     if (fullr.session_machines < 1000 || fullr.session_processes < 100000) {

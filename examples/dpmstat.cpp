@@ -116,10 +116,9 @@ int run_smoke(const std::string& out_path) {
   world.run();
   (void)session.drain_output();
 
-  // Batched RPC + a small fan-in tree (3 leaves at arity 2 gives two
-  // aggregators), so the shard.*, localfilter.*, aggregator.*, and fanin.*
-  // instruments all appear in the snapshot.
-  (void)session.command("rpcmode batched 4");
+  // A small fan-in tree (3 leaves at arity 2 gives two aggregators), so
+  // the shard.*, localfilter.*, aggregator.*, and fanin.* instruments all
+  // appear in the snapshot.
   (void)session.command("filter f1 red");
   (void)session.command("fanin f1 2 g 1 3");
   (void)session.command("newjob smoke");

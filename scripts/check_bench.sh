@@ -10,8 +10,11 @@
 # net.packets_sent, net.bytes_remote, filter records_in) reproduce the
 # committed BENCH_pipeline.json exactly and net.bytes_remote covers
 # kernel.meter_bytes on its cross-machine edge. Host events/s are printed
-# next to the recorded ones but not bounded. It also runs the analysis
-# smoke (bench_analysis --smoke checks EXPERIMENTS E6's figures on its
+# next to the recorded ones but not bounded. The simulated figures of
+# bench_scale --smoke (per topology and per controller wave),
+# bench_perturbation --smoke and bench_controller --smoke must reproduce
+# their committed files exactly. It also runs the analysis smoke
+# (bench_analysis --smoke checks EXPERIMENTS E6's figures on its
 # synthetic traces). Everything runs in a scratch directory: the smokes
 # write their JSON into the cwd, and the committed files must not be
 # clobbered by a gate run.
@@ -24,13 +27,14 @@ build="${1:-build}"
 bench="$repo/$build/bench"
 
 for bin in bench_pipeline bench_filter bench_scale bench_perturbation \
-           bench_provenance bench_analysis; do
+           bench_provenance bench_analysis bench_controller; do
   if [ ! -x "$bench/$bin" ]; then
     echo "check_bench: $bench/$bin not built" >&2
     exit 1
   fi
 done
-for f in BENCH_pipeline.json BENCH_scale.json BENCH_perturbation.json; do
+for f in BENCH_pipeline.json BENCH_scale.json BENCH_perturbation.json \
+         BENCH_controller.json; do
   if [ ! -f "$repo/$f" ]; then
     echo "check_bench: no committed $f to compare against" >&2
     exit 1
@@ -85,31 +89,27 @@ for wl in $(jq -r '.e2e[].workload' "$repo/BENCH_pipeline.json"); do
        "(recorded $(jq -r "$row | .events_per_s" "$repo/BENCH_pipeline.json"))"
 done
 
-echo "== bench_scale --smoke (fan-in conservation + batched-RPC gate)"
+echo "== bench_scale --smoke (fan-in conservation, one RPC per machine per op)"
 "$bench/bench_scale" --smoke
 
-# The cluster-scale metrics are simulated time, so they are deterministic:
-# a fresh smoke run must reproduce the committed file's smoke section to
-# within the same 20% headroom (which here only absorbs intentional
-# retunings of simulated costs, not host noise). The committed file is
-# written by a full run but always embeds the smoke-size section.
-for key in '.smoke.speedup.start' '.smoke.speedup.kill' \
-           '.smoke.scaling.hier'; do
-  rec="$(jq -r "$key" "$repo/BENCH_scale.json")"
-  fresh="$(jq -r "$key" BENCH_scale.json)"
-  if [ -z "$fresh" ] || [ "$fresh" = "null" ] || [ -z "$rec" ] || \
-     [ "$rec" = "null" ]; then
-    echo "check_bench: $key missing from BENCH_scale.json" >&2
-    fail=1
-    continue
-  fi
-  ok="$(echo "$fresh $rec" | awk '{print ($1 >= 0.8 * $2) ? "yes" : "no"}')"
-  echo "   scale $key: recorded $rec, fresh $fresh -> $ok"
-  if [ "$ok" != "yes" ]; then
-    echo "check_bench: scale $key regressed: $fresh < 0.8 * $rec" >&2
-    fail=1
-  fi
-done
+# The cluster-scale figures are simulated time, so they are deterministic:
+# a fresh smoke run must reproduce the committed file's smoke section
+# exactly, per topology (offered, accepted, bytes_remote, window_ms) and
+# per controller wave (create/start/stop/kill ms). The bench itself fails
+# unless every wave op costs one daemon.rpc_calls per machine. The
+# committed "full" section is historical and not compared.
+scale='.smoke | {topologies: [.topologies[] | {topology, machines, offered,
+         accepted, bytes_remote, window_ms}],
+       waves: [.waves[] | {create_ms, start_ms, stop_ms, kill_ms}]}'
+jq "$scale" "$repo/BENCH_scale.json" > scale_committed.json
+jq "$scale" BENCH_scale.json > scale_fresh.json
+if cmp -s scale_committed.json scale_fresh.json; then
+  echo "   scale: smoke topologies and waves reproduced"
+else
+  echo "check_bench: bench_scale smoke differs from BENCH_scale.json:" >&2
+  diff scale_committed.json scale_fresh.json >&2 || true
+  fail=1
+fi
 
 echo "== bench_perturbation --smoke (metering slowdown determinism)"
 "$bench/bench_perturbation" --smoke
@@ -129,6 +129,20 @@ for name in $(jq -r '.configs[].name' "$repo/BENCH_perturbation.json"); do
     echo "   perturbation $name: slowdown $rec reproduced"
   fi
 done
+
+echo "== bench_controller --smoke (E4: exchange cost, job setup, RPCs per op)"
+"$bench/bench_controller" --smoke
+
+# E4's figures are simulated time: the fresh file must equal the
+# committed one.
+if cmp -s "$repo/BENCH_controller.json" BENCH_controller.json; then
+  echo "   controller: BENCH_controller.json reproduced"
+else
+  echo "check_bench: bench_controller smoke differs from" \
+       "BENCH_controller.json:" >&2
+  diff "$repo/BENCH_controller.json" BENCH_controller.json >&2 || true
+  fail=1
+fi
 
 echo "== bench_provenance --smoke (per-stage tracing gate)"
 "$bench/bench_provenance" --smoke

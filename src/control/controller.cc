@@ -61,20 +61,6 @@ std::uint64_t Controller::next_nonce() {
   return (static_cast<std::uint64_t>(sys_.getpid()) << 32) | ++nonce_seq_;
 }
 
-util::SysResult<daemon::DaemonMsg> Controller::daemon_rpc(
-    const std::string& machine, const net::SockAddr& addr,
-    const daemon::DaemonMsg& req) {
-  auto hit = machine_health_.find(machine);
-  if (hit != machine_health_.end() && hit->second.down) {
-    // Fail fast: no point burning a full deadline+retry budget per
-    // command against a machine already known down. `reconcile` re-probes.
-    return Err::etimedout;
-  }
-  auto reply = daemon::rpc_call(sys_, addr, req, daemon::RpcOptions{});
-  if (!reply) note_rpc_failure(machine, reply.error());
-  return reply;
-}
-
 void Controller::note_rpc_failure(const std::string& machine, Err e) {
   if (e == Err::etimedout || e == Err::econnrefused || e == Err::econnreset ||
       e == Err::epipe) {
@@ -92,14 +78,9 @@ std::vector<util::SysResult<DaemonMsg>> Controller::multi_rpc(
     std::vector<MultiCall>& calls) {
   std::vector<util::SysResult<DaemonMsg>> out(
       calls.size(), util::SysResult<DaemonMsg>{Err::etimedout});
-  if (!batched_) {
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      out[i] = daemon_rpc(calls[i].machine, calls[i].addr, calls[i].req);
-    }
-    return out;
-  }
-  // Pipelined path: everything not already marked down goes in flight at
-  // once (bounded by window_); replies are matched by nonce.
+  // Everything not already marked down goes in flight at once: no point
+  // burning a full deadline+retry budget against a machine known down
+  // (`reconcile` re-probes it).
   std::vector<daemon::PipelinedCall> pipe;
   std::vector<std::size_t> index;
   for (std::size_t i = 0; i < calls.size(); ++i) {
@@ -107,12 +88,12 @@ std::vector<util::SysResult<DaemonMsg>> Controller::multi_rpc(
     if (hit != machine_health_.end() && hit->second.down) continue;
     daemon::PipelinedCall c;
     c.to = calls[i].addr;
-    c.request = calls[i].req;
+    c.request = std::move(calls[i].req);
     c.opts = calls[i].opts;
     pipe.push_back(std::move(c));
     index.push_back(i);
   }
-  daemon::run_pipeline(sys_, pipe, window_);
+  daemon::run_pipeline(sys_, pipe);
   for (std::size_t j = 0; j < pipe.size(); ++j) {
     if (!pipe[j].reply) {
       note_rpc_failure(calls[index[j]].machine, pipe[j].reply.error());
@@ -120,6 +101,16 @@ std::vector<util::SysResult<DaemonMsg>> Controller::multi_rpc(
     out[index[j]] = std::move(pipe[j].reply);
   }
   return out;
+}
+
+util::SysResult<DaemonMsg> Controller::daemon_rpc(const std::string& machine,
+                                                  const net::SockAddr& addr,
+                                                  const DaemonMsg& req) {
+  std::vector<MultiCall> one(1);
+  one[0].machine = machine;
+  one[0].addr = addr;
+  one[0].req = req;
+  return std::move(multi_rpc(one)[0]);
 }
 
 std::pair<std::string, net::Port> Controller::meter_target(
@@ -130,23 +121,24 @@ std::pair<std::string, net::Port> Controller::meter_target(
 }
 
 std::vector<std::int32_t> Controller::batch_proc_op(
-    const std::vector<ProcEntry*>& procs, MsgType what) {
+    const std::vector<ProcOp>& ops) {
   std::vector<std::int32_t> statuses(
-      procs.size(), static_cast<std::int32_t>(Err::etimedout));
-  std::map<std::string, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    groups[procs[i]->machine].push_back(i);
+      ops.size(), static_cast<std::int32_t>(Err::etimedout));
+  std::map<std::pair<std::string, MsgType>, std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    groups[{ops[i].proc->machine, ops[i].what}].push_back(i);
   }
   std::vector<MultiCall> calls;
   std::vector<std::vector<std::size_t>> order;
-  for (auto& [m, idx] : groups) {
+  for (auto& [key, idx] : groups) {
+    const auto& [m, what] = key;
     auto addr = daemon_addr(m);
     if (!addr) continue;
     BatchProcRequest req;
     req.what = what;
     req.uid = sys_.getuid();
     req.nonce = next_nonce();
-    for (std::size_t i : idx) req.pids.push_back(procs[i]->pid);
+    for (std::size_t i : idx) req.pids.push_back(ops[i].proc->pid);
     MultiCall c;
     c.machine = m;
     c.addr = *addr;
@@ -170,7 +162,52 @@ std::vector<std::int32_t> Controller::batch_proc_op(
   return statuses;
 }
 
+std::vector<std::optional<std::int32_t>> Controller::job_op(Job& job,
+                                                            MsgType what,
+                                                            ProcState to) {
+  std::vector<ProcOp> ops;
+  std::vector<std::size_t> at;  // job.procs index of each op
+  for (std::size_t i = 0; i < job.procs.size(); ++i) {
+    if (!can_transition(job.procs[i].state, to)) continue;
+    ops.push_back(ProcOp{&job.procs[i], what});
+    at.push_back(i);
+  }
+  const auto statuses = batch_proc_op(ops);
+  std::vector<std::optional<std::int32_t>> out(job.procs.size());
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    out[at[k]] = statuses[k];
+    if (statuses[k] == 0) ops[k].proc->state = to;
+  }
+  return out;
+}
+
+void Controller::take_down(const std::vector<ProcEntry*>& procs) {
+  std::vector<ProcOp> ops;
+  bool kills = false;
+  for (ProcEntry* p : procs) {
+    if (p->state == ProcState::stopped) {
+      ops.push_back(ProcOp{p, MsgType::kill_request});
+      kills = true;
+    } else if (p->state == ProcState::acquired) {
+      // "the control program insures that the filter connection of that
+      // process is taken down ... but the process continues to execute."
+      ops.push_back(ProcOp{p, MsgType::release_request});
+    }
+  }
+  if (ops.empty()) return;
+  obs::Registry& reg = sys_.world().obs();
+  std::optional<obs::ObsSpan> span;
+  if (kills) {
+    span.emplace(reg, "control.kill", &reg.histogram("control.kill_rtt_us"));
+  }
+  (void)batch_proc_op(ops);
+  for (const ProcOp& op : ops) {
+    if (op.what == MsgType::kill_request) op.proc->state = ProcState::killed;
+  }
+}
+
 void Controller::emit(const std::string& text) {
+  if (text.empty()) return;
   if (sink_fd_ >= 0) {
     (void)sys_.write(sink_fd_, text);
   } else {
@@ -402,8 +439,6 @@ bool Controller::execute(const std::string& raw_line) {
     cmd_filter(args);
   } else if (cmd == "fanin") {
     cmd_fanin(args);
-  } else if (cmd == "rpcmode") {
-    cmd_rpcmode(args);
   } else if (cmd == "newjob") {
     cmd_newjob(args);
   } else if (cmd == "addprocess" || cmd == "add") {
@@ -448,7 +483,6 @@ void Controller::cmd_help() {
       "  help\n"
       "  filter [<filtername> [<machine> [<filterfile> [<descriptions> [<templates>]]]]]\n"
       "  fanin <filtername> <arity> <machineprefix> <first> <last>\n"
-      "  rpcmode [serial | batched [<window>]]\n"
       "  newjob <jobname> [<filtername>]\n"
       "  addprocess <jobname> <machine> <processfile> [<parm1 parm2 ...>]\n"
       "  addgroup <jobname> <machineprefix> <first> <last> <permachine> <processfile> [<parms>]\n"
@@ -851,8 +885,7 @@ void Controller::cmd_fanin(const std::vector<std::string>& args) {
   };
 
   // Create top-down so every parent is listening before its children
-  // connect upward; each level is one multi_rpc round (pipelined across
-  // machines in batched mode).
+  // connect upward; each level is one multi_rpc round.
   std::size_t aggs_ok = 0, aggs_failed = 0;
   for (std::size_t k = agg_levels.size(); k-- > 0;) {
     std::vector<MultiCall> calls;
@@ -937,30 +970,6 @@ void Controller::cmd_fanin(const std::vector<std::string>& args) {
       "(%zu failed), depth %zu\n",
       filt.name.c_str(), locals_ok, locals_failed, aggs_ok, aggs_failed,
       agg_levels.size() + 2));
-}
-
-void Controller::cmd_rpcmode(const std::vector<std::string>& args) {
-  if (!args.empty()) {
-    const std::string mode = util::to_lower(args[0]);
-    if (mode == "serial") {
-      batched_ = false;
-    } else if (mode == "batched") {
-      batched_ = true;
-      if (args.size() > 1) {
-        auto w = util::parse_int(args[1]);
-        if (!w || *w < 1 || *w > 128) {
-          emit("rpcmode: window must be 1..128\n");
-          return;
-        }
-        window_ = static_cast<int>(*w);
-      }
-    } else {
-      emit("usage: rpcmode [serial | batched [<window>]]\n");
-      return;
-    }
-  }
-  emit(batched_ ? util::strprintf("rpc mode: batched, window %d\n", window_)
-                : std::string("rpc mode: serial\n"));
 }
 
 void Controller::cmd_newjob(const std::vector<std::string>& args) {
@@ -1081,84 +1090,54 @@ void Controller::cmd_addgroup(const std::vector<std::string>& args) {
     machines.push_back(std::move(m));
   }
 
-  std::size_t created = 0, failed = 0;
   const std::size_t n_per = static_cast<std::size_t>(*per);
-  auto record = [&](const std::string& machine, std::size_t k,
-                    std::int32_t pid, std::int32_t status) {
-    if (status != 0 || pid < 0) {
-      ++failed;
-      return;
+  // One multi-create per machine, in one round. The deadline scales with
+  // the item count: each spawn costs real (simulated) time, so a 100-item
+  // batch legitimately takes longer than one create.
+  std::vector<MultiCall> calls;
+  for (const auto& m : machines) {
+    const auto [fhost, fport] = meter_target(filt, m);
+    BatchCreateRequest req;
+    req.uid = sys_.getuid();
+    for (std::size_t k = 0; k < n_per; ++k) {
+      req.items.push_back(BatchCreateRequest::Item{processfile, params});
     }
-    ProcEntry p;
-    p.name = util::strprintf("%s.%s.%zu", base.c_str(), machine.c_str(), k);
-    p.machine = machine;
-    p.pid = pid;
-    p.state = ProcState::fresh;
-    p.flags = job.flags;
-    job.procs.push_back(std::move(p));
-    ++created;
-  };
-
-  if (batched_) {
-    // One multi-create per machine, pipelined across shards. The deadline
-    // scales with the item count: each spawn costs real (simulated) time,
-    // so a 100-item batch legitimately takes longer than one create.
-    std::vector<MultiCall> calls;
-    for (const auto& m : machines) {
-      const auto [fhost, fport] = meter_target(filt, m);
-      BatchCreateRequest req;
-      req.uid = sys_.getuid();
-      for (std::size_t k = 0; k < n_per; ++k) {
-        req.items.push_back(BatchCreateRequest::Item{processfile, params});
-      }
-      req.filter_port = fport;
-      req.filter_host = fhost;
-      req.meter_flags = job.flags;
-      req.control_port = control_port_;
-      req.control_host = sys_.hostname();
-      req.nonce = next_nonce();
-      MultiCall c;
-      c.machine = m;
-      c.addr = *daemon_addr(m);
-      c.req = std::move(req);
-      c.opts.deadline = util::msec(250 + 10 * static_cast<long long>(n_per));
-      calls.push_back(std::move(c));
+    req.filter_port = fport;
+    req.filter_host = fhost;
+    req.meter_flags = job.flags;
+    req.control_port = control_port_;
+    req.control_host = sys_.hostname();
+    req.nonce = next_nonce();
+    MultiCall c;
+    c.machine = m;
+    c.addr = *daemon_addr(m);
+    c.req = std::move(req);
+    c.opts.deadline = util::msec(250 + 10 * static_cast<long long>(n_per));
+    calls.push_back(std::move(c));
+  }
+  std::size_t created = 0, failed = 0;
+  auto replies = multi_rpc(calls);
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    const auto* br =
+        replies[i] ? std::get_if<BatchCreateReply>(&*replies[i]) : nullptr;
+    if (!br || br->pids.size() != n_per) {
+      failed += n_per;
+      continue;
     }
-    auto replies = multi_rpc(calls);
-    for (std::size_t i = 0; i < replies.size(); ++i) {
-      const auto* br =
-          replies[i] ? std::get_if<BatchCreateReply>(&*replies[i]) : nullptr;
-      if (!br || br->pids.size() != n_per) {
-        failed += n_per;
+    for (std::size_t k = 0; k < n_per; ++k) {
+      if (br->statuses[k] != 0 || br->pids[k] < 0) {
+        ++failed;
         continue;
       }
-      for (std::size_t k = 0; k < n_per; ++k) {
-        record(machines[i], k, br->pids[k], br->statuses[k]);
-      }
-    }
-  } else {
-    for (const auto& m : machines) {
-      const auto addr = *daemon_addr(m);
-      const auto [fhost, fport] = meter_target(filt, m);
-      for (std::size_t k = 0; k < n_per; ++k) {
-        CreateRequest req;
-        req.uid = sys_.getuid();
-        req.filename = processfile;
-        req.params = params;
-        req.filter_port = fport;
-        req.filter_host = fhost;
-        req.meter_flags = job.flags;
-        req.control_port = control_port_;
-        req.control_host = sys_.hostname();
-        req.nonce = next_nonce();
-        auto reply = daemon_rpc(m, addr, req);
-        const auto* cr = reply ? std::get_if<CreateReply>(&*reply) : nullptr;
-        if (!cr) {
-          ++failed;
-          continue;
-        }
-        record(m, k, cr->pid, cr->status);
-      }
+      ProcEntry p;
+      p.name = util::strprintf("%s.%s.%zu", base.c_str(), machines[i].c_str(),
+                               k);
+      p.machine = machines[i];
+      p.pid = br->pids[k];
+      p.state = ProcState::fresh;
+      p.flags = job.flags;
+      job.procs.push_back(std::move(p));
+      ++created;
     }
   }
   emit(util::strprintf(
@@ -1245,6 +1224,10 @@ void Controller::cmd_setflags(const std::vector<std::string>& args) {
   job.flags = *mask;
   emit("new job flags = " + meter::flags_to_string(job.flags) + "\n");
 
+  // SetFlagsRequest names one pid, so this round carries one call per
+  // live process.
+  std::vector<ProcEntry*> targets;
+  std::vector<MultiCall> calls;
   for (auto& p : job.procs) {
     if (p.state == ProcState::killed) continue;
     auto addr = daemon_addr(p.machine);
@@ -1253,17 +1236,30 @@ void Controller::cmd_setflags(const std::vector<std::string>& args) {
     req.uid = sys_.getuid();
     req.pid = p.pid;
     req.flags = job.flags;
-    auto reply = daemon_rpc(p.machine, *addr, req);
-    const std::int32_t status =
-        reply ? reply_status(*reply) : static_cast<std::int32_t>(reply.error());
+    MultiCall c;
+    c.machine = p.machine;
+    c.addr = *addr;
+    c.req = req;
+    calls.push_back(std::move(c));
+    targets.push_back(&p);
+  }
+  const auto replies = multi_rpc(calls);
+  std::string text;
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    ProcEntry& p = *targets[i];
+    const std::int32_t status = replies[i]
+                                    ? reply_status(*replies[i])
+                                    : static_cast<std::int32_t>(
+                                          replies[i].error());
     if (status == 0) {
       p.flags = job.flags;
-      emit(util::strprintf("Process '%s' : Flags set\n", p.name.c_str()));
+      text += util::strprintf("Process '%s' : Flags set\n", p.name.c_str());
     } else {
-      emit(util::strprintf("Process '%s' : %s\n", p.name.c_str(),
-                           err_text(status).c_str()));
+      text += util::strprintf("Process '%s' : %s\n", p.name.c_str(),
+                              err_text(status).c_str());
     }
   }
+  emit(text);
 }
 
 void Controller::cmd_startjob(const std::vector<std::string>& args) {
@@ -1276,65 +1272,28 @@ void Controller::cmd_startjob(const std::vector<std::string>& args) {
     emit(util::strprintf("no such job '%s'\n", args[0].c_str()));
     return;
   }
-  if (batched_) {
-    std::vector<ProcEntry*> eligible;
-    for (auto& p : jit->second.procs) {
-      if (!can_transition(p.state, ProcState::running)) {
-        emit(util::strprintf("'%s' cannot be started (%s).\n", p.name.c_str(),
-                             proc_state_name(p.state)));
-        continue;
-      }
-      eligible.push_back(&p);
-    }
-    obs::Registry& reg = sys_.world().obs();
-    auto statuses = [&] {
-      obs::ObsSpan span(reg, "control.start",
-                        &reg.histogram("control.start_rtt_us"));
-      return batch_proc_op(eligible, MsgType::start_request);
-    }();
-    std::size_t started = 0;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-      if (statuses[i] == 0) {
-        eligible[i]->state = ProcState::running;
-        ++started;
-      } else {
-        emit(util::strprintf("'%s' not started: %s\n",
-                             eligible[i]->name.c_str(),
-                             err_text(statuses[i]).c_str()));
-      }
-    }
-    emit(util::strprintf("'%s': %zu of %zu processes started.\n",
-                         jit->second.name.c_str(), started, eligible.size()));
-    return;
-  }
-  for (auto& p : jit->second.procs) {
-    if (!can_transition(p.state, ProcState::running)) {
-      emit(util::strprintf("'%s' cannot be started (%s).\n", p.name.c_str(),
-                           proc_state_name(p.state)));
-      continue;
-    }
-    auto addr = daemon_addr(p.machine);
-    if (!addr) continue;
-    ProcRequest req;
-    req.what = MsgType::start_request;
-    req.uid = sys_.getuid();
-    req.pid = p.pid;
-    obs::Registry& reg = sys_.world().obs();
-    auto reply = [&] {
-      obs::ObsSpan span(reg, "control.start",
-                        &reg.histogram("control.start_rtt_us"));
-      return daemon_rpc(p.machine, *addr, req);
-    }();
-    const std::int32_t status =
-        reply ? reply_status(*reply) : static_cast<std::int32_t>(reply.error());
-    if (status == 0) {
-      p.state = ProcState::running;
-      emit(util::strprintf("'%s' started.\n", p.name.c_str()));
+  Job& job = jit->second;
+  obs::Registry& reg = sys_.world().obs();
+  const auto statuses = [&] {
+    obs::ObsSpan span(reg, "control.start",
+                      &reg.histogram("control.start_rtt_us"));
+    return job_op(job, MsgType::start_request, ProcState::running);
+  }();
+  // The paper's per-process transcript, written once for the whole job.
+  std::string text;
+  for (std::size_t i = 0; i < job.procs.size(); ++i) {
+    const ProcEntry& p = job.procs[i];
+    if (!statuses[i]) {
+      text += util::strprintf("'%s' cannot be started (%s).\n",
+                              p.name.c_str(), proc_state_name(p.state));
+    } else if (*statuses[i] == 0) {
+      text += util::strprintf("'%s' started.\n", p.name.c_str());
     } else {
-      emit(util::strprintf("'%s' not started: %s\n", p.name.c_str(),
-                           err_text(status).c_str()));
+      text += util::strprintf("'%s' not started: %s\n", p.name.c_str(),
+                              err_text(*statuses[i]).c_str());
     }
   }
+  emit(text);
 }
 
 void Controller::cmd_stopjob(const std::vector<std::string>& args) {
@@ -1347,75 +1306,21 @@ void Controller::cmd_stopjob(const std::vector<std::string>& args) {
     emit(util::strprintf("no such job '%s'\n", args[0].c_str()));
     return;
   }
-  if (batched_) {
-    std::vector<ProcEntry*> eligible;
-    for (auto& p : jit->second.procs) {
-      if (can_transition(p.state, ProcState::stopped)) eligible.push_back(&p);
-    }
-    auto statuses = batch_proc_op(eligible, MsgType::stop_request);
-    std::size_t stopped = 0;
-    for (std::size_t i = 0; i < eligible.size(); ++i) {
-      if (statuses[i] == 0) {
-        eligible[i]->state = ProcState::stopped;
-        ++stopped;
-      } else {
-        emit(util::strprintf("'%s' not stopped: %s\n",
-                             eligible[i]->name.c_str(),
-                             err_text(statuses[i]).c_str()));
-      }
-    }
-    emit(util::strprintf("'%s': %zu of %zu processes stopped.\n",
-                         jit->second.name.c_str(), stopped, eligible.size()));
-    return;
-  }
-  for (auto& p : jit->second.procs) {
-    // Killed and acquired processes are ignored (§4.3).
-    if (!can_transition(p.state, ProcState::stopped)) continue;
-    auto addr = daemon_addr(p.machine);
-    if (!addr) continue;
-    ProcRequest req;
-    req.what = MsgType::stop_request;
-    req.uid = sys_.getuid();
-    req.pid = p.pid;
-    auto reply = daemon_rpc(p.machine, *addr, req);
-    const std::int32_t status =
-        reply ? reply_status(*reply) : static_cast<std::int32_t>(reply.error());
-    if (status == 0) {
-      p.state = ProcState::stopped;
-      emit(util::strprintf("'%s' stopped.\n", p.name.c_str()));
+  Job& job = jit->second;
+  const auto statuses = job_op(job, MsgType::stop_request, ProcState::stopped);
+  // Killed and acquired processes are ignored (§4.3).
+  std::string text;
+  for (std::size_t i = 0; i < job.procs.size(); ++i) {
+    if (!statuses[i]) continue;
+    const ProcEntry& p = job.procs[i];
+    if (*statuses[i] == 0) {
+      text += util::strprintf("'%s' stopped.\n", p.name.c_str());
     } else {
-      emit(util::strprintf("'%s' not stopped: %s\n", p.name.c_str(),
-                           err_text(status).c_str()));
+      text += util::strprintf("'%s' not stopped: %s\n", p.name.c_str(),
+                              err_text(*statuses[i]).c_str());
     }
   }
-}
-
-bool Controller::remove_proc(Job& job, ProcEntry& p) {
-  (void)job;
-  auto addr = daemon_addr(p.machine);
-  if (!addr) return false;
-  if (p.state == ProcState::stopped) {
-    ProcRequest req;
-    req.what = MsgType::kill_request;
-    req.uid = sys_.getuid();
-    req.pid = p.pid;
-    obs::Registry& reg = sys_.world().obs();
-    {
-      obs::ObsSpan span(reg, "control.kill",
-                        &reg.histogram("control.kill_rtt_us"));
-      (void)daemon_rpc(p.machine, *addr, req);
-    }
-    p.state = ProcState::killed;
-  } else if (p.state == ProcState::acquired) {
-    // "the control program insures that the filter connection of that
-    // process is taken down ... but the process continues to execute."
-    ProcRequest req;
-    req.what = MsgType::release_request;
-    req.uid = sys_.getuid();
-    req.pid = p.pid;
-    (void)daemon_rpc(p.machine, *addr, req);
-  }
-  return true;
+  emit(text);
 }
 
 void Controller::cmd_removejob(const std::vector<std::string>& args) {
@@ -1435,31 +1340,14 @@ void Controller::cmd_removejob(const std::vector<std::string>& args) {
         job.name.c_str()));
     return;
   }
-  if (batched_) {
-    // Multi-kill / multi-release: one batch per machine, pipelined.
-    std::vector<ProcEntry*> to_kill, to_release;
-    for (auto& p : job.procs) {
-      if (p.state == ProcState::stopped) to_kill.push_back(&p);
-      if (p.state == ProcState::acquired) to_release.push_back(&p);
-    }
-    obs::Registry& reg = sys_.world().obs();
-    {
-      obs::ObsSpan span(reg, "control.kill",
-                        &reg.histogram("control.kill_rtt_us"));
-      (void)batch_proc_op(to_kill, MsgType::kill_request);
-    }
-    for (ProcEntry* p : to_kill) p->state = ProcState::killed;
-    (void)batch_proc_op(to_release, MsgType::release_request);
-    for (auto& p : job.procs) {
-      emit(util::strprintf("'%s' removed\n", p.name.c_str()));
-    }
-    jobs_.erase(jit);
-    return;
-  }
+  std::vector<ProcEntry*> procs;
+  std::string text;
   for (auto& p : job.procs) {
-    remove_proc(job, p);
-    emit(util::strprintf("'%s' removed\n", p.name.c_str()));
+    procs.push_back(&p);
+    text += util::strprintf("'%s' removed\n", p.name.c_str());
   }
+  take_down(procs);
+  emit(text);
   jobs_.erase(jit);
 }
 
@@ -1486,7 +1374,7 @@ void Controller::cmd_removeprocess(const std::vector<std::string>& args) {
                          proc_state_name(p->state)));
     return;
   }
-  remove_proc(job, *p);
+  take_down({p});
   emit(util::strprintf("'%s' removed\n", p->name.c_str()));
   job.procs.erase(job.procs.begin() + (p - job.procs.data()));
 }
@@ -1707,6 +1595,8 @@ void Controller::remove_filters() {
     }
     (void)multi_rpc(calls);
   }
+  // Then the root filters, in a second round.
+  std::vector<MultiCall> calls;
   for (const auto& [name, f] : filters_) {
     auto addr = daemon_addr(f.machine);
     if (!addr) continue;
@@ -1714,8 +1604,13 @@ void Controller::remove_filters() {
     req.what = MsgType::kill_request;
     req.uid = sys_.getuid();
     req.pid = f.pid;
-    (void)daemon_rpc(f.machine, *addr, req);
+    MultiCall c;
+    c.machine = f.machine;
+    c.addr = *addr;
+    c.req = req;
+    calls.push_back(std::move(c));
   }
+  (void)multi_rpc(calls);
   filters_.clear();
 }
 

@@ -7,7 +7,9 @@
 // die (aliases exit, bye). The controller runs as a simulated process: it
 // reads commands from standard input, performs daemon RPCs over temporary
 // connections, and listens on a notification socket for daemon-initiated
-// state-change reports (§3.5.1).
+// state-change reports (§3.5.1). Every command reaches the daemons in
+// rounds of pipelined calls (daemon/rpc_pipeline.h): a job op sends one
+// request per machine, and the transcript still reports each process.
 #pragma once
 
 #include <deque>
@@ -19,6 +21,7 @@
 
 #include "control/job.h"
 #include "daemon/protocol.h"
+#include "daemon/rpc_pipeline.h"
 #include "kernel/exec_registry.h"
 #include "kernel/syscalls.h"
 #include "net/address.h"
@@ -94,7 +97,6 @@ class Controller {
   void cmd_replay(const std::string& rest);
   void cmd_filter(const std::vector<std::string>& args);
   void cmd_fanin(const std::vector<std::string>& args);
-  void cmd_rpcmode(const std::vector<std::string>& args);
   void cmd_newjob(const std::vector<std::string>& args);
   void cmd_addprocess(const std::vector<std::string>& args);
   void cmd_addgroup(const std::vector<std::string>& args);
@@ -122,39 +124,47 @@ class Controller {
   /// controller's machine if needed (§3.5.3). Returns false on failure.
   bool stage_file(const std::string& machine, const std::string& path);
   std::optional<net::SockAddr> daemon_addr(const std::string& machine);
-  /// Removes one process per removejob semantics; true on success.
-  bool remove_proc(Job& job, ProcEntry& p);
   /// Kills every filter process (on die).
   void remove_filters();
 
-  /// All daemon RPCs go through here: fail-fast while the machine is
-  /// marked down, hardened deadline/retry call otherwise, mark-down on a
-  /// terminal transport failure.
-  util::SysResult<daemon::DaemonMsg> daemon_rpc(const std::string& machine,
-                                                const net::SockAddr& addr,
-                                                const daemon::DaemonMsg& req);
-
-  /// One element of a multi-machine RPC round.
+  /// One element of an RPC round.
   struct MultiCall {
     std::string machine;
     net::SockAddr addr;
     daemon::DaemonMsg req;
     daemon::RpcOptions opts;
   };
-  /// Issues a round of independent daemon RPCs: serially via daemon_rpc in
-  /// `rpcmode serial`, or pipelined across shards (in-flight window) in
-  /// `rpcmode batched`. Both paths share the down-machine fail-fast and
-  /// mark-down bookkeeping. Replies are parallel to `calls`.
+  /// Every daemon RPC goes through here: one round of independent calls,
+  /// pipelined by daemon::run_pipeline. Calls to a machine marked down
+  /// fail fast with etimedout; a terminal transport failure marks its
+  /// machine down. Replies are parallel to `calls`.
   std::vector<util::SysResult<daemon::DaemonMsg>> multi_rpc(
       std::vector<MultiCall>& calls);
-  /// Marks `machine` down on a terminal transport failure (shared by
-  /// daemon_rpc and the pipelined path).
+  /// A round of one.
+  util::SysResult<daemon::DaemonMsg> daemon_rpc(const std::string& machine,
+                                                const net::SockAddr& addr,
+                                                const daemon::DaemonMsg& req);
+  /// Marks `machine` down on a terminal transport failure.
   void note_rpc_failure(const std::string& machine, util::Err e);
-  /// Applies one proc op (start/stop/kill/release) to `procs`, grouped per
-  /// machine into BatchProcRequests and issued via multi_rpc. Returns
-  /// per-process statuses parallel to `procs` (0 ok, else util::Err).
-  std::vector<std::int32_t> batch_proc_op(const std::vector<ProcEntry*>& procs,
-                                          daemon::MsgType what);
+  /// One process op (start/stop/kill/release) on one process.
+  struct ProcOp {
+    ProcEntry* proc;
+    daemon::MsgType what;
+  };
+  /// Issues `ops` as one multi_rpc round with one BatchProcRequest per
+  /// (machine, op). Returns per-op statuses parallel to `ops` (0 ok, else
+  /// util::Err).
+  std::vector<std::int32_t> batch_proc_op(const std::vector<ProcOp>& ops);
+  /// Applies `what` to every process of `job` that Fig 4.2 lets move to
+  /// `to`, in one batch_proc_op round, and moves the ones that succeeded.
+  /// Returns statuses parallel to job.procs, nullopt where the process
+  /// could not make the transition.
+  std::vector<std::optional<std::int32_t>> job_op(Job& job,
+                                                  daemon::MsgType what,
+                                                  ProcState to);
+  /// removejob/removeprocess (§4.3): kills the stopped processes among
+  /// `procs` and releases the acquired ones, in one round.
+  void take_down(const std::vector<ProcEntry*>& procs);
   /// Where a process on `machine` should send meter records: the
   /// machine's local filter when the tree has one, else the root filter.
   std::pair<std::string, net::Port> meter_target(const FilterRec& filt,
@@ -172,12 +182,6 @@ class Controller {
   std::map<std::string, Job> jobs_;
   std::map<std::string, MachineHealth> machine_health_;
   std::uint64_t nonce_seq_ = 0;
-
-  // RPC dispatch mode (`rpcmode` command): serial per-process calls (the
-  // paper's behavior, the default) or batched requests pipelined across
-  // daemon shards with this many in flight.
-  bool batched_ = false;
-  int window_ = 8;
 
   // source/sink state (§4.3)
   std::vector<std::deque<std::string>> source_stack_;

@@ -1,9 +1,6 @@
 #include "daemon/protocol.h"
 
-#include <algorithm>
-
 #include "kernel/world.h"
-#include "obs/span.h"
 #include "util/bytes.h"
 
 namespace dpm::daemon {
@@ -506,86 +503,6 @@ util::SysResult<DaemonMsg> recv_msg(kernel::Sys& sys, kernel::Fd fd,
   auto msg = parse(wire);
   if (!msg) return Err::einval;
   return *msg;
-}
-
-namespace {
-
-/// Metric-key fragment for a request type ("daemon.rpc_<name>_us").
-const char* rpc_name(MsgType t) {
-  switch (t) {
-    case MsgType::create_request: return "create";
-    case MsgType::filter_request: return "filter";
-    case MsgType::setflags_request: return "setflags";
-    case MsgType::start_request: return "start";
-    case MsgType::stop_request: return "stop";
-    case MsgType::kill_request: return "kill";
-    case MsgType::acquire_request: return "acquire";
-    case MsgType::release_request: return "release";
-    case MsgType::status_request: return "status";
-    case MsgType::batch_create_request: return "batch_create";
-    case MsgType::batch_proc_request: return "batch_proc";
-    default: return "other";
-  }
-}
-
-/// Whether one failed attempt is worth another try on a fresh connection.
-bool retryable(Err e) {
-  return e == Err::etimedout || e == Err::econnrefused ||
-         e == Err::econnreset || e == Err::epipe;
-}
-
-/// One bounded attempt: connect (deadline), send, await the reply
-/// (same deadline), close. Always tears the connection down.
-util::SysResult<DaemonMsg> rpc_attempt(kernel::Sys& sys,
-                                       const net::SockAddr& to,
-                                       const DaemonMsg& request,
-                                       util::Duration deadline) {
-  auto fd = sys.socket(kernel::SockDomain::internet, kernel::SockType::stream);
-  if (!fd) return fd.error();
-  auto conn = sys.connect(*fd, to, deadline);
-  if (!conn) {
-    (void)sys.close(*fd);
-    return conn.error();
-  }
-  auto sent = send_msg(sys, *fd, request);
-  if (!sent) {
-    (void)sys.close(*fd);
-    return sent.error();
-  }
-  auto reply = recv_msg(sys, *fd, deadline);
-  (void)sys.close(*fd);
-  return reply;
-}
-
-}  // namespace
-
-util::SysResult<DaemonMsg> rpc_call(kernel::Sys& sys, const net::SockAddr& to,
-                                    const DaemonMsg& request,
-                                    const RpcOptions& opts) {
-  obs::Registry& reg = sys.world().obs();
-  const std::string name = rpc_name(msg_type(request));
-  reg.counter("daemon.rpc_calls").add(1);
-  obs::ObsSpan span(reg, "daemon.rpc_" + name,
-                    &reg.histogram("daemon.rpc_" + name + "_us"));
-
-  util::Duration pause = opts.backoff;
-  util::SysResult<DaemonMsg> last = Err::etimedout;
-  const int attempts = opts.max_attempts < 1 ? 1 : opts.max_attempts;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      reg.counter("daemon.rpc_retries").add(1);
-      sys.sleep(pause);
-      pause = std::min(pause + pause, opts.backoff_max);
-    }
-    last = rpc_attempt(sys, to, request, opts.deadline);
-    if (last) return last;
-    if (last.error() == Err::etimedout) {
-      reg.counter("daemon.rpc_timeouts").add(1);
-    }
-    if (!retryable(last.error())) break;
-  }
-  reg.counter("daemon.rpc_failures").add(1);
-  return last;
 }
 
 util::SysResult<void> notify(kernel::Sys& sys, const net::SockAddr& to,

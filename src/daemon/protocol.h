@@ -46,9 +46,8 @@ enum class MsgType : std::uint32_t {
   state_note = 30,       // daemon → controller: child state change
   io_note = 31,          // daemon → controller: process stdout data
   io_send = 32,          // controller → daemon: data for process stdin
-  // Batched forms (sharded controller): one RPC carries a whole daemon
-  // group's worth of creates or process ops, so job start/kill wall time
-  // scales with shards, not processes.
+  // Batched forms: one RPC carries a machine's share of a job's creates or
+  // process ops, so a job op costs one RPC per machine, not per process.
   batch_create_request = 33,
   batch_create_reply = 34,
   batch_proc_request = 35,
@@ -222,25 +221,6 @@ util::SysResult<DaemonMsg> recv_msg(kernel::Sys& sys, kernel::Fd fd);
 /// fails fast with econnreset — the reader never blocks on a short read.
 util::SysResult<DaemonMsg> recv_msg(kernel::Sys& sys, kernel::Fd fd,
                                     util::Duration deadline);
-
-/// Deadline/retry policy for hardened RPC (the controller's default).
-/// Every attempt runs on a fresh connection; attempts after the first are
-/// counted as daemon.rpc_retries, expired waits as daemon.rpc_timeouts.
-struct RpcOptions {
-  util::Duration deadline = util::msec(250);  // per attempt: connect + reply
-  int max_attempts = 4;
-  util::Duration backoff = util::msec(50);    // doubles per retry
-  util::Duration backoff_max = util::msec(800);
-};
-
-/// One full RPC exchange over a temporary connection (§3.5.1): connect to
-/// `to`, send `request`, await the reply, close — with a per-attempt
-/// deadline, bounded exponential backoff, and retry on
-/// etimedout/econnrefused/econnreset/epipe. Requests that create state
-/// must carry a nonce so a retry cannot double-apply.
-util::SysResult<DaemonMsg> rpc_call(kernel::Sys& sys, const net::SockAddr& to,
-                                    const DaemonMsg& request,
-                                    const RpcOptions& opts);
 
 /// One-shot notification (no reply expected): connect, send, close. The
 /// connect is bounded (~250ms) so a dead controller cannot wedge a daemon.

@@ -37,6 +37,24 @@ std::uint64_t reply_nonce(const DaemonMsg& m) {
   return 0;
 }
 
+/// Metric-key fragment for a request type ("daemon.rpc_<name>_us").
+const char* rpc_name(MsgType t) {
+  switch (t) {
+    case MsgType::create_request: return "create";
+    case MsgType::filter_request: return "filter";
+    case MsgType::setflags_request: return "setflags";
+    case MsgType::start_request: return "start";
+    case MsgType::stop_request: return "stop";
+    case MsgType::kill_request: return "kill";
+    case MsgType::acquire_request: return "acquire";
+    case MsgType::release_request: return "release";
+    case MsgType::status_request: return "status";
+    case MsgType::batch_create_request: return "batch_create";
+    case MsgType::batch_proc_request: return "batch_proc";
+    default: return "other";
+  }
+}
+
 enum class St { idle, connecting, awaiting, backoff, done };
 
 struct CallState {
@@ -44,6 +62,7 @@ struct CallState {
   Fd fd = -1;
   int attempts = 0;            // attempts launched so far
   util::Duration pause{};      // next backoff pause (doubles per retry)
+  util::TimePoint begun{};     // first launch
   util::TimePoint deadline{};  // current attempt's expiry
   util::TimePoint resume{};    // end of the current backoff
   util::Bytes buf;             // reply re-framing (one frame per exchange)
@@ -51,8 +70,7 @@ struct CallState {
 
 }  // namespace
 
-std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
-                         int window) {
+std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls) {
   obs::Registry& reg = sys.world().obs();
   obs::Counter& retries = reg.counter("daemon.rpc_retries");
   obs::Counter& timeouts = reg.counter("daemon.rpc_timeouts");
@@ -60,9 +78,7 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
   obs::Counter& mismatches = reg.counter("daemon.rpc_nonce_mismatch");
   obs::Gauge& inflight = reg.gauge("shard.inflight");
   reg.counter("daemon.rpc_calls").add(calls.size());
-  reg.counter("daemon.rpc_pipelined").add(calls.size());
 
-  if (window < 1) window = 1;
   std::vector<CallState> st(calls.size());
   for (std::size_t i = 0; i < calls.size(); ++i) {
     st[i].pause = calls[i].opts.backoff;
@@ -72,22 +88,9 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
   std::size_t ok = 0;
   int active = 0;  // connecting + awaiting
 
+  // The call's outcome: the reply or the error that ended it. Closes an
+  // attempt still in flight and samples the call's latency.
   auto settle = [&](std::size_t i, util::SysResult<DaemonMsg> result) {
-    CallState& c = st[i];
-    if (c.fd >= 0) {
-      (void)sys.close(c.fd);
-      c.fd = -1;
-    }
-    c.st = St::done;
-    if (result) ++ok;
-    else failures.add(1);
-    calls[i].reply = std::move(result);
-    ++done;
-  };
-
-  // One failed attempt: close the socket, then either give up (attempt
-  // cap, non-retryable error) or back off before the next fresh attempt.
-  auto fail_attempt = [&](std::size_t i, Err e) {
     CallState& c = st[i];
     if (c.st == St::connecting || c.st == St::awaiting) {
       --active;
@@ -97,15 +100,32 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
       (void)sys.close(c.fd);
       c.fd = -1;
     }
+    c.st = St::done;
+    if (result) ++ok;
+    else failures.add(1);
+    if (c.attempts > 0) {
+      reg.histogram(std::string("daemon.rpc_") +
+                    rpc_name(msg_type(calls[i].request)) + "_us")
+          .record(util::count_us(sys.world().now() - c.begun));
+    }
+    calls[i].reply = std::move(result);
+    ++done;
+  };
+
+  // One failed attempt: either give up (attempt cap, non-retryable error)
+  // or close the socket and back off before the next fresh attempt.
+  auto fail_attempt = [&](std::size_t i, Err e) {
+    CallState& c = st[i];
     if (e == Err::etimedout) timeouts.add(1);
     const int cap = std::max(1, calls[i].opts.max_attempts);
     if (!retryable(e) || c.attempts >= cap) {
-      c.st = St::done;
-      calls[i].reply = e;
-      failures.add(1);
-      ++done;
+      settle(i, e);
       return;
     }
+    --active;
+    inflight.sub(1);
+    (void)sys.close(c.fd);
+    c.fd = -1;
     c.st = St::backoff;
     c.resume = sys.world().now() + c.pause;
     c.pause = std::min(c.pause + c.pause, calls[i].opts.backoff_max);
@@ -113,7 +133,7 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
 
   auto launch = [&](std::size_t i) {
     CallState& c = st[i];
-    ++c.attempts;
+    if (c.attempts++ == 0) c.begun = sys.world().now();
     c.buf.clear();
     auto fd = sys.socket(kernel::SockDomain::internet,
                          kernel::SockType::stream);
@@ -123,17 +143,11 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
     }
     c.fd = *fd;
     c.deadline = sys.world().now() + calls[i].opts.deadline;
-    auto begun = sys.connect_begin(*fd, calls[i].to);
-    if (!begun) {
-      c.st = St::connecting;  // so fail_attempt rebalances active
-      ++active;
-      inflight.add(1);
-      fail_attempt(i, begun.error());
-      return;
-    }
     c.st = St::connecting;
     ++active;
     inflight.add(1);
+    auto begun = sys.connect_begin(*fd, calls[i].to);
+    if (!begun) fail_attempt(i, begun.error());
   };
 
   // A completed connect: ship the request; the exchange then awaits its
@@ -192,8 +206,6 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
       fail_attempt(i, Err::econnreset);
       return;
     }
-    --active;
-    inflight.sub(1);
     settle(i, std::move(*msg));
   };
 
@@ -201,7 +213,7 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
     const util::TimePoint now = sys.world().now();
 
     // Fill the window: fresh calls first, then retries whose backoff ended.
-    for (std::size_t i = 0; i < calls.size() && active < window; ++i) {
+    for (std::size_t i = 0; i < calls.size() && active < kRpcWindow; ++i) {
       if (st[i].st == St::idle) {
         launch(i);
       } else if (st[i].st == St::backoff && now >= st[i].resume) {
@@ -255,7 +267,7 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
     }
 
     // Deadline sweep: any attempt (connecting or awaiting) past its bound
-    // fails with etimedout, exactly as the serial hardened rpc_call does.
+    // fails with etimedout.
     const util::TimePoint after = sys.world().now();
     for (std::size_t i = 0; i < calls.size(); ++i) {
       if ((st[i].st == St::connecting || st[i].st == St::awaiting) &&
@@ -267,16 +279,20 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls,
 
   // Torn down mid-run (select failure): account the unfinished calls.
   for (std::size_t i = 0; i < calls.size(); ++i) {
-    if (st[i].st != St::done) {
-      if (st[i].st == St::connecting || st[i].st == St::awaiting) {
-        inflight.sub(1);
-      }
-      if (st[i].fd >= 0) (void)sys.close(st[i].fd);
-      calls[i].reply = Err::etimedout;
-      failures.add(1);
-    }
+    if (st[i].st != St::done) settle(i, Err::etimedout);
   }
   return ok;
+}
+
+util::SysResult<DaemonMsg> rpc_call(Sys& sys, const net::SockAddr& to,
+                                    const DaemonMsg& request,
+                                    const RpcOptions& opts) {
+  std::vector<PipelinedCall> one(1);
+  one[0].to = to;
+  one[0].request = request;
+  one[0].opts = opts;
+  run_pipeline(sys, one);
+  return std::move(one[0].reply);
 }
 
 }  // namespace dpm::daemon

@@ -341,6 +341,7 @@ util::SysResult<void> Sys::connect_impl(Fd fd, const net::SockAddr& name,
     auto& exec = world_.exec();
     const util::TimePoint dl = exec.now() + *deadline;
     bool timer_armed = false;
+    sim::EventId timer_id = 0;
     for (;;) {
       Socket* sock2 = world_.find_socket(sid);
       if (!sock2 || sock2->connect_result.has_value()) break;
@@ -354,12 +355,17 @@ util::SysResult<void> Sys::connect_impl(Fd fd, const net::SockAddr& name,
       const sim::TaskId me = exec.current_task();
       sock2->connectors.add(me);
       if (!timer_armed) {
-        exec.schedule_at(dl, [&exec, me] { exec.make_runnable(me); });
+        timer_id =
+            exec.schedule_at(dl, [&exec, me] { exec.make_runnable(me); });
         timer_armed = true;
       }
       exec.park_current();
       stop_checkpoint();
     }
+    // As in select(): a connect settled before its deadline takes its
+    // timer with it, or the stale wakeup holds the event queue open until
+    // the deadline. now < dl guarantees the timer has not fired.
+    if (timer_armed && exec.now() < dl) exec.cancel_event(timer_id);
   } else {
     wait_on(s.connectors, [this, sid] {
       Socket* sock2 = world_.find_socket(sid);

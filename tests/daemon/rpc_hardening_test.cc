@@ -1,11 +1,14 @@
 // RPC hardening: bounded receive against stalled or truncating peers,
-// deadline/retry accounting on unreachable daemons, and the at-most-once
-// replay cache (a retried create must not spawn a second process).
+// deadline/retry accounting on unreachable daemons, the at-most-once
+// replay cache (a retried create must not spawn a second process), and
+// the pipeline every controller RPC runs through: its in-flight window,
+// nonce matching, and per-call failure isolation.
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
 #include "control/session.h"
 #include "daemon/protocol.h"
+#include "daemon/rpc_pipeline.h"
 #include "kernel/syscalls.h"
 #include "testing.h"
 
@@ -45,21 +48,35 @@ class RpcHardeningTest : public ::testing::Test {
   std::vector<MachineId> machines_;
 };
 
-/// A fake daemon on green: accepts one connection and hands it to `serve`.
+/// A fake daemon: accepts `conns` connections one after another and hands
+/// each to `serve`.
 static void spawn_fake_daemon(kernel::World& world, MachineId m,
                               net::Port port,
-                              std::function<void(Sys&, Fd)> serve) {
+                              std::function<void(Sys&, Fd)> serve,
+                              int conns = 1) {
   (void)world.spawn(m, "fake-daemon", kernel::kSuperUser,
-                    [port, serve = std::move(serve)](Sys& sys) {
+                    [port, conns, serve = std::move(serve)](Sys& sys) {
                       auto ls = sys.socket(SockDomain::internet,
                                            SockType::stream);
                       ASSERT_TRUE(ls.ok());
                       ASSERT_TRUE(sys.bind_port(*ls, port).ok());
-                      ASSERT_TRUE(sys.listen(*ls, 4).ok());
-                      auto conn = sys.accept(*ls);
-                      ASSERT_TRUE(conn.ok());
-                      serve(sys, *conn);
+                      ASSERT_TRUE(sys.listen(*ls, 64).ok());
+                      for (int k = 0; k < conns; ++k) {
+                        auto conn = sys.accept(*ls);
+                        ASSERT_TRUE(conn.ok());
+                        serve(sys, *conn);
+                      }
                     });
+}
+
+/// A status ping (no nonce, SimpleReply expected).
+static PipelinedCall ping_call(const net::SockAddr& to) {
+  PipelinedCall c;
+  c.to = to;
+  ProcRequest ping;
+  ping.what = MsgType::status_request;
+  c.request = ping;
+  return c;
 }
 
 TEST_F(RpcHardeningTest, StalledReplyTimesOutInsteadOfWedging) {
@@ -203,6 +220,107 @@ TEST_F(RpcHardeningTest, StatusProbeDistinguishesLiveAndDeadPids) {
     ASSERT_NE(gone, nullptr);
     EXPECT_EQ(gone->status, static_cast<std::int32_t>(Err::esrch));
   });
+}
+
+TEST_F(RpcHardeningTest, PipelineNeverExceedsItsWindow) {
+  // More calls than the window: the first kRpcWindow go in flight at
+  // once, the rest wait for a slot, and every one completes.
+  constexpr int kCalls = kRpcWindow + 8;
+  spawn_fake_daemon(
+      world_, machines_[1], 6102,
+      [](Sys& sys, Fd conn) {
+        auto req = recv_msg(sys, conn, util::msec(100));
+        ASSERT_TRUE(req.ok());
+        (void)send_msg(sys, conn, SimpleReply{0});
+        (void)sys.close(conn);
+      },
+      kCalls);
+
+  std::size_t ok = 0;
+  as_controller([&](Sys& sys) {
+    auto addr = sys.resolve("green", 6102);
+    ASSERT_TRUE(addr.has_value());
+    std::vector<PipelinedCall> calls(kCalls, ping_call(*addr));
+    ok = run_pipeline(sys, calls);
+  });
+  EXPECT_EQ(ok, static_cast<std::size_t>(kCalls));
+  EXPECT_EQ(world_.obs().gauge("shard.inflight").high_water(), kRpcWindow);
+  EXPECT_EQ(world_.obs().gauge("shard.inflight").value(), 0);
+  EXPECT_EQ(world_.obs().counter("daemon.rpc_calls").value(),
+            static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(world_.obs().histogram("daemon.rpc_status_us").count(),
+            static_cast<std::uint64_t>(kCalls));
+}
+
+TEST_F(RpcHardeningTest, WrongNonceReplyIsRetriedOnAFreshConnection) {
+  // The first connection answers with another exchange's nonce; the retry
+  // gets the right one.
+  int served = 0;
+  spawn_fake_daemon(
+      world_, machines_[1], 6103,
+      [&served](Sys& sys, Fd conn) {
+        auto req = recv_msg(sys, conn, util::msec(100));
+        ASSERT_TRUE(req.ok());
+        const auto* b = std::get_if<BatchProcRequest>(&*req);
+        ASSERT_NE(b, nullptr);
+        BatchProcReply reply;
+        reply.nonce = served++ == 0 ? b->nonce + 1 : b->nonce;
+        reply.statuses.assign(b->pids.size(), 0);
+        (void)send_msg(sys, conn, reply);
+        (void)sys.close(conn);
+      },
+      2);
+
+  util::SysResult<DaemonMsg> got = Err::einval;
+  as_controller([&](Sys& sys) {
+    auto addr = sys.resolve("green", 6103);
+    ASSERT_TRUE(addr.has_value());
+    BatchProcRequest req;
+    req.what = MsgType::start_request;
+    req.nonce = 0x5eed;
+    req.pids = {7, 8};
+    got = rpc_call(sys, *addr, req, RpcOptions{});
+  });
+  ASSERT_TRUE(got.ok());
+  const auto* reply = std::get_if<BatchProcReply>(&*got);
+  ASSERT_NE(reply, nullptr);
+  EXPECT_EQ(reply->nonce, 0x5eedu);
+  EXPECT_EQ(served, 2);
+  EXPECT_EQ(world_.obs().counter("daemon.rpc_nonce_mismatch").value(), 1u);
+  EXPECT_EQ(world_.obs().counter("daemon.rpc_retries").value(), 1u);
+  EXPECT_EQ(world_.obs().counter("daemon.rpc_failures").value(), 0u);
+}
+
+TEST_F(RpcHardeningTest, StalledDestinationFailsAloneInItsRound) {
+  // Real daemons on red and green answer; a server on green accepts every
+  // attempt and never replies. Only the stalled call fails, on its own
+  // deadline, and the round still returns the other replies.
+  with_daemons();
+  spawn_fake_daemon(
+      world_, machines_[1], 6104,
+      [](Sys& sys, Fd) { sys.sleep(util::sec(10)); }, 2);
+
+  std::vector<PipelinedCall> calls;
+  std::size_t ok = 0;
+  as_controller([&](Sys& sys) {
+    auto red = sys.resolve("red", kDaemonPort);
+    auto green = sys.resolve("green", kDaemonPort);
+    auto stall = sys.resolve("green", 6104);
+    ASSERT_TRUE(red && green && stall);
+    calls = {ping_call(*red), ping_call(*stall), ping_call(*green)};
+    calls[1].opts.deadline = util::msec(50);
+    calls[1].opts.max_attempts = 2;
+    ok = run_pipeline(sys, calls);
+  });
+  EXPECT_EQ(ok, 2u);
+  ASSERT_TRUE(calls[0].reply.ok());
+  EXPECT_EQ(std::get<SimpleReply>(*calls[0].reply).status, 0);
+  ASSERT_FALSE(calls[1].reply.ok());
+  EXPECT_EQ(calls[1].reply.error(), Err::etimedout);
+  ASSERT_TRUE(calls[2].reply.ok());
+  EXPECT_EQ(std::get<SimpleReply>(*calls[2].reply).status, 0);
+  EXPECT_EQ(world_.obs().counter("daemon.rpc_timeouts").value(), 2u);
+  EXPECT_EQ(world_.obs().counter("daemon.rpc_failures").value(), 1u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "apps/apps.h"
 #include "control/session.h"
 #include "daemon/protocol.h"
+#include "daemon/rpc_pipeline.h"
 #include "kernel/syscalls.h"
 #include "testing.h"
 

@@ -1,6 +1,6 @@
 // The fan-in tier end to end: tree construction and record carriage,
 // edge selection counts, the metertap/meter_forward syscall contract,
-// and batched-vs-serial controller equivalence (DESIGN.md §11).
+// and the controller's one-request-per-machine job ops (DESIGN.md §11).
 #include <gtest/gtest.h>
 
 #include "analysis/trace_reader.h"
@@ -182,40 +182,37 @@ TEST(FanInTest, MeterForwardSyscallContract) {
   EXPECT_TRUE(fic.balanced());
 }
 
-TEST(FanInTest, BatchedJobOpsMatchSerial) {
+TEST(FanInTest, JobOpsSendOneRequestPerMachine) {
   FanInWorld w(3);
   auto& s = *w.session;
   (void)s.command("filter f1 hub");
+  (void)s.command("newjob j");
+  const obs::Counter& calls = w.world.obs().counter("daemon.rpc_calls");
 
-  // Same 9-process group through both RPC modes; the serial wave reports
-  // one line per process, the batched wave one summary — identical counts.
-  (void)s.command("rpcmode serial");
-  (void)s.command("newjob wS");
-  (void)s.command("addgroup wS g 1 3 3 waiter");
-  std::string out = s.command("startjob wS");
-  EXPECT_EQ(count_substr(out, "' started."), 9u) << out;
-  out = s.command("stopjob wS");
-  EXPECT_EQ(count_substr(out, "' stopped."), 9u) << out;
-  out = s.command("removejob wS");
-  EXPECT_EQ(count_substr(out, "' removed"), 9u) << out;
-
-  (void)s.command("rpcmode batched 4");
-  (void)s.command("newjob wB");
-  out = s.command("addgroup wB g 1 3 3 waiter");
+  // 9 processes on 3 machines: every op prints one line per process but
+  // puts one request per machine on the wire.
+  std::uint64_t before = calls.value();
+  std::string out = s.command("addgroup j g 1 3 3 waiter");
   EXPECT_NE(out.find("9 of 9 processes created across 3 machines"),
             std::string::npos)
       << out;
-  out = s.command("startjob wB");
-  EXPECT_NE(out.find("'wB': 9 of 9 processes started."), std::string::npos)
-      << out;
-  out = s.command("stopjob wB");
-  EXPECT_NE(out.find("'wB': 9 of 9 processes stopped."), std::string::npos)
-      << out;
-  out = s.command("removejob wB");
-  EXPECT_EQ(count_substr(out, "' removed"), 9u) << out;
+  EXPECT_EQ(calls.value() - before, 3u);
 
-  // The pipelined path really ran: calls were put in flight concurrently.
-  EXPECT_GT(w.world.obs().counter("daemon.rpc_pipelined").value(), 0u);
+  before = calls.value();
+  out = s.command("startjob j");
+  EXPECT_EQ(count_substr(out, "' started."), 9u) << out;
+  EXPECT_EQ(calls.value() - before, 3u);
+
+  before = calls.value();
+  out = s.command("stopjob j");
+  EXPECT_EQ(count_substr(out, "' stopped."), 9u) << out;
+  EXPECT_EQ(calls.value() - before, 3u);
+
+  before = calls.value();
+  out = s.command("removejob j");
+  EXPECT_EQ(count_substr(out, "' removed"), 9u) << out;
+  EXPECT_EQ(calls.value() - before, 3u);
+  EXPECT_EQ(w.world.obs().counter("daemon.rpc_failures").value(), 0u);
 }
 
 }  // namespace

@@ -84,6 +84,29 @@ TEST_F(SocketTest, ConnectWithoutListenerRefused) {
   EXPECT_EQ(result, Err::econnrefused);
 }
 
+TEST_F(SocketTest, SettledBoundedConnectCancelsItsDeadline) {
+  // A bounded connect that succeeds early must not leave its deadline
+  // wakeup behind: run() would otherwise idle out to the deadline.
+  spawn(machines_[1], "server", [](Sys& sys) {
+    auto ls = sys.socket(SockDomain::internet, SockType::stream);
+    ASSERT_TRUE(sys.bind_port(*ls, 4001).ok());
+    ASSERT_TRUE(sys.listen(*ls, 4).ok());
+    auto conn = sys.accept(*ls);
+    ASSERT_TRUE(conn.ok());
+  });
+  bool connected = false;
+  spawn(machines_[0], "client", [&](Sys& sys) {
+    sys.sleep(util::msec(5));  // let the server bind
+    auto addr = sys.resolve("green", 4001);
+    ASSERT_TRUE(addr.has_value());
+    auto fd = sys.socket(SockDomain::internet, SockType::stream);
+    connected = sys.connect(*fd, *addr, util::sec(30)).ok();
+  });
+  world_.run();
+  EXPECT_TRUE(connected);
+  EXPECT_LT(util::count_us(world_.now()), 1'000'000);  // deadline: 30 s
+}
+
 TEST_F(SocketTest, StreamDeliversBytesInOrder) {
   // Many small sends arrive as one ordered stream (§3.1: "as many bytes
   // as possible are delivered for each read without regard for whether or

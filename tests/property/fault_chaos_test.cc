@@ -245,7 +245,7 @@ TEST_P(FaultChaosTest, SessionSurvivesRandomFaultPlan) {
 
 TEST_P(FaultChaosTest, ShardedFanInSessionSurvivesStorm) {
   // A sharded session — local filters on every machine, aggregators in an
-  // arity-4 tree, batched/pipelined controller RPC — hit with a targeted
+  // arity-4 tree, pipelined controller RPC — hit with a targeted
   // storm: an aggregator host crashes mid-fan-in, the controller is
   // partitioned from one shard (and heals), plus a seeded loss burst.
   // Both conservation ledgers must balance and the surviving trace must
@@ -263,7 +263,6 @@ TEST_P(FaultChaosTest, ShardedFanInSessionSurvivesStorm) {
   world.run();
   (void)session.drain_output();
 
-  (void)session.command("rpcmode batched 8");
   (void)session.command("filter f1 hub");
   std::string fan = session.command("fanin f1 4 n 1 12");
   ASSERT_NE(fan.find("12 local filters (0 failed), 3 aggregators (0 failed)"),
