@@ -15,9 +15,11 @@
 # bench_perturbation --smoke and bench_controller --smoke must reproduce
 # their committed files exactly. It also runs the analysis smoke
 # (bench_analysis --smoke checks EXPERIMENTS E6's figures on its
-# synthetic traces). Everything runs in a scratch directory: the smokes
-# write their JSON into the cwd, and the committed files must not be
-# clobbered by a gate run.
+# synthetic traces) and prints the task-switch microbench's ns per
+# switch (bench_executive --smoke fails only on a wrong switch count; the
+# figure is host time and not bounded). Everything runs in a scratch
+# directory: the smokes write their JSON into the cwd, and the committed
+# files must not be clobbered by a gate run.
 # Usage: scripts/check_bench.sh [build-dir]   (default: build)
 set -eu
 
@@ -27,7 +29,7 @@ build="${1:-build}"
 bench="$repo/$build/bench"
 
 for bin in bench_pipeline bench_filter bench_scale bench_perturbation \
-           bench_provenance bench_analysis bench_controller; do
+           bench_provenance bench_analysis bench_controller bench_executive; do
   if [ ! -x "$bench/$bin" ]; then
     echo "check_bench: $bench/$bin not built" >&2
     exit 1
@@ -149,5 +151,8 @@ echo "== bench_provenance --smoke (per-stage tracing gate)"
 
 echo "== bench_analysis --smoke (E6 figures, full_report == its sections)"
 "$bench/bench_analysis" --smoke
+
+echo "== bench_executive --smoke (exact switch count; host ns per switch)"
+"$bench/bench_executive" --smoke
 
 exit "$fail"

@@ -45,15 +45,23 @@ class UpLink {
     return false;
   }
 
-  /// Ships the staged batch up the link and resets the stage. On a dead
-  /// edge the records are already booked fanin.lost_records by the kernel
-  /// (never re-sent); the next flush attempts one bounded reconnect.
-  void forward(kernel::Sys& sys, util::Bytes& batch, std::uint32_t& records) {
-    if (records == 0) return;
+  /// Ships the staged batch, with its provenance samples, up the link and
+  /// resets the stage. On a dead edge the records are already booked
+  /// fanin.lost_records by the kernel (never re-sent); the next flush
+  /// attempts one bounded reconnect. The samples go with the batch into
+  /// meter_forward, which delivers or kills them; only with no link at
+  /// all do they die here.
+  void forward(kernel::Sys& sys, util::Bytes& batch, std::uint32_t& records,
+               std::vector<obs::ProvenanceTracker::ForwardSample> samples) {
+    if (records == 0) return;  // nothing staged, so nothing sampled
     if (want_reconnect_ && failures_ <= kMaxReconnects && try_connect(sys)) {
       reconnects_->add(1);
     }
-    if (fd_ >= 0 && !sys.meter_forward(fd_, batch, records)) {
+    if (fd_ < 0) {
+      if (obs::ProvenanceTracker* prov = sys.world().provenance()) {
+        prov->on_fanin_drop(samples);
+      }
+    } else if (!sys.meter_forward(fd_, batch, records, std::move(samples))) {
       want_reconnect_ = true;
     }
     batch.clear();
@@ -191,7 +199,7 @@ kernel::ProcessMain make_localfilter_main(
       ++staged;
     };
     // Record provenance: a staging filter — decisions are stamped as an
-    // intermediate stage, and sampled accepted records are armed onto the
+    // intermediate stage, and sampled accepted records travel with the
     // uplink batch so the kernel can re-key them at the next hop.
     kernel::World& world = sys.world();
     ProvenanceTap prov(world.provenance(), /*final_filter=*/false);
@@ -206,9 +214,7 @@ kernel::ProcessMain make_localfilter_main(
     }
     auto flush_up = [&] {
       batches_out.add(1);
-      prov.arm();
-      up.forward(sys, batch, staged);
-      prov.disarm();
+      up.forward(sys, batch, staged, prov.take_samples());
     };
 
     std::vector<kernel::Fd> conns;
@@ -289,14 +295,12 @@ kernel::ProcessMain make_aggregator_main(
     std::uint32_t staged = 0;
     // Record provenance: an aggregator makes no decisions — every inbound
     // record is re-staged toward the parent, so sampled records just get a
-    // stage mark and ride the armed batch to their next hop.
+    // stage mark and ride the forwarded batch to their next hop.
     kernel::World& world = sys.world();
     ProvenanceTap prov(world.provenance(), /*final_filter=*/false);
     auto flush_up = [&] {
       batches_out.add(1);
-      prov.arm();
-      up.forward(sys, batch, staged);
-      prov.disarm();
+      up.forward(sys, batch, staged, prov.take_samples());
     };
     std::vector<kernel::Fd> conns;
     std::map<kernel::Fd, FrameSplitter> splitters;

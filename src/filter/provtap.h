@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "meter/metermsgs.h"
@@ -61,15 +62,15 @@ inline WireIdentity wire_identity(const std::uint8_t* raw, std::size_t size) {
 ///  - the *final* filter (the live sink's feeder) stamps accept/reject
 ///    decisions and queues accepted identities for live binding;
 ///  - a *staging* filter (localfilter) stamps decisions and collects the
-///    sampled accepted records of the outbound batch as armed samples;
+///    sampled accepted records of the outbound batch as forward samples;
 ///  - an *aggregator* passes records through undecided (on_passthrough)
-///    and collects armed samples the same way.
+///    and collects forward samples the same way.
 ///
-/// Batch lifecycle for the staging roles: call arm() immediately before
-/// UpLink::forward (the kernel's fanin path consumes the armed set on the
-/// same call stack) and disarm() right after it returns — samples the
-/// kernel never took (reconnect pending, nothing sent) die there instead
-/// of leaking onto the next batch.
+/// Batch lifecycle for the staging roles: take_samples() hands the staged
+/// batch's samples to the forward call that sends it. From there they
+/// travel with the call (UpLink::forward -> Sys::meter_forward -> the
+/// kernel's fan-in send), and whichever path ends the forward kills them
+/// or carries them to delivery, so none leaks onto another batch.
 class ProvenanceTap {
  public:
   /// `tracker` may be null (tracing off): every call is then a no-op.
@@ -124,13 +125,10 @@ class ProvenanceTap {
     }
   }
 
-  void arm() {
-    if (t_ == nullptr) return;
-    t_->arm_forward(std::move(pending_));
-    pending_.clear();
-  }
-  void disarm() {
-    if (t_ != nullptr) t_->cancel_armed();
+  /// The sampled records staged since the last call, for the forward of
+  /// the batch they sit in.
+  std::vector<obs::ProvenanceTracker::ForwardSample> take_samples() {
+    return std::exchange(pending_, {});
   }
 
  private:
@@ -141,7 +139,7 @@ class ProvenanceTap {
   obs::ProvenanceTracker* t_;
   bool final_;
   std::map<std::uint64_t, ConnState> conns_;
-  std::vector<obs::ProvenanceTracker::ArmedSample> pending_;
+  std::vector<obs::ProvenanceTracker::ForwardSample> pending_;
 };
 
 }  // namespace dpm::filter

@@ -310,43 +310,41 @@ FanInConservation World::fanin_conservation() const {
   return c;
 }
 
-bool World::kernel_fanin_forward(SocketId from, util::Bytes data,
-                                 std::uint32_t records) {
+bool World::kernel_fanin_forward(
+    SocketId from, util::Bytes data, std::uint32_t records,
+    std::vector<obs::ProvenanceTracker::ForwardSample> samples) {
   // Every record entering the tier is counted here; the branches below put
-  // each one in exactly one terminal or in-transit bucket.
+  // each one in exactly one terminal or in-transit bucket, and the batch's
+  // provenance samples follow it there.
   fobs_.forwarded->add(records);
-  // Armed provenance samples ride the same call stack as the batch they
-  // describe (the forwarder arms immediately before this call); whatever
-  // terminal bucket the batch lands in, the samples follow it.
-  std::vector<obs::ProvenanceTracker::ArmedSample> armed;
-  if (prov_) armed = prov_->take_armed();
   Socket* s = find_socket(from);
   if (!s || s->sstate != Socket::StreamState::connected || s->peer == 0 ||
       s->eof) {
     fobs_.lost->add(records);
-    if (prov_) prov_->on_fanin_drop(armed);
+    if (prov_) prov_->on_fanin_drop(samples);
     return false;
   }
   Socket* peer = find_socket(s->peer);
   if (!peer) {
     fobs_.lost->add(records);
-    if (prov_) prov_->on_fanin_drop(armed);
+    if (prov_) prov_->on_fanin_drop(samples);
     return false;
   }
   const SocketId peer_id = peer->id;
   const std::size_t n = data.size();
+  if (prov_) prov_->on_fanin_send(samples);
   fabric_.send(
       s->net_hint, s->machine, peer->machine, s->tx_channel,
       /*droppable=*/false, n,
       [this, peer_id, records, data = std::move(data),
-       armed = std::move(armed)]() mutable {
+       samples = std::move(samples)]() mutable {
         auto it = sockets_.find(peer_id);
         Socket* p = it == sockets_.end() ? nullptr : it->second.get();
         if (!p ||
             (p->sstate == Socket::StreamState::closed && p->refs == 0)) {
           // The edge died while the batch was in flight.
           fobs_.lost->add(records);
-          if (prov_) prov_->on_fanin_drop(armed);
+          if (prov_) prov_->on_fanin_drop(samples);
           return;
         }
         if (p->rbuf.size() >= cfg_.fanin_queue_bytes) {
@@ -355,14 +353,14 @@ bool World::kernel_fanin_forward(SocketId from, util::Bytes data,
           // are never cut in half by overflow.
           fobs_.overflow_records->add(records);
           fobs_.overflow_bytes->add(data.size());
-          if (prov_) prov_->on_fanin_drop(armed);
+          if (prov_) prov_->on_fanin_drop(samples);
           return;
         }
         if (prov_) {
           // Even an unsampled batch advances the out-edge index: the
           // consumer counts every record it reads, so the tracker's
           // per-edge index must count every record delivered.
-          prov_->on_fanin_deliver(peer_id, records, armed,
+          prov_->on_fanin_deliver(peer_id, records, samples,
                                   util::count_us(exec_.now()));
         }
         deliver_stream(peer_id, std::move(data), /*accounted=*/false);

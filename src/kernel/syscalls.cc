@@ -1210,17 +1210,27 @@ util::SysResult<void> Sys::metertap(Fd fd) {
   return {};
 }
 
-util::SysResult<void> Sys::meter_forward(Fd fd, const util::Bytes& batch,
-                                         std::uint32_t records) {
+util::SysResult<void> Sys::meter_forward(
+    Fd fd, const util::Bytes& batch, std::uint32_t records,
+    std::vector<obs::ProvenanceTracker::ForwardSample> samples) {
   const auto& costs = world_.config().costs;
   enter(costs.send_base +
         util::usec(costs.send_per_kb.count() *
                    static_cast<std::int64_t>(batch.size()) / 1024));
+  // Not a fan-in edge: nothing is sent, so the samples die here.
+  const auto refuse = [&](Err e) {
+    if (obs::ProvenanceTracker* prov = world_.provenance()) {
+      prov->on_fanin_drop(samples);
+    }
+    return e;
+  };
   auto sr = sock_of(fd);
-  if (!sr) return sr.error();
+  if (!sr) return refuse(sr.error());
   Socket& s = **sr;
-  if (!s.is_meter_conn || s.meter_tier != 1) return Err::einval;
-  if (!world_.kernel_fanin_forward(s.id, batch, records)) return Err::epipe;
+  if (!s.is_meter_conn || s.meter_tier != 1) return refuse(Err::einval);
+  if (!world_.kernel_fanin_forward(s.id, batch, records, std::move(samples))) {
+    return Err::epipe;
+  }
   return {};
 }
 

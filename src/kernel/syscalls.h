@@ -195,9 +195,12 @@ class Sys {
   /// fan-in backpressure policy is the receiver-side accounted drop, see
   /// WorldConfig::fanin_queue_bytes). Returns epipe when the edge is dead
   /// — the records are then already booked fanin.lost_records, so the
-  /// caller may reconnect but must not re-send the batch.
-  util::SysResult<void> meter_forward(Fd fd, const util::Bytes& batch,
-                                      std::uint32_t records);
+  /// caller may reconnect but must not re-send the batch. `samples` are
+  /// the batch's provenance samples: they ride the batch to delivery, and
+  /// die with it on any error return.
+  util::SysResult<void> meter_forward(
+      Fd fd, const util::Bytes& batch, std::uint32_t records,
+      std::vector<obs::ProvenanceTracker::ForwardSample> samples = {});
 
   // ---- files ----
   enum class OpenMode { read, write_trunc, append };

@@ -214,10 +214,13 @@ class World {
   /// exactly one terminal bucket: lost (dead endpoint at send or delivery),
   /// overflow (receiver rbuf at fanin_queue_bytes — whole batch dropped),
   /// or the receiver's rbuf (buffered, later consumed/stranded/malformed).
+  /// The batch's provenance `samples` follow it into that bucket: re-keyed
+  /// onto the receiving edge at delivery, killed on every drop.
   /// Returns false when the edge was already dead at send time, so the
   /// caller can try to re-establish it.
-  bool kernel_fanin_forward(SocketId from, util::Bytes data,
-                            std::uint32_t records);
+  bool kernel_fanin_forward(
+      SocketId from, util::Bytes data, std::uint32_t records,
+      std::vector<obs::ProvenanceTracker::ForwardSample> samples);
 
   /// Closes one endpoint: marks closed, tells the peer (EOF after data).
   void close_stream(Socket& s);

@@ -17,6 +17,10 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The edge of the keys entries wait under while their fan-in batch is in
+/// flight. No socket has id 0.
+constexpr std::uint64_t kInTransit = 0;
+
 }  // namespace
 
 ProvenanceTracker::ProvenanceTracker(const Config& cfg, Registry* reg)
@@ -141,32 +145,24 @@ void ProvenanceTracker::on_stage(std::uint64_t edge, std::uint64_t index,
   it->second.stage_start_us = now_us;
 }
 
-void ProvenanceTracker::arm_forward(std::vector<ArmedSample> samples) {
-  armed_ = std::move(samples);
-  armed_set_ = true;
+void ProvenanceTracker::on_fanin_send(std::vector<ForwardSample>& samples) {
+  for (ForwardSample& s : samples) {
+    auto node = entries_.extract(Key{s.edge, s.index});
+    s.edge = kInTransit;
+    s.index = next_transit_++;
+    if (node.empty()) continue;  // evicted or killed while staged
+    node.key() = Key{s.edge, s.index};
+    entries_.insert(std::move(node));
+  }
 }
 
-std::vector<ProvenanceTracker::ArmedSample> ProvenanceTracker::take_armed() {
-  if (!armed_set_) return {};
-  armed_set_ = false;
-  return std::move(armed_);
-}
-
-void ProvenanceTracker::cancel_armed() {
-  if (!armed_set_) return;
-  armed_set_ = false;
-  for (const ArmedSample& s : armed_) kill(Key{s.edge, s.index});
-  armed_.clear();
-}
-
-void ProvenanceTracker::on_fanin_deliver(std::uint64_t out_edge,
-                                         std::uint32_t records,
-                                         const std::vector<ArmedSample>& samples,
-                                         std::int64_t now_us) {
+void ProvenanceTracker::on_fanin_deliver(
+    std::uint64_t out_edge, std::uint32_t records,
+    const std::vector<ForwardSample>& samples, std::int64_t now_us) {
   EdgeState& es = edge_state(out_edge);
   const std::uint64_t base = es.next_index;
   es.next_index += records;
-  for (const ArmedSample& s : samples) {
+  for (const ForwardSample& s : samples) {
     auto node = entries_.extract(Key{s.edge, s.index});
     if (node.empty()) continue;
     Entry e = std::move(node.mapped());
@@ -183,8 +179,9 @@ void ProvenanceTracker::on_fanin_deliver(std::uint64_t out_edge,
                                              live_entries_.size()));
 }
 
-void ProvenanceTracker::on_fanin_drop(const std::vector<ArmedSample>& samples) {
-  for (const ArmedSample& s : samples) kill(Key{s.edge, s.index});
+void ProvenanceTracker::on_fanin_drop(
+    const std::vector<ForwardSample>& samples) {
+  for (const ForwardSample& s : samples) kill(Key{s.edge, s.index});
 }
 
 void ProvenanceTracker::on_live_event(std::uint64_t live_index,

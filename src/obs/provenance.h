@@ -121,8 +121,8 @@ class ProvenanceTracker {
   /// filter decision and records stage.ring_to_filter_us. An accepted
   /// record on the *final* filter (the one feeding the live sink) is
   /// queued for live binding under its identity fields; on a staging
-  /// filter it waits, still keyed on `edge`, for arm_forward to carry it
-  /// onto the next hop.
+  /// filter it waits, still keyed on `edge`, for the forward call that
+  /// carries its batch onto the next hop.
   void on_filter(std::uint64_t edge, std::uint64_t index, bool accepted,
                  bool final_filter, std::uint16_t machine, std::int32_t pid,
                  std::uint32_t type, std::int64_t cpu_time,
@@ -134,29 +134,31 @@ class ProvenanceTracker {
   void on_stage(std::uint64_t edge, std::uint64_t index, std::int64_t now_us);
 
   // ---- fan-in hops -------------------------------------------------------
-  struct ArmedSample {
+  /// A sampled record of a batch being forwarded up the fan-in tier. The
+  /// forwarder collects them as it stages the batch and passes them with
+  /// it, through Sys::meter_forward to the kernel's fan-in send and on to
+  /// delivery: they travel with the call, never through shared state, so
+  /// forwarders parked mid-forward cannot take each other's samples.
+  struct ForwardSample {
     std::uint32_t pos = 0;     // record position within the forwarded batch
     std::uint64_t edge = 0;    // edge the entry is currently keyed on
     std::uint64_t index = 0;
   };
-  /// Arms the sampled records of the batch about to be forwarded through
-  /// sys.meter_forward. The kernel's kernel_fanin_forward consumes the
-  /// armed set on the same call stack (single-threaded by construction)
-  /// and carries it to delivery. Callers that armed but saw no forward
-  /// happen must cancel_armed() — the batch was discarded.
-  void arm_forward(std::vector<ArmedSample> samples);
-  std::vector<ArmedSample> take_armed();
-  /// Kills any armed-but-not-taken samples (forward path bailed out).
-  void cancel_armed();
 
+  /// The batch carrying `samples` left on a fan-in edge. Each entry moves
+  /// off the inbound edge it was staged from, which may close while the
+  /// batch is in flight, to a transit key that only on_fanin_deliver or
+  /// on_fanin_drop ends; `samples` are updated to name it.
+  void on_fanin_send(std::vector<ForwardSample>& samples);
   /// A forwarded batch of `records` records was delivered on `out_edge`:
-  /// assigns that edge's next indices, re-keys each armed sample to
+  /// assigns that edge's next indices, re-keys each sample to
   /// (out_edge, base + pos), and records its stage.fanin_hop_us.
   void on_fanin_deliver(std::uint64_t out_edge, std::uint32_t records,
-                        const std::vector<ArmedSample>& samples,
+                        const std::vector<ForwardSample>& samples,
                         std::int64_t now_us);
-  /// The batch was dropped (queue overflow, dead peer): the samples die.
-  void on_fanin_drop(const std::vector<ArmedSample>& samples);
+  /// The batch was dropped (queue overflow, dead peer) or never sent (the
+  /// forward bailed out before the kernel took it): the samples die.
+  void on_fanin_drop(const std::vector<ForwardSample>& samples);
 
   // ---- live analysis and verdicts ----------------------------------------
   /// The live analysis admitted an event: binds the oldest queued sample
@@ -213,8 +215,7 @@ class ProvenanceTracker {
   std::deque<IdKey> bind_order_;            // FIFO for bind_ eviction
   std::size_t bind_size_ = 0;
   std::map<std::uint64_t, Entry> live_entries_;  // keyed by live index
-  std::vector<ArmedSample> armed_;
-  bool armed_set_ = false;
+  std::uint64_t next_transit_ = 0;  // index of the next fan-in transit key
 
   std::deque<Journey> journeys_;
   std::uint64_t next_trace_id_ = 1;

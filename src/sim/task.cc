@@ -2,7 +2,6 @@
 
 #include <cxxabi.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <cassert>
@@ -15,7 +14,119 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+#if !(defined(__x86_64__) && defined(__linux__))
+#error "task fibers switch stacks in x86-64 SysV assembly: port switch_stack() to this target"
+#endif
+
 namespace dpm::sim {
+
+// Pushes the callee-saved state (see SwitchFrame) onto the current stack,
+// stores the stack pointer in *save_sp, loads load_sp and pops the same
+// state from there: the switch returns on whichever stack last saved
+// load_sp, or, the first time, into the task's start trampoline. Defined
+// in the asm block below; it makes no system call.
+void switch_stack(void** save_sp, void* load_sp) noexcept asm("dpm_sim_switch_stack");
+
+namespace {
+
+// What switch_stack leaves at the saved stack pointer, lowest address
+// first. These are exactly the registers the x86-64 SysV ABI makes
+// callee-saved, plus MXCSR and the x87 control word, whose control bits it
+// also makes callee-saved. Task::start writes one by hand as a new task's
+// first frame.
+struct SwitchFrame {
+  std::uint32_t mxcsr;
+  std::uint16_t fpcw;
+  std::uint16_t pad;
+  void* r15;
+  void* r14;
+  void* r13;  // first frame: the function the trampoline calls
+  void* r12;  // first frame: its argument
+  void* rbx;
+  void* rbp;  // first frame: null, ending frame-pointer walks
+  void* ret;  // where the switch returns to
+};
+static_assert(sizeof(SwitchFrame) == 64, "switch_stack pushes 64 bytes");
+
+}  // namespace
+
+// The pushes and pops mirror SwitchFrame. Both stacks hold that layout at
+// the swap, so one set of CFI describes the function on either side.
+//
+// A new task's first switch returns into the trampoline
+// dpm_sim_fiber_start with r12 = its Task*, r13 = Task::entry and the
+// stack pointer at the stack's 16-byte-aligned top, so the call lands with
+// the ABI's alignment. rip is undefined there, which ends every unwind and
+// backtrace at the task's first frame. The leading nop puts the return
+// address (dpm_sim_fiber_entry) one byte in, so an unwinder's usual
+// pc - 1 lookup still finds this FDE.
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .type dpm_sim_switch_stack, @function
+dpm_sim_switch_stack:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbp, 0
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbx, 0
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r12, 0
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r13, 0
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r14, 0
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r15, 0
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size dpm_sim_switch_stack, .-dpm_sim_switch_stack
+
+  .p2align 4
+  .type dpm_sim_fiber_start, @function
+dpm_sim_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  nop
+dpm_sim_fiber_entry:
+  movq %r12, %rdi
+  call *%r13
+  ud2
+  .cfi_endproc
+  .size dpm_sim_fiber_start, .-dpm_sim_fiber_start
+  .popsection
+)");
+
+extern "C" char dpm_sim_fiber_entry[];  // the trampoline's return target
+
 namespace {
 
 // Usable stack per task, above one PROT_NONE guard page. Pages are only
@@ -90,9 +201,9 @@ struct Task::Fiber {
 
   const std::size_t guard;
   char* map = nullptr;
-  ucontext_t self{};    // the task, while parked
-  ucontext_t caller{};  // whoever resumed it, while it runs
-  EhGlobals eh;         // the task's exception state, while parked
+  void* sp = nullptr;         // the task's SwitchFrame, while parked
+  void* caller_sp = nullptr;  // the resumer's, while the task runs
+  EhGlobals eh;               // the task's exception state, while parked
   // AddressSanitizer bookkeeping: the task's fake frames while parked, and
   // the resumer's stack, which a switch back to it must name.
   void* fake_stack = nullptr;
@@ -116,19 +227,20 @@ void Task::start(Body body) {
   fiber_ = std::make_unique<Fiber>();
   started_ = true;
   body_ = std::move(body);
-  ucontext_t& ctx = fiber_->self;
-  getcontext(&ctx);
-  ctx.uc_stack.ss_sp = fiber_->stack();
-  ctx.uc_stack.ss_size = kStackBytes;
-  ctx.uc_link = nullptr;  // entry() never returns
-  // makecontext passes int arguments, so `this` travels in two halves.
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&ctx, reinterpret_cast<void (*)()>(&Task::entry), 2,
-              static_cast<unsigned>(self >> 32), static_cast<unsigned>(self));
+  // The first resume() pops this frame and returns into the trampoline,
+  // which calls entry(this) on the stack's page-aligned top. The body
+  // starts with the creating thread's rounding mode and exception masks.
+  SwitchFrame first{};
+  asm volatile("stmxcsr %0" : "=m"(first.mxcsr));
+  asm volatile("fnstcw %0" : "=m"(first.fpcw));
+  first.r13 = reinterpret_cast<void*>(&Task::entry);
+  first.r12 = this;
+  first.ret = dpm_sim_fiber_entry;
+  auto* top = reinterpret_cast<SwitchFrame*>(fiber_->stack() + kStackBytes);
+  fiber_->sp = std::memcpy(top - 1, &first, sizeof first);
 }
 
-void Task::entry(unsigned hi, unsigned lo) noexcept {
-  auto* task = reinterpret_cast<Task*>((std::uintptr_t{hi} << 32) | lo);
+void Task::entry(Task* task) noexcept {
   Fiber& f = *task->fiber_;
   finish_switch(nullptr, &f.caller_bottom, &f.caller_size);
   if (!task->abort_) {
@@ -142,7 +254,8 @@ void Task::entry(unsigned hi, unsigned lo) noexcept {
   task->finished_ = true;
   // No fake frames to keep: this stack is unmapped once resume() returns.
   start_switch(nullptr, f.caller_bottom, f.caller_size);
-  setcontext(&f.caller);
+  switch_stack(&f.sp, f.caller_sp);
+  __builtin_unreachable();
 }
 
 void Task::resume() {
@@ -153,7 +266,7 @@ void Task::resume() {
   const EhGlobals mine = exchange_eh_globals(f.eh);
   void* fake_stack = nullptr;
   start_switch(&fake_stack, f.stack(), kStackBytes);
-  swapcontext(&f.caller, &f.self);
+  switch_stack(&f.caller_sp, f.sp);
   finish_switch(fake_stack, nullptr, nullptr);
   f.eh = exchange_eh_globals(mine);
   if (finished_) fiber_.reset();
@@ -162,7 +275,7 @@ void Task::resume() {
 void Task::park() {
   Fiber& f = *fiber_;
   start_switch(&f.fake_stack, f.caller_bottom, f.caller_size);
-  swapcontext(&f.self, &f.caller);
+  switch_stack(&f.sp, f.caller_sp);
   finish_switch(f.fake_stack, &f.caller_bottom, &f.caller_size);
   if (abort_) throw TaskAborted{};
 }

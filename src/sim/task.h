@@ -51,9 +51,11 @@ class Task {
   const std::string& name() const { return name_; }
 
  private:
-  struct Fiber;  // stack mapping and saved machine state; see task.cc
+  struct Fiber;  // stack mapping and saved stack pointers; see task.cc
 
-  static void entry(unsigned hi, unsigned lo) noexcept;
+  // The first frame of every task's stack: runs the body, then switches
+  // back for the last time. Called from task.cc's start trampoline.
+  static void entry(Task* task) noexcept;
 
   std::string name_;
   Body body_;

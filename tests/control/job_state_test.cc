@@ -61,11 +61,11 @@ TEST(StateMachine, Names) {
 
 TEST(Job, RemovableOnlyWhenNoNewOrRunning) {
   Job job;
-  job.procs.push_back({"A", "red", 1, ProcState::killed, 0});
-  job.procs.push_back({"B", "green", 2, ProcState::stopped, 0});
-  job.procs.push_back({"C", "blue", 3, ProcState::acquired, 0});
+  job.procs.push_back({"A", "red", 1, ProcState::killed, 0, ""});
+  job.procs.push_back({"B", "green", 2, ProcState::stopped, 0, ""});
+  job.procs.push_back({"C", "blue", 3, ProcState::acquired, 0, ""});
   EXPECT_TRUE(job.removable());
-  job.procs.push_back({"D", "red", 4, ProcState::running, 0});
+  job.procs.push_back({"D", "red", 4, ProcState::running, 0, ""});
   EXPECT_FALSE(job.removable());
   job.procs.back().state = ProcState::fresh;
   EXPECT_FALSE(job.removable());
@@ -73,16 +73,16 @@ TEST(Job, RemovableOnlyWhenNoNewOrRunning) {
 
 TEST(Job, HasActiveUnlessAllKilled) {
   Job job;
-  job.procs.push_back({"A", "red", 1, ProcState::killed, 0});
+  job.procs.push_back({"A", "red", 1, ProcState::killed, 0, ""});
   EXPECT_FALSE(job.has_active());
-  job.procs.push_back({"B", "red", 2, ProcState::stopped, 0});
+  job.procs.push_back({"B", "red", 2, ProcState::stopped, 0, ""});
   EXPECT_TRUE(job.has_active());
 }
 
 TEST(Job, FindByNameAndPid) {
   Job job;
-  job.procs.push_back({"A", "red", 10, ProcState::fresh, 0});
-  job.procs.push_back({"B", "green", 10, ProcState::fresh, 0});
+  job.procs.push_back({"A", "red", 10, ProcState::fresh, 0, ""});
+  job.procs.push_back({"B", "green", 10, ProcState::fresh, 0, ""});
   EXPECT_EQ(job.find("A")->machine, "red");
   EXPECT_EQ(job.find("nope"), nullptr);
   // Pids only mean something per machine (§3.5.1): the same pid on two

@@ -1,8 +1,13 @@
 // The fan-in tier end to end: tree construction and record carriage,
 // edge selection counts, the metertap/meter_forward syscall contract,
-// and the controller's one-request-per-machine job ops (DESIGN.md §11).
+// provenance samples carried through forwarders that share a CPU, and the
+// controller's one-request-per-machine job ops (DESIGN.md §11).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "analysis/predicates/service.h"
 #include "analysis/trace_reader.h"
 #include "apps/apps.h"
 #include "control/session.h"
@@ -180,6 +185,58 @@ TEST(FanInTest, MeterForwardSyscallContract) {
   EXPECT_EQ(fic.forwarded, 2u);
   EXPECT_EQ(fic.consumed, 2u);
   EXPECT_TRUE(fic.balanced());
+}
+
+TEST(FanInTest, ForwardersSharingACpuKeepTheirOwnSamples) {
+  // `fanin f1 2 g 1 4` hosts the aggregator over g1 and g2 on g1 and the
+  // one over g3 and g4 on g3, each beside that machine's local filter: two
+  // forwarders per machine, which park for its one CPU inside
+  // meter_forward while the other stages and forwards its own batch. With
+  // every record traced, each sample must ride the batch it was staged
+  // into: none is dropped, every journey makes both hops, and all
+  // journeys from one meter edge leave by the same local filter's uplink.
+  kernel::WorldConfig cfg = dpm::testing::quick_config(4242);
+  cfg.prov_sample_period = 1;
+  kernel::World world(cfg);
+  (void)dpm::testing::add_machines(world, {"hub", "g1", "g2", "g3", "g4"});
+  control::install_monitor(world);
+  apps::install_everywhere(world);
+  world.add_account_everywhere(100);
+  control::spawn_meterdaemons(world);
+  auto live = analysis::pred::install_live_predicates(
+      world, analysis::pred::standard_descriptions());
+  control::MonitorSession s(world, {.host = "hub", .uid = 100});
+  world.run();
+  (void)s.drain_output();
+
+  (void)s.command("filter f1 hub");
+  (void)s.command("fanin f1 2 g 1 4");
+  (void)s.command("predicate add burst: @1:* type=send & @2:* type=send");
+  (void)s.command("newjob j f1");
+  (void)s.command("setflags j send");
+  (void)s.command("addgroup j g 1 4 1 burst_sender self 9 24 64 512 4 400");
+  (void)s.command("startjob j");
+  (void)s.command("removejob j");
+  s.send_line("bye");
+  world.run();
+  live->detector.finish();
+
+  obs::Registry& reg = world.obs();
+  const std::uint64_t sampled = reg.counter("prov.sampled").value();
+  EXPECT_EQ(sampled, 4u * 24u);
+  EXPECT_EQ(reg.counter("prov.dropped").value(), 0u);
+  EXPECT_EQ(reg.counter("prov.completed").value(), sampled);
+  const auto& journeys = world.provenance()->journeys();
+  EXPECT_EQ(journeys.size(), sampled);
+  std::map<std::uint64_t, std::set<std::uint64_t>> uplinks;  // by meter edge
+  for (const auto& j : journeys) {
+    ASSERT_EQ(j.hops.size(), 2u) << "trace " << j.trace_id;
+    uplinks[j.edge].insert(j.hops.front().edge);
+  }
+  EXPECT_EQ(uplinks.size(), 4u);
+  for (const auto& [edge, first_hops] : uplinks) {
+    EXPECT_EQ(first_hops.size(), 1u) << "meter edge " << edge;
+  }
 }
 
 TEST(FanInTest, JobOpsSendOneRequestPerMachine) {

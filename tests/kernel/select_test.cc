@@ -64,7 +64,9 @@ TEST_F(SelectTest, ListenerReadableWhenConnectionPending) {
     auto sel = sys.select({*ls}, false, util::sec(5));
     ASSERT_TRUE(sel.ok());
     listener_ready = !sel->readable.empty();
-    if (listener_ready) ASSERT_TRUE(sys.accept(*ls).ok());
+    if (listener_ready) {
+      ASSERT_TRUE(sys.accept(*ls).ok());
+    }
   });
   (void)world_.spawn(machines_[0], "cli", 100, [&](Sys& sys) {
     sys.sleep(util::msec(5));

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "obs/registry.h"
 
 namespace dpm::obs {
@@ -110,15 +112,13 @@ TEST(ProvenanceTest, FaninDeliverRekeysToOutEdgeIndices) {
   deliver_one(t, 7, 110);
   t.on_filter(7, 0, true, /*final_filter=*/false, 1, 42, 3, 0, 150);
   t.on_filter(7, 1, true, /*final_filter=*/false, 1, 43, 3, 0, 151);
-  t.arm_forward({{0, 7, 0}, {1, 7, 1}});
-  const auto armed = t.take_armed();
-  ASSERT_EQ(armed.size(), 2u);
-  EXPECT_TRUE(t.take_armed().empty());  // consumed exactly once
+  const std::vector<ProvenanceTracker::ForwardSample> samples{{0, 7, 0},
+                                                              {1, 7, 1}};
 
   // The batch lands on edge 9 whose stream already carried 3 records
   // (an earlier batch with no samples aboard still consumes indices).
   t.on_fanin_deliver(9, 3, {}, 200);
-  t.on_fanin_deliver(9, 2, armed, 300);
+  t.on_fanin_deliver(9, 2, samples, 300);
 
   // Old keys are gone, new keys follow the out-edge's record stream.
   EXPECT_FALSE(t.tracked(7, 0));
@@ -139,15 +139,31 @@ TEST(ProvenanceTest, FaninDeliverRekeysToOutEdgeIndices) {
   EXPECT_EQ(t.journeys().front().hops.front().arrive_us, 300);
 }
 
-TEST(ProvenanceTest, CancelArmedKillsTheSamples) {
+TEST(ProvenanceTest, DroppedForwardKillsTheSamples) {
   Registry reg;
   ProvenanceTracker t(cfg(1), &reg);
   deliver_one(t, 7, 100);
   t.on_filter(7, 0, true, /*final_filter=*/false, 1, 42, 3, 0, 150);
-  t.arm_forward({{0, 7, 0}});
-  t.cancel_armed();  // the forward path bailed out
+  t.on_fanin_drop({{0, 7, 0}});  // the forward bailed out or was dropped
   EXPECT_FALSE(t.tracked(7, 0));
   EXPECT_EQ(reg.counter("prov.dropped").value(), 1u);
+}
+
+TEST(ProvenanceTest, SentSamplesSurviveTheirInboundEdgeClosing) {
+  // A forwarder reads its last records, forwards them and closes the
+  // drained inbound edge while the batch is still in flight: the samples
+  // left that edge when the batch was sent, so they reach the next hop.
+  Registry reg;
+  ProvenanceTracker t(cfg(1), &reg);
+  deliver_one(t, 7, 100);
+  t.on_filter(7, 0, true, /*final_filter=*/false, 1, 42, 3, 0, 150);
+  std::vector<ProvenanceTracker::ForwardSample> samples{{0, 7, 0}};
+  t.on_fanin_send(samples);
+  EXPECT_FALSE(t.tracked(7, 0));
+  t.on_edge_closed(7);
+  t.on_fanin_deliver(9, 1, samples, 300);
+  EXPECT_TRUE(t.tracked(9, 0));
+  EXPECT_EQ(reg.counter("prov.dropped").value(), 0u);
 }
 
 TEST(ProvenanceTest, InflightTableIsBoundedWithEviction) {

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cfenv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -204,6 +205,70 @@ TEST(Executive, ParkInsideCatchHandlerKeepsOwnException) {
   EXPECT_EQ(seen_a, 1);
   EXPECT_EQ(seen_b, 2);
   EXPECT_EQ(exec.live_tasks(), 0u);
+}
+
+// 1/3 divided on SSE, so it rounds by MXCSR. Under FE_UPWARD it is one
+// ulp above the round-to-nearest quotient. (glibc's fegetround reads the
+// other half of the state, the x87 control word.)
+double third() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  return one / three;
+}
+
+TEST(Executive, FloatingPointControlIsPerTask) {
+  // MXCSR and the x87 control word are callee-saved, so a switch keeps
+  // them per task: a body's rounding mode survives its park and never
+  // reaches the executive.
+  Executive exec;
+  const double nearest = third();
+  int mode_in_task = -1;
+  double third_in_task = 0;
+  const TaskId id = exec.spawn("upward", [&] {
+    std::fesetround(FE_UPWARD);
+    exec.park_current();
+    mode_in_task = std::fegetround();
+    third_in_task = third();
+  });
+  exec.run();
+  const int mode_outside = std::fegetround();
+  const double third_outside = third();
+  exec.make_runnable(id);
+  exec.run();
+  std::fesetround(FE_TONEAREST);  // in case a switch leaked the task's mode
+  EXPECT_EQ(mode_outside, FE_TONEAREST);
+  EXPECT_EQ(third_outside, nearest);
+  EXPECT_EQ(mode_in_task, FE_UPWARD);
+  EXPECT_GT(third_in_task, nearest);
+}
+
+// A frame of its own: where a call made on the task's stack lands.
+[[gnu::noinline]] std::uintptr_t callee_frame() {
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+}
+
+TEST(Executive, TaskFramesAreAbiAligned) {
+  // The hand-built first frame must leave the stack pointer where the
+  // x86-64 ABI puts it at a call: 16-byte aligned. glibc's printf saves
+  // the vector registers with aligned stores, so "%f" of a double faults
+  // or misprints on a misaligned stack.
+  Executive exec;
+  std::uintptr_t first = 1;
+  std::uintptr_t after_park = 1;
+  char text[32] = {};
+  const TaskId id = exec.spawn("aligned", [&] {
+    first = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    exec.park_current();
+    after_park = callee_frame();
+    volatile double x = 2.5;
+    std::snprintf(text, sizeof text, "%f", x);
+  });
+  exec.run();
+  exec.make_runnable(id);
+  exec.run();
+  EXPECT_EQ(first % 16, 0u);
+  EXPECT_EQ(after_park % 16, 0u);
+  EXPECT_STREQ(text, "2.500000");
 }
 
 // Recurses `depth` frames deep; no stack holds SIZE_MAX of them.
