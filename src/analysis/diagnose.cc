@@ -28,7 +28,8 @@ std::string Diagnosis::render() const {
 
 Diagnosis diagnose(const Trace& trace) {
   const TraceFacts facts(trace);
-  return diagnose(facts, communication_statistics(trace, facts.matcher),
+  const ConnectionMatcher& matcher = facts.ordering.matcher;
+  return diagnose(facts, communication_statistics(trace, matcher),
                   measure_parallelism(facts));
 }
 
@@ -105,11 +106,11 @@ Diagnosis diagnose(const TraceFacts& facts, const CommStats& stats,
     std::uint64_t dgram_sends = 0, dgram_recvs = 0;
     for (const Event& e : trace.events) {
       if (e.type == meter::EventType::send && !e.dest_name.empty() &&
-          facts.matcher.owner_of_name(e.dest_name)) {
+          facts.ordering.matcher.owner_of_name(e.dest_name)) {
         ++dgram_sends;
       }
       if (e.type == meter::EventType::recv && !e.source_name.empty() &&
-          facts.matcher.owner_of_name(e.source_name)) {
+          facts.ordering.matcher.owner_of_name(e.source_name)) {
         ++dgram_recvs;
       }
     }

@@ -52,7 +52,6 @@ std::map<ProcKey, Activity> activity_of(const Trace& trace,
 
 TraceFacts::TraceFacts(const Trace& trace)
     : trace(trace),
-      matcher(trace),
       ordering(order_events(trace)),
       clocks(estimate_clock_alignment(trace, ordering)),
       activity(activity_of(trace, clocks)) {}

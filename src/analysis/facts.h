@@ -44,8 +44,7 @@ struct TraceFacts {
   explicit TraceFacts(Trace&&) = delete;  // would dangle
 
   const Trace& trace;
-  ConnectionMatcher matcher;
-  Ordering ordering;
+  Ordering ordering;  // its matcher is the report's connect/accept join
   ClockAlignment clocks;
   std::map<ProcKey, Activity> activity;  // every process in the trace
 };

@@ -123,7 +123,7 @@ void LiveAnalysis::on_pair(const PairingCore::Pair& p) {
   auto [it, fresh] = chans_.try_emplace(std::pair{s.proc, r.proc},
                                         cfg_.window_us);
   ChanStats& cs = it->second;
-  if (fresh && cfg_.per_channel_histograms) {
+  if (fresh) {
     cs.latency_hist = &reg_->histogram("live.chan_latency_us." +
                                        proc_key_text(s.proc) + "->" +
                                        proc_key_text(r.proc));
@@ -135,7 +135,7 @@ void LiveAnalysis::on_pair(const PairingCore::Pair& p) {
   cs.wnd_msgs.add(r.t_us, 1);
   cs.wnd_bytes.add(r.t_us, static_cast<std::int64_t>(bytes));
   cs.wnd_latency.add(r.t_us, latency);
-  if (cs.latency_hist != nullptr) cs.latency_hist->record(latency);
+  cs.latency_hist->record(latency);
 
   if (!had_cycle_ && relax(send, recv, EdgeKind::message)) propagate(recv);
 }

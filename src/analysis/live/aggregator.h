@@ -46,9 +46,6 @@ namespace dpm::analysis::live {
 struct LiveConfig {
   /// Rolling-stats window, in trace-time microseconds.
   std::int64_t window_us = 1'000'000;
-  /// Also keep one registry latency histogram per directed channel
-  /// ("live.chan_latency_us.<from>-><to>") besides the aggregate.
-  bool per_channel_histograms = true;
   /// Park TTL in units of Lamport progress: an event parked awaiting
   /// routing evidence for more than this much progress is expelled as a
   /// per-channel *gap* (its evidence is presumed lost to a fault) instead
@@ -213,7 +210,8 @@ class LiveAnalysis {
     std::uint64_t total_msgs = 0;
     std::uint64_t total_bytes = 0;
     std::int64_t last_latency_us = 0;
-    obs::Histogram* latency_hist = nullptr;  // per-channel, optional
+    // "live.chan_latency_us.<from>-><to>", besides the aggregate
+    obs::Histogram* latency_hist = nullptr;
   };
 
   void on_pair(const PairingCore::Pair& p);

@@ -59,6 +59,11 @@ class PairingCore {
     return join_.matched_connections();
   }
 
+  /// Hands out the connect/accept join built from the records observed so
+  /// far (the same matcher ConnectionMatcher(trace) builds over them). The
+  /// core must observe nothing after this.
+  ConnectionMatcher take_matcher() { return std::move(join_); }
+
   /// Events parked awaiting routing evidence (stream receives with no
   /// connection join yet, datagram traffic with unresolved names).
   std::size_t parked() const { return parked_; }

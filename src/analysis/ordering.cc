@@ -78,6 +78,7 @@ Ordering order_events(const Trace& trace) {
     }
   }
   out.had_cycle = ready.size() != n;  // possible only from mis-matched pairs
+  out.matcher = pairing.take_matcher();
   return out;
 }
 

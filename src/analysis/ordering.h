@@ -38,6 +38,8 @@ struct Ordering {
   std::size_t clock_anomalies = 0;   // recv local time < send local time
   std::int64_t max_anomaly_us = 0;
   bool had_cycle = false;  // matching produced a cyclic constraint set
+  /// The connect/accept join the pairing built over the whole trace.
+  ConnectionMatcher matcher;
 
   std::uint64_t lamport_of(std::size_t trace_index) const {
     return events[trace_index].lamport;

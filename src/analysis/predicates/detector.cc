@@ -4,6 +4,17 @@
 
 namespace dpm::analysis::pred {
 
+namespace {
+
+/// Cap on concrete instantiations per predicate (cartesian growth over
+/// wildcard selectors); beyond it new combinations are counted
+/// (pred.instantiations_capped) and ignored.
+constexpr std::size_t kMaxInstantiations = 64;
+/// Cap on retained (not yet consumed) verdicts.
+constexpr std::size_t kMaxVerdicts = 4096;
+
+}  // namespace
+
 PredicateDetector::PredicateDetector(const filter::Descriptions& desc,
                                      DetectorConfig cfg, obs::Registry* reg)
     : desc_(desc), cfg_(cfg), updates_(desc) {
@@ -82,7 +93,7 @@ void PredicateDetector::expand_combos(std::size_t pi, std::size_t pinned,
   PredState& ps = preds_[pi];
   const std::size_t n = ps.compiled.locals().size();
   if (at == n) {
-    if (ps.insts.size() >= cfg_.max_instantiations) {
+    if (ps.insts.size() >= kMaxInstantiations) {
       ++capped_;
       c_capped_->add(1);
       return;
@@ -599,7 +610,7 @@ void PredicateDetector::emit_verdict(
   h_lag_->record(v.detect_lag_us);
 
   verdicts_.push_back(std::move(v));
-  while (verdicts_.size() > cfg_.max_verdicts) {
+  while (verdicts_.size() > kMaxVerdicts) {
     verdicts_.pop_front();
     if (taken_ > 0) --taken_;
   }

@@ -72,12 +72,6 @@ struct DetectorConfig {
   /// verdict tiers (see header comment). World::clock_skew_bound_us()
   /// computes a sound value for a simulated world.
   std::int64_t epsilon_us = 1000;
-  /// Cap on concrete instantiations per predicate (cartesian growth over
-  /// wildcard selectors); beyond it new combinations are counted
-  /// (pred.instantiations_capped) and ignored.
-  std::size_t max_instantiations = 64;
-  /// Cap on retained (not yet consumed) verdicts.
-  std::size_t max_verdicts = 4096;
   /// Cap on retained send stamps (sends settled but whose receive has
   /// not). Stamps normally die when the receive settles or the pairing
   /// TTL expels the send; the cap bounds the residue of sends whose
@@ -134,7 +128,7 @@ class PredicateDetector : public live::LiveObserver {
 
   /// Verdicts emitted since the last take; order is emission order.
   std::vector<Verdict> take_verdicts();
-  /// All verdicts retained so far (bounded by cfg.max_verdicts).
+  /// All verdicts retained so far (the newest kMaxVerdicts in detector.cc).
   const std::deque<Verdict>& verdicts() const { return verdicts_; }
 
   struct PredicateStatus {

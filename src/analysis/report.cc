@@ -92,10 +92,11 @@ std::string render_connections(const std::vector<ConnStat>& conns) {
 
 std::string full_report(const Trace& trace) {
   const TraceFacts facts(trace);
-  const CommStats stats = communication_statistics(trace, facts.matcher);
+  const ConnectionMatcher& matcher = facts.ordering.matcher;
+  const CommStats stats = communication_statistics(trace, matcher);
   const ParallelismProfile parallelism = measure_parallelism(facts);
   return render_comm_stats(stats) +
-         render_connections(connection_table(trace, facts.matcher)) +
+         render_connections(connection_table(trace, matcher)) +
          render_ordering(trace, facts.ordering) +
          render_parallelism(parallelism) + "== timeline ==\n" +
          render_timeline(facts) + diagnose(facts, stats, parallelism).render();

@@ -64,12 +64,10 @@ std::vector<std::string_view> split_ws(std::string_view s) {
 /// not a silent wrong replay.
 std::string config_to_string(const kernel::WorldConfig& c) {
   return util::strprintf(
-      "meter_buffer_bytes=%zu meter_buffer_msgs=%u fanin_queue_bytes=%zu "
-      "prov_sample_period=%u cpu_grain_us=%lld max_descriptors=%zu "
-      "stream_window=%zu dgram_queue_max=%zu",
-      c.meter_buffer_bytes, c.meter_buffer_msgs, c.fanin_queue_bytes,
-      c.prov_sample_period, static_cast<long long>(util::count_us(c.cpu_grain)),
-      c.max_descriptors, c.stream_window, c.dgram_queue_max);
+      "meter_buffer_bytes=%zu meter_buffer_msgs=%u prov_sample_period=%u "
+      "max_descriptors=%zu",
+      c.meter_buffer_bytes, c.meter_buffer_msgs, c.prov_sample_period,
+      c.max_descriptors);
 }
 
 bool config_parse(std::string_view text, kernel::WorldConfig* c,
@@ -87,12 +85,8 @@ bool config_parse(std::string_view text, kernel::WorldConfig* c,
     }
     if (key == "meter_buffer_bytes") c->meter_buffer_bytes = v;
     else if (key == "meter_buffer_msgs") c->meter_buffer_msgs = static_cast<std::uint32_t>(v);
-    else if (key == "fanin_queue_bytes") c->fanin_queue_bytes = v;
     else if (key == "prov_sample_period") c->prov_sample_period = static_cast<std::uint32_t>(v);
-    else if (key == "cpu_grain_us") c->cpu_grain = util::usec(static_cast<std::int64_t>(v));
     else if (key == "max_descriptors") c->max_descriptors = v;
-    else if (key == "stream_window") c->stream_window = v;
-    else if (key == "dgram_queue_max") c->dgram_queue_max = v;
     else return fail(error, "unknown config key '" + std::string(key) + "'");
   }
   return true;

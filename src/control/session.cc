@@ -58,7 +58,7 @@ MonitorSession::MonitorSession(kernel::World& world, Options opts)
   assert(host && "unknown session host");
   host_ = host->id;
 
-  if (opts.grant_accounts) world.add_account_everywhere(opts.uid);
+  world.add_account_everywhere(opts.uid);
 
   stdin_pipe_ = std::make_shared<kernel::HostPipe>();
   stdout_pipe_ = std::make_shared<kernel::HostPipe>();

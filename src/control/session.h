@@ -36,8 +36,8 @@ class MonitorSession {
  public:
   struct Options {
     std::string host;          // machine the user works from (Fig 3.5)
-    kernel::Uid uid = 100;     // the programmer's account
-    bool grant_accounts = true;  // add the account on every machine
+    kernel::Uid uid = 100;     // the programmer's account, added on every
+                               // machine
   };
 
   MonitorSession(kernel::World& world, Options opts);

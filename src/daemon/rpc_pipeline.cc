@@ -15,26 +15,25 @@ using kernel::Fd;
 using kernel::Sys;
 using util::Err;
 
+/// Pause before a call's first retry; it doubles per retry up to the cap.
+constexpr util::Duration kBackoff = util::msec(50);
+constexpr util::Duration kBackoffMax = util::msec(800);
+
 bool retryable(Err e) {
   return e == Err::etimedout || e == Err::econnrefused ||
          e == Err::econnreset || e == Err::epipe;
 }
 
-/// Nonce carried by a request (0: none — replies then match by connection
-/// alone, which a fresh-socket-per-attempt pipeline already guarantees).
-std::uint64_t request_nonce(const DaemonMsg& m) {
-  if (const auto* c = std::get_if<CreateRequest>(&m)) return c->nonce;
-  if (const auto* f = std::get_if<FilterRequest>(&m)) return f->nonce;
-  if (const auto* b = std::get_if<BatchCreateRequest>(&m)) return b->nonce;
-  if (const auto* p = std::get_if<BatchProcRequest>(&m)) return p->nonce;
-  return 0;
-}
-
-/// Nonce echoed by a reply (0: the reply type carries none).
-std::uint64_t reply_nonce(const DaemonMsg& m) {
-  if (const auto* b = std::get_if<BatchCreateReply>(&m)) return b->nonce;
-  if (const auto* p = std::get_if<BatchProcReply>(&m)) return p->nonce;
-  return 0;
+/// The nonce a request carries or a reply echoes (0: its type has none —
+/// replies then match by connection alone, which a fresh-socket-per-attempt
+/// pipeline already guarantees).
+std::uint64_t nonce_of(const DaemonMsg& m) {
+  return std::visit(
+      [](const auto& b) -> std::uint64_t {
+        if constexpr (requires { b.nonce; }) return b.nonce;
+        return 0;
+      },
+      m);
 }
 
 /// Metric-key fragment for a request type ("daemon.rpc_<name>_us").
@@ -60,12 +59,12 @@ enum class St { idle, connecting, awaiting, backoff, done };
 struct CallState {
   St st = St::idle;
   Fd fd = -1;
-  int attempts = 0;            // attempts launched so far
-  util::Duration pause{};      // next backoff pause (doubles per retry)
-  util::TimePoint begun{};     // first launch
-  util::TimePoint deadline{};  // current attempt's expiry
-  util::TimePoint resume{};    // end of the current backoff
-  util::Bytes buf;             // reply re-framing (one frame per exchange)
+  int attempts = 0;                 // attempts launched so far
+  util::Duration pause = kBackoff;  // next backoff pause (doubles per retry)
+  util::TimePoint begun{};          // first launch
+  util::TimePoint deadline{};       // current attempt's expiry
+  util::TimePoint resume{};         // end of the current backoff
+  util::Bytes buf;                  // reply re-framing (one frame per exchange)
 };
 
 }  // namespace
@@ -80,9 +79,6 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls) {
   reg.counter("daemon.rpc_calls").add(calls.size());
 
   std::vector<CallState> st(calls.size());
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    st[i].pause = calls[i].opts.backoff;
-  }
 
   std::size_t done = 0;
   std::size_t ok = 0;
@@ -128,7 +124,7 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls) {
     c.fd = -1;
     c.st = St::backoff;
     c.resume = sys.world().now() + c.pause;
-    c.pause = std::min(c.pause + c.pause, calls[i].opts.backoff_max);
+    c.pause = std::min(c.pause + c.pause, kBackoffMax);
   };
 
   auto launch = [&](std::size_t i) {
@@ -181,16 +177,13 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls) {
     }
     c.buf.insert(c.buf.end(), data->begin(), data->end());
     if (c.buf.size() < 4) return;
-    const std::uint32_t size = static_cast<std::uint32_t>(c.buf[0]) |
-                               static_cast<std::uint32_t>(c.buf[1]) << 8 |
-                               static_cast<std::uint32_t>(c.buf[2]) << 16 |
-                               static_cast<std::uint32_t>(c.buf[3]) << 24;
-    if (size < 8 || size > (1u << 20)) {
+    const auto size = frame_size(c.buf.data());
+    if (!size) {
       fail_attempt(i, Err::einval);  // garbage frame: not worth a retry
       return;
     }
-    if (c.buf.size() < size) return;  // reply still arriving
-    util::Bytes wire(c.buf.begin(), c.buf.begin() + size);
+    if (c.buf.size() < *size) return;  // reply still arriving
+    util::Bytes wire(c.buf.begin(), c.buf.begin() + *size);
     auto msg = parse(wire);
     if (!msg) {
       fail_attempt(i, Err::einval);
@@ -199,8 +192,8 @@ std::size_t run_pipeline(Sys& sys, std::vector<PipelinedCall>& calls) {
     // A nonce-carrying reply must echo the request's nonce. A mismatch is
     // a stale or crossed exchange: retry on a fresh connection — the
     // daemon's replay cache makes the retry safe.
-    const std::uint64_t want = request_nonce(calls[i].request);
-    const std::uint64_t got = reply_nonce(*msg);
+    const std::uint64_t want = nonce_of(calls[i].request);
+    const std::uint64_t got = nonce_of(*msg);
     if (want != 0 && got != 0 && want != got) {
       mismatches.add(1);
       fail_attempt(i, Err::econnreset);

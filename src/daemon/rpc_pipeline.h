@@ -25,8 +25,6 @@ namespace dpm::daemon {
 struct RpcOptions {
   util::Duration deadline = util::msec(250);  // per attempt: connect + reply
   int max_attempts = 4;
-  util::Duration backoff = util::msec(50);    // doubles per retry
-  util::Duration backoff_max = util::msec(800);
 };
 
 /// Exchanges a pipeline keeps in flight at once.

@@ -118,11 +118,7 @@ class FrameSplitter {
     std::size_t pos = 0;
     std::size_t n = 0;
     while (len - pos >= 4) {
-      const std::uint32_t size =
-          static_cast<std::uint32_t>(base[pos]) |
-          static_cast<std::uint32_t>(base[pos + 1]) << 8 |
-          static_cast<std::uint32_t>(base[pos + 2]) << 16 |
-          static_cast<std::uint32_t>(base[pos + 3]) << 24;
+      const std::uint32_t size = util::load_u32(base + pos);
       if (size < meter::kHeaderSize || size > (1u << 20)) {
         desyncs_->add(1);
         buf_.clear();

@@ -118,10 +118,7 @@ void FilterEngine::drain(std::uint64_t conn, const util::Bytes& data,
   std::size_t pos = 0;
   bool desync = false;
   while (len - pos >= 4) {
-    const std::uint32_t size = static_cast<std::uint32_t>(base[pos]) |
-                               static_cast<std::uint32_t>(base[pos + 1]) << 8 |
-                               static_cast<std::uint32_t>(base[pos + 2]) << 16 |
-                               static_cast<std::uint32_t>(base[pos + 3]) << 24;
+    const std::uint32_t size = util::load_u32(base + pos);
     if (size < meter::kHeaderSize || size > (1u << 20)) {
       // Desynchronized stream: drop the connection's buffer.
       malformed_->add(1);

@@ -5,9 +5,9 @@
 // Filter programs key their engine connections by fd, so the adapter maps
 // fd -> socket id (resolved once per accept via Sys::socket_id) and keeps
 // the per-connection record count the index is derived from. Identity
-// fields for live binding are read straight off the wire bytes at their
-// fixed header offsets — no WirePlan, no decode, and nothing added to the
-// wire, so filter logs stay byte-identical with tracing on or off.
+// fields for live binding are read straight off the wire bytes through the
+// header's field list — no WirePlan, no body decode, and nothing added to
+// the wire, so filter logs stay byte-identical with tracing on or off.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +20,9 @@
 
 namespace dpm::filter {
 
-/// Identity fields of one wire record, at the fixed MeterHeader offsets
-/// (meter/metermsgs.h): machine u16@4, cpuTime i64@6, traceType u32@22,
-/// and pid i32@26 — the first body field, common to every record type.
+/// Identity fields of one wire record: the MeterHeader's machine, cpuTime
+/// and traceType (meter/metermsgs.h), and pid — the first body field,
+/// common to every record type.
 struct WireIdentity {
   std::uint16_t machine = 0;
   std::int32_t pid = 0;
@@ -31,29 +31,15 @@ struct WireIdentity {
 };
 
 inline WireIdentity wire_identity(const std::uint8_t* raw, std::size_t size) {
-  auto u16 = [raw](std::size_t at) {
-    return static_cast<std::uint16_t>(raw[at] |
-                                      static_cast<std::uint16_t>(raw[at + 1])
-                                          << 8);
-  };
-  auto u32 = [raw](std::size_t at) {
-    return static_cast<std::uint32_t>(raw[at]) |
-           static_cast<std::uint32_t>(raw[at + 1]) << 8 |
-           static_cast<std::uint32_t>(raw[at + 2]) << 16 |
-           static_cast<std::uint32_t>(raw[at + 3]) << 24;
-  };
-  auto u64 = [&u32](std::size_t at) {
-    return static_cast<std::uint64_t>(u32(at)) |
-           static_cast<std::uint64_t>(u32(at + 4)) << 32;
-  };
   WireIdentity id;
-  if (size < meter::kHeaderSize) return id;  // engine framed it; be safe
-  id.machine = u16(4);
-  id.cpu_time = static_cast<std::int64_t>(u64(6));
-  id.type = u32(22);
-  if (size >= meter::kHeaderSize + 4) {
-    id.pid = static_cast<std::int32_t>(u32(meter::kHeaderSize));
-  }
+  util::BinaryReader r(raw, size);
+  meter::MeterHeader h;
+  meter::MeterHeader::fields(h, [&](const char*, auto& v) { (void)r.get(v); });
+  if (!r.ok()) return id;  // the engine framed it; be safe
+  id.machine = h.machine;
+  id.cpu_time = h.cpu_time;
+  id.type = static_cast<std::uint32_t>(h.trace_type);
+  (void)r.get(id.pid);  // stays 0 on a header-only record
   return id;
 }
 

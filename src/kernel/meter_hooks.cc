@@ -59,7 +59,7 @@ void meter_emit(World& world, Process& p, MeterEventDraft&& draft) {
   meter::MeterMsg msg{meter::MeterHeader{}, std::move(draft.body)};
   msg.header.machine = m.index;
   msg.header.cpu_time = m.clock.read_us(world.exec().now());
-  const std::int64_t grain = cfg.cpu_grain.count();
+  const std::int64_t grain = kCpuGrain.count();
   const std::int64_t cpu_used = p.cpu_used.count();
   // Below one grain the quantized reading is zero; skip the division that
   // otherwise runs on every metered event.

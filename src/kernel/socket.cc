@@ -14,6 +14,14 @@
 namespace dpm::kernel {
 namespace {
 
+/// Fan-in tier backpressure bound: a forwarded batch arriving at an
+/// aggregation-tier socket whose receive buffer already holds this many
+/// bytes is dropped whole, with every record booked to the tier's overflow
+/// counter (batches are frame-aligned, so drops never cut a record in
+/// half). Keeps aggregator occupancy bounded under storms while the
+/// conservation ledger stays exact.
+constexpr std::size_t kFaninQueueBytes = 256 * 1024;
+
 /// Framed records remaining in a meter conn's rbuf past the read cursor:
 /// `head` = 1 if a frame was partially consumed at the cursor (its
 /// remainder — possibly the whole buffer — is skipped), `complete` = full
@@ -39,10 +47,7 @@ FrameRemainder count_remaining_frames(const Socket& s) {
     if (need == 0) {
       while (hdr_have < 4 && pos < n) hdr[hdr_have++] = buf[pos++];
       if (hdr_have < 4) return out;  // remainder all belongs to the head
-      const std::uint32_t size = static_cast<std::uint32_t>(hdr[0]) |
-                                 static_cast<std::uint32_t>(hdr[1]) << 8 |
-                                 static_cast<std::uint32_t>(hdr[2]) << 16 |
-                                 static_cast<std::uint32_t>(hdr[3]) << 24;
+      const std::uint32_t size = util::load_u32(hdr);
       need = size > 4 ? size - 4 : 0;
     }
     if (n - pos < need) return out;  // head frame swallows the rest
@@ -235,10 +240,7 @@ void World::meter_consume(Socket& s, const std::uint8_t* data, std::size_t n) {
       if (s.frame_hdr_have == 0 && n >= 4) {
         // Whole size word available in place — the steady state for every
         // record after the first of a chunk.
-        size = static_cast<std::uint32_t>(data[0]) |
-               static_cast<std::uint32_t>(data[1]) << 8 |
-               static_cast<std::uint32_t>(data[2]) << 16 |
-               static_cast<std::uint32_t>(data[3]) << 24;
+        size = util::load_u32(data);
         data += 4;
         n -= 4;
       } else {
@@ -250,10 +252,7 @@ void World::meter_consume(Socket& s, const std::uint8_t* data, std::size_t n) {
           consumed_ctr->add(consumed);
           return;
         }
-        size = static_cast<std::uint32_t>(s.frame_hdr[0]) |
-               static_cast<std::uint32_t>(s.frame_hdr[1]) << 8 |
-               static_cast<std::uint32_t>(s.frame_hdr[2]) << 16 |
-               static_cast<std::uint32_t>(s.frame_hdr[3]) << 24;
+        size = util::load_u32(s.frame_hdr);
         s.frame_hdr_have = 0;
       }
       if (size <= 4) {  // degenerate frame: complete at its header
@@ -347,7 +346,7 @@ bool World::kernel_fanin_forward(
           if (prov_) prov_->on_fanin_drop(samples);
           return;
         }
-        if (p->rbuf.size() >= cfg_.fanin_queue_bytes) {
+        if (p->rbuf.size() >= kFaninQueueBytes) {
           // Backpressure by accounted drop: the receiver is not draining.
           // Batches are frame-aligned, so the whole batch goes — records
           // are never cut in half by overflow.

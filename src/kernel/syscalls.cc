@@ -12,6 +12,7 @@ using util::Err;
 
 namespace {
 constexpr std::size_t kDgramMax = 16 * 1024;
+constexpr std::size_t kStreamWindow = 64 * 1024;  // per-connection window
 }
 
 // ---------------------------------------------------------------------------
@@ -27,7 +28,7 @@ std::int64_t Sys::clock_us() const {
 }
 
 std::int64_t Sys::proctime_us() const {
-  const std::int64_t grain = world_.config().cpu_grain.count();
+  const std::int64_t grain = kCpuGrain.count();
   return (proc_->cpu_used.count() / grain) * grain;
 }
 
@@ -595,7 +596,7 @@ util::SysResult<std::size_t> Sys::stream_send(Socket& s,
                                               const util::Bytes& data) {
   if (s.sstate != Socket::StreamState::connected) return Err::enotconn;
   const SocketId sid = s.id;
-  const std::size_t window = world_.config().stream_window;
+  const std::size_t window = kStreamWindow;
   std::size_t sent = 0;
 
   while (sent < data.size()) {
@@ -674,12 +675,11 @@ util::SysResult<std::size_t> Sys::dgram_send(Socket& s, const util::Bytes& data,
     World* w = &world_;
     const net::SockAddr source = s.name;
     const net::SockAddr to = dest;
-    const std::size_t max_queue = world_.config().dgram_queue_max;
     util::Bytes payload = data;
     world_.fabric().send(
         over_net, proc_->machine, target, /*channel=*/0, /*droppable=*/!local,
         data.size(),
-        [w, target, to, source, payload = std::move(payload), max_queue]() mutable {
+        [w, target, to, source, payload = std::move(payload)]() mutable {
           Machine& m = w->machine(target);
           if (!m.up) return;  // a crashed machine loses arriving datagrams
           SocketId sid = 0;
@@ -692,7 +692,7 @@ util::SysResult<std::size_t> Sys::dgram_send(Socket& s, const util::Bytes& data,
           }
           Socket* rs = sid ? w->find_socket(sid) : nullptr;
           if (!rs || rs->type != SockType::dgram) return;   // dropped
-          if (rs->dgrams.size() >= max_queue) return;       // queue overflow
+          if (rs->dgrams.size() >= kDgramQueueMax) return;  // queue overflow
           rs->dgrams.push_back(Datagram{source, std::move(payload)});
           rs->readers.wake_all(w->exec());
         });

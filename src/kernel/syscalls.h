@@ -35,6 +35,9 @@ struct ProcessExit {
   int status;
 };
 
+/// Datagrams queued per socket; one arriving at a full queue is dropped.
+inline constexpr std::size_t kDgramQueueMax = 64;
+
 struct SelectResult {
   std::vector<Fd> readable;
   std::vector<Fd> writable;
@@ -193,7 +196,7 @@ class Sys {
   /// Ships a frame-aligned batch of `records` accepted meter records up a
   /// metertap'd edge. Charged like a send; bypasses the stream window (the
   /// fan-in backpressure policy is the receiver-side accounted drop, see
-  /// WorldConfig::fanin_queue_bytes). Returns epipe when the edge is dead
+  /// kFaninQueueBytes in socket.cc). Returns epipe when the edge is dead
   /// — the records are then already booked fanin.lost_records, so the
   /// caller may reconnect but must not re-send the batch. `samples` are
   /// the batch's provenance samples: they ride the batch to delivery, and

@@ -60,25 +60,18 @@ struct WorldConfig {
   /// sufficient number of messages have been stored").
   std::size_t meter_buffer_bytes = 1024;
   std::uint32_t meter_buffer_msgs = 8;
-  /// Fan-in tier backpressure bound: a forwarded batch arriving at an
-  /// aggregation-tier socket whose receive buffer already holds this many
-  /// bytes is dropped whole, with every record booked to the tier's
-  /// overflow counter (batches are frame-aligned, so drops never cut a
-  /// record in half). Keeps aggregator occupancy bounded under storms
-  /// while the conservation ledger stays exact.
-  std::size_t fanin_queue_bytes = 256 * 1024;
   /// Record-lifecycle provenance (obs/provenance.h): every Nth record per
   /// meter edge is traced through emit -> transport -> filter -> fan-in ->
   /// live settle -> predicate verdict, into the stage.* / e2e.* latency
   /// histograms. The sampler is seeded from `seed`, identities ride a
   /// side-table (never the wire), and 0 disables tracing entirely.
   std::uint32_t prov_sample_period = 64;
-  /// CPU accounting reporting grain — "CPU use is updated in increments of
-  /// 10ms" (§4.1).
-  util::Duration cpu_grain = util::msec(10);
   std::size_t max_descriptors = 64;
-  std::size_t stream_window = 64 * 1024;  // per-connection receive window
-  std::size_t dgram_queue_max = 64;       // datagrams queued per socket
 };
+
+/// CPU accounting reporting grain — "CPU use is updated in increments of
+/// 10ms" (§4.1): the procTime a meter record carries and getrusage-style
+/// readings are multiples of it.
+inline constexpr util::Duration kCpuGrain = util::msec(10);
 
 }  // namespace dpm::kernel

@@ -212,7 +212,7 @@ class World {
   /// `records` meter records up a tier-1 edge, bypassing the stream window.
   /// Every record is booked `fanin.forwarded_records` here and lands in
   /// exactly one terminal bucket: lost (dead endpoint at send or delivery),
-  /// overflow (receiver rbuf at fanin_queue_bytes — whole batch dropped),
+  /// overflow (receiver rbuf at kFaninQueueBytes — whole batch dropped),
   /// or the receiver's rbuf (buffered, later consumed/stranded/malformed).
   /// The batch's provenance `samples` follow it into that bucket: re-keyed
   /// onto the receiving edge at delivery, killed on every drop.

@@ -1,6 +1,6 @@
 #include "meter/metermsgs.h"
 
-#include <cassert>
+#include <type_traits>
 
 #include "meter/meterflags.h"
 #include "util/strings.h"
@@ -91,111 +91,109 @@ std::optional<EventType> event_by_name(std::string_view name) {
   return std::nullopt;
 }
 
+namespace {
+
+// The four codecs, each a visitor over a struct's fields() list.
+
+template <typename T>
+constexpr bool kIsNamePair = false;
+template <typename S>
+constexpr bool kIsNamePair<NamePair<S>> = true;
+
+struct Put {
+  util::BinaryWriter& w;
+  template <typename T>
+  void operator()(const char*, const T& v) const {
+    if constexpr (kIsNamePair<T>) {
+      w.u32(static_cast<std::uint32_t>(v.sock_name.size()));
+      w.u32(static_cast<std::uint32_t>(v.peer_name.size()));
+      w.raw(reinterpret_cast<const std::uint8_t*>(v.sock_name.data()),
+            v.sock_name.size());
+      w.raw(reinterpret_cast<const std::uint8_t*>(v.peer_name.data()),
+            v.peer_name.size());
+    } else {
+      w.put(v);
+    }
+  }
+};
+
+struct Size {
+  std::size_t& n;
+  template <typename T>
+  void operator()(const char*, const T& v) const {
+    if constexpr (kIsNamePair<T>) {
+      n += 8 + v.sock_name.size() + v.peer_name.size();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      n += 4 + v.size();
+    } else {
+      n += sizeof(T);
+    }
+  }
+};
+
+struct Get {
+  util::BinaryReader& r;
+  template <typename T>
+  void operator()(const char*, T&& v) const {
+    if constexpr (kIsNamePair<std::decay_t<T>>) {
+      std::uint32_t sn = 0;
+      std::uint32_t pn = 0;
+      if (!r.get(sn) || !r.get(pn)) return;
+      auto s = r.raw(sn);
+      auto p = r.raw(pn);
+      if (!s || !p) return;
+      v.sock_name.assign(s->begin(), s->end());
+      v.peer_name.assign(p->begin(), p->end());
+    } else {
+      (void)r.get(v);  // a failed read leaves the reader failed
+    }
+  }
+};
+
+struct Print {
+  std::string& out;
+  template <typename T>
+  void operator()(const char* label, const T& v) const {
+    if constexpr (kIsNamePair<T>) {
+      out += " sockName=" + v.sock_name + " peerName=" + v.peer_name;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out += util::strprintf(" %s=%s", label, v.c_str());
+    } else if constexpr (std::is_signed_v<T>) {
+      out += util::strprintf(" %s=%lld", label, static_cast<long long>(v));
+    } else {
+      out += util::strprintf(" %s=%llu", label,
+                             static_cast<unsigned long long>(v));
+    }
+  }
+};
+
+/// Runs `f` over the fields of whichever body `body` holds.
+template <typename Body, typename F>
+void visit_fields(Body& body, F f) {
+  std::visit([&](auto& b) { std::decay_t<decltype(b)>::fields(b, f); }, body);
+}
+
+/// A default body of type `t`; nullopt for a number that is no event type.
+std::optional<MeterBody> body_of(EventType t) {
+  return util::alternative_of<MeterBody>(t);
+}
+
+}  // namespace
+
+MeterMsg make_msg(EventType t) {
+  MeterMsg m;
+  if (auto body = body_of(t)) m.body = std::move(*body);
+  m.header.trace_type = t;
+  return m;
+}
+
 EventType MeterMsg::type() const {
-  return static_cast<EventType>(
-      std::visit([](const auto& b) -> std::uint32_t {
-        using B = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<B, MeterSend>) return 1;
-        else if constexpr (std::is_same_v<B, MeterRecv>) return 2;
-        else if constexpr (std::is_same_v<B, MeterRecvCall>) return 3;
-        else if constexpr (std::is_same_v<B, MeterSockCrt>) return 4;
-        else if constexpr (std::is_same_v<B, MeterDup>) return 5;
-        else if constexpr (std::is_same_v<B, MeterDestSock>) return 6;
-        else if constexpr (std::is_same_v<B, MeterFork>) return 7;
-        else if constexpr (std::is_same_v<B, MeterAccept>) return 8;
-        else if constexpr (std::is_same_v<B, MeterConnect>) return 9;
-        else return 10;
-      }, body));
+  return std::visit([](const auto& b) { return b.kType; }, body);
 }
 
 Pid MeterMsg::pid() const {
   return std::visit([](const auto& b) { return b.pid; }, body);
 }
-
-namespace {
-
-void write_header(util::BinaryWriter& w, const MeterHeader& h, EventType t) {
-  w.u32(0);  // size back-patched
-  w.u16(h.machine);
-  w.i64(h.cpu_time);
-  w.i64(h.proc_time);
-  w.u32(static_cast<std::uint32_t>(t));
-}
-
-struct BodyWriter {
-  util::BinaryWriter& w;
-
-  void common(Pid pid, std::uint32_t pc) {
-    w.i32(pid);
-    w.u32(pc);
-  }
-  void operator()(const MeterSend& b) {
-    common(b.pid, b.pc);
-    w.u64(b.sock);
-    w.u32(b.msg_length);
-    w.lstring(b.dest_name);
-  }
-  void operator()(const MeterRecv& b) {
-    common(b.pid, b.pc);
-    w.u64(b.sock);
-    w.u32(b.msg_length);
-    w.lstring(b.source_name);
-  }
-  void operator()(const MeterRecvCall& b) {
-    common(b.pid, b.pc);
-    w.u64(b.sock);
-  }
-  void operator()(const MeterSockCrt& b) {
-    common(b.pid, b.pc);
-    w.u64(b.sock);
-    w.u32(b.domain);
-    w.u32(b.type);
-    w.u32(b.protocol);
-  }
-  void operator()(const MeterDup& b) {
-    common(b.pid, b.pc);
-    w.u64(b.sock);
-    w.u64(b.new_sock);
-  }
-  void operator()(const MeterDestSock& b) {
-    common(b.pid, b.pc);
-    w.u64(b.sock);
-  }
-  void operator()(const MeterFork& b) {
-    common(b.pid, b.pc);
-    w.i32(b.new_pid);
-  }
-  // Accept/connect carry two names; as in the paper's structs both length
-  // fields precede the name bytes so description files can use fixed
-  // offsets for the lengths.
-  void operator()(const MeterAccept& b) {
-    common(b.pid, b.pc);
-    w.u64(b.sock);
-    w.u64(b.new_sock);
-    w.u32(static_cast<std::uint32_t>(b.sock_name.size()));
-    w.u32(static_cast<std::uint32_t>(b.peer_name.size()));
-    w.raw(reinterpret_cast<const std::uint8_t*>(b.sock_name.data()),
-          b.sock_name.size());
-    w.raw(reinterpret_cast<const std::uint8_t*>(b.peer_name.data()),
-          b.peer_name.size());
-  }
-  void operator()(const MeterConnect& b) {
-    common(b.pid, b.pc);
-    w.u64(b.sock);
-    w.u32(static_cast<std::uint32_t>(b.sock_name.size()));
-    w.u32(static_cast<std::uint32_t>(b.peer_name.size()));
-    w.raw(reinterpret_cast<const std::uint8_t*>(b.sock_name.data()),
-          b.sock_name.size());
-    w.raw(reinterpret_cast<const std::uint8_t*>(b.peer_name.data()),
-          b.peer_name.size());
-  }
-  void operator()(const MeterTermProc& b) {
-    common(b.pid, b.pc);
-    w.i32(b.status);
-  }
-};
-
-}  // namespace
 
 util::Bytes MeterMsg::serialize() const {
   util::Bytes out;
@@ -222,174 +220,19 @@ void MeterMsg::serialize_into(util::Bytes& out) const {
 }
 
 void MeterMsg::encode_into(util::BinaryWriter& w) const {
-  write_header(w, header, type());
-  std::visit(BodyWriter{w}, body);
+  // The size word is back-patched; the type word comes from the body.
+  const MeterHeader h{0, header.machine, header.cpu_time, header.proc_time,
+                      type()};
+  MeterHeader::fields(h, Put{w});
+  visit_fields(body, Put{w});
   w.patch_u32(0, static_cast<std::uint32_t>(w.size()));
 }
 
-namespace {
-
-struct BodySizer {
-  // pid i32 + pc u32, common to every body.
-  static constexpr std::size_t kCommon = 8;
-
-  std::size_t operator()(const MeterSend& b) const {
-    return kCommon + 8 + 4 + 4 + b.dest_name.size();
-  }
-  std::size_t operator()(const MeterRecv& b) const {
-    return kCommon + 8 + 4 + 4 + b.source_name.size();
-  }
-  std::size_t operator()(const MeterRecvCall&) const { return kCommon + 8; }
-  std::size_t operator()(const MeterSockCrt&) const { return kCommon + 8 + 12; }
-  std::size_t operator()(const MeterDup&) const { return kCommon + 16; }
-  std::size_t operator()(const MeterDestSock&) const { return kCommon + 8; }
-  std::size_t operator()(const MeterFork&) const { return kCommon + 4; }
-  std::size_t operator()(const MeterAccept& b) const {
-    return kCommon + 16 + 8 + b.sock_name.size() + b.peer_name.size();
-  }
-  std::size_t operator()(const MeterConnect& b) const {
-    return kCommon + 8 + 8 + b.sock_name.size() + b.peer_name.size();
-  }
-  std::size_t operator()(const MeterTermProc&) const { return kCommon + 4; }
-};
-
-}  // namespace
-
 std::size_t MeterMsg::wire_size() const {
-  return kHeaderSize + std::visit(BodySizer{}, body);
+  std::size_t n = kHeaderSize;
+  visit_fields(body, Size{n});
+  return n;
 }
-
-namespace {
-
-template <typename T>
-bool read_common(util::BinaryReader& r, T& b) {
-  auto pid = r.i32();
-  auto pc = r.u32();
-  if (!pid || !pc) return false;
-  b.pid = *pid;
-  b.pc = *pc;
-  return true;
-}
-
-std::optional<MeterBody> parse_body(EventType t, util::BinaryReader& r) {
-  switch (t) {
-    case EventType::send: {
-      MeterSend b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto sock = r.u64();
-      auto len = r.u32();
-      auto name = r.lstring();
-      if (!sock || !len || !name) return std::nullopt;
-      b.sock = *sock;
-      b.msg_length = *len;
-      b.dest_name = *name;
-      return MeterBody{b};
-    }
-    case EventType::recv: {
-      MeterRecv b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto sock = r.u64();
-      auto len = r.u32();
-      auto name = r.lstring();
-      if (!sock || !len || !name) return std::nullopt;
-      b.sock = *sock;
-      b.msg_length = *len;
-      b.source_name = *name;
-      return MeterBody{b};
-    }
-    case EventType::recvcall: {
-      MeterRecvCall b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto sock = r.u64();
-      if (!sock) return std::nullopt;
-      b.sock = *sock;
-      return MeterBody{b};
-    }
-    case EventType::sockcrt: {
-      MeterSockCrt b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto sock = r.u64();
-      auto domain = r.u32();
-      auto type = r.u32();
-      auto proto = r.u32();
-      if (!sock || !domain || !type || !proto) return std::nullopt;
-      b.sock = *sock;
-      b.domain = *domain;
-      b.type = *type;
-      b.protocol = *proto;
-      return MeterBody{b};
-    }
-    case EventType::dup: {
-      MeterDup b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto sock = r.u64();
-      auto ns = r.u64();
-      if (!sock || !ns) return std::nullopt;
-      b.sock = *sock;
-      b.new_sock = *ns;
-      return MeterBody{b};
-    }
-    case EventType::destsock: {
-      MeterDestSock b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto sock = r.u64();
-      if (!sock) return std::nullopt;
-      b.sock = *sock;
-      return MeterBody{b};
-    }
-    case EventType::fork: {
-      MeterFork b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto np = r.i32();
-      if (!np) return std::nullopt;
-      b.new_pid = *np;
-      return MeterBody{b};
-    }
-    case EventType::accept: {
-      MeterAccept b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto sock = r.u64();
-      auto ns = r.u64();
-      auto snl = r.u32();
-      auto pnl = r.u32();
-      if (!sock || !ns || !snl || !pnl) return std::nullopt;
-      auto sn = r.fixed_string(*snl);
-      auto pn = r.fixed_string(*pnl);
-      if (!sn || !pn) return std::nullopt;
-      b.sock = *sock;
-      b.new_sock = *ns;
-      b.sock_name = *sn;
-      b.peer_name = *pn;
-      return MeterBody{b};
-    }
-    case EventType::connect: {
-      MeterConnect b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto sock = r.u64();
-      auto snl = r.u32();
-      auto pnl = r.u32();
-      if (!sock || !snl || !pnl) return std::nullopt;
-      auto sn = r.fixed_string(*snl);
-      auto pn = r.fixed_string(*pnl);
-      if (!sn || !pn) return std::nullopt;
-      b.sock = *sock;
-      b.sock_name = *sn;
-      b.peer_name = *pn;
-      return MeterBody{b};
-    }
-    case EventType::termproc: {
-      MeterTermProc b;
-      if (!read_common(r, b)) return std::nullopt;
-      auto st = r.i32();
-      if (!st) return std::nullopt;
-      b.status = *st;
-      return MeterBody{b};
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 std::optional<MeterMsg> MeterMsg::parse(const util::Bytes& wire) {
   std::size_t pos = 0;
@@ -403,106 +246,29 @@ std::optional<MeterMsg> MeterMsg::parse_stream(const util::Bytes& wire,
   if (wire.size() - pos < kHeaderSize) return std::nullopt;
   util::BinaryReader r(wire.data() + pos, wire.size() - pos);
   MeterMsg msg;
-  auto size = r.u32();
-  auto machine = r.u16();
-  auto cpu = r.i64();
-  auto proc = r.i64();
-  auto type = r.u32();
-  if (!size || !machine || !cpu || !proc || !type) return std::nullopt;
-  if (*size < kHeaderSize || wire.size() - pos < *size) return std::nullopt;
-  if (*type < 1 || *type > 10) return std::nullopt;
-  msg.header.size = *size;
-  msg.header.machine = *machine;
-  msg.header.cpu_time = *cpu;
-  msg.header.proc_time = *proc;
-  msg.header.trace_type = static_cast<EventType>(*type);
-  util::BinaryReader body(wire.data() + pos + kHeaderSize, *size - kHeaderSize);
-  auto parsed = parse_body(msg.header.trace_type, body);
-  if (!parsed) return std::nullopt;
-  msg.body = std::move(*parsed);
-  pos += *size;
+  MeterHeader::fields(msg.header, Get{r});
+  const std::uint32_t size = msg.header.size;
+  if (!r.ok() || size < kHeaderSize || wire.size() - pos < size) {
+    return std::nullopt;
+  }
+  auto body = body_of(msg.header.trace_type);
+  if (!body) return std::nullopt;
+  msg.body = std::move(*body);
+  util::BinaryReader br(wire.data() + pos + kHeaderSize, size - kHeaderSize);
+  visit_fields(msg.body, Get{br});
+  if (!br.ok()) return std::nullopt;
+  pos += size;
   return msg;
 }
 
-namespace {
-
-struct BodyPrinter {
-  std::string operator()(const MeterSend& b) const {
-    return util::strprintf("pid=%d sock=%llu len=%u dest=%s", b.pid,
-                           static_cast<unsigned long long>(b.sock),
-                           b.msg_length,
-                           b.dest_name.empty() ? "?" : b.dest_name.c_str());
-  }
-  std::string operator()(const MeterRecv& b) const {
-    return util::strprintf("pid=%d sock=%llu len=%u src=%s", b.pid,
-                           static_cast<unsigned long long>(b.sock),
-                           b.msg_length,
-                           b.source_name.empty() ? "?" : b.source_name.c_str());
-  }
-  std::string operator()(const MeterRecvCall& b) const {
-    return util::strprintf("pid=%d sock=%llu", b.pid,
-                           static_cast<unsigned long long>(b.sock));
-  }
-  std::string operator()(const MeterSockCrt& b) const {
-    return util::strprintf("pid=%d sock=%llu domain=%u type=%u", b.pid,
-                           static_cast<unsigned long long>(b.sock), b.domain,
-                           b.type);
-  }
-  std::string operator()(const MeterDup& b) const {
-    return util::strprintf("pid=%d sock=%llu new=%llu", b.pid,
-                           static_cast<unsigned long long>(b.sock),
-                           static_cast<unsigned long long>(b.new_sock));
-  }
-  std::string operator()(const MeterDestSock& b) const {
-    return util::strprintf("pid=%d sock=%llu", b.pid,
-                           static_cast<unsigned long long>(b.sock));
-  }
-  std::string operator()(const MeterFork& b) const {
-    return util::strprintf("pid=%d child=%d", b.pid, b.new_pid);
-  }
-  std::string operator()(const MeterAccept& b) const {
-    return util::strprintf("pid=%d sock=%llu new=%llu name=%s peer=%s", b.pid,
-                           static_cast<unsigned long long>(b.sock),
-                           static_cast<unsigned long long>(b.new_sock),
-                           b.sock_name.c_str(), b.peer_name.c_str());
-  }
-  std::string operator()(const MeterConnect& b) const {
-    return util::strprintf("pid=%d sock=%llu name=%s peer=%s", b.pid,
-                           static_cast<unsigned long long>(b.sock),
-                           b.sock_name.c_str(), b.peer_name.c_str());
-  }
-  std::string operator()(const MeterTermProc& b) const {
-    return util::strprintf("pid=%d status=%d", b.pid, b.status);
-  }
-};
-
-}  // namespace
-
 std::string MeterMsg::pretty() const {
-  return util::strprintf(
-             "%-8s machine=%u cpuTime=%lld procTime=%lld ",
-             std::string(event_name(type())).c_str(), header.machine,
-             static_cast<long long>(header.cpu_time),
-             static_cast<long long>(header.proc_time)) +
-         std::visit(BodyPrinter{}, body);
-}
-
-MeterMsg make_msg(EventType t) {
-  MeterMsg m;
-  switch (t) {
-    case EventType::send: m.body = MeterSend{}; break;
-    case EventType::recv: m.body = MeterRecv{}; break;
-    case EventType::recvcall: m.body = MeterRecvCall{}; break;
-    case EventType::sockcrt: m.body = MeterSockCrt{}; break;
-    case EventType::dup: m.body = MeterDup{}; break;
-    case EventType::destsock: m.body = MeterDestSock{}; break;
-    case EventType::fork: m.body = MeterFork{}; break;
-    case EventType::accept: m.body = MeterAccept{}; break;
-    case EventType::connect: m.body = MeterConnect{}; break;
-    case EventType::termproc: m.body = MeterTermProc{}; break;
-  }
-  m.header.trace_type = t;
-  return m;
+  std::string out = util::strprintf(
+      "%-8s machine=%u cpuTime=%lld procTime=%lld",
+      std::string(event_name(type())).c_str(), header.machine,
+      static_cast<long long>(header.cpu_time),
+      static_cast<long long>(header.proc_time));
+  visit_fields(body, Print{out});
+  return out;
 }
 
 }  // namespace dpm::meter

@@ -44,90 +44,209 @@ std::optional<EventType> event_by_name(std::string_view name);
 using Pid = std::int32_t;
 using SocketId = std::uint64_t;  // "file table entry address" in the paper
 
-/// Common header (paper: struct MeterHeader).
-/// Wire layout: size u32 @0, machine u16 @4, cpuTime i64 @6,
-/// procTime i64 @14, traceType u32 @22. Header length 26 bytes.
+// Every struct below states its wire layout once: fields(b, f) calls
+// f(label, field) for each field in wire order, and the codecs in
+// metermsgs.cc (encode, size, parse, print) are visitors over that list.
+// Integers and enums go at their own width, little-endian; a std::string is
+// a u32 length and its bytes. Labels are the field names of the standard
+// description file (Fig 3.2). Adding a field means adding it to the struct
+// and to its list, nothing else.
+
+/// Common header (paper: struct MeterHeader): size u32 @0, machine u16 @4,
+/// cpuTime i64 @6, procTime i64 @14, traceType u32 @22.
 struct MeterHeader {
   std::uint32_t size = 0;     // total message size including header
   std::uint16_t machine = 0;  // machine on which the process runs
   std::int64_t cpu_time = 0;  // local clock reading, microseconds (§4.1)
   std::int64_t proc_time = 0; // CPU time charged to the process, 10ms grain
   EventType trace_type = EventType::send;
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("size", b.size);
+    f("machine", b.machine);
+    f("cpuTime", b.cpu_time);
+    f("procTime", b.proc_time);
+    f("traceType", b.trace_type);
+  }
 };
 
 constexpr std::size_t kHeaderSize = 26;
 
-struct MeterAccept {
-  Pid pid = 0;
-  std::uint32_t pc = 0;     // call-site tag ("PC when system call was made")
-  SocketId sock = 0;        // socket accepting the connection
-  SocketId new_sock = 0;    // connection socket created by the accept
-  std::string sock_name;    // name bound to the accepting socket
-  std::string peer_name;    // name bound to the connecting socket
+/// Accept's and connect's two socket names: both u32 lengths come before
+/// both names' bytes, as in the paper's structs, so that description files
+/// find the lengths at fixed offsets. `S` is std::string or const
+/// std::string.
+template <typename S>
+struct NamePair {
+  S& sock_name;
+  S& peer_name;
 };
-
-struct MeterConnect {
-  Pid pid = 0;
-  std::uint32_t pc = 0;
-  SocketId sock = 0;        // socket requesting the connection
-  std::string sock_name;    // name bound to the connecting socket
-  std::string peer_name;    // name bound to the accepting socket
-};
+template <typename S>
+NamePair(S&, S&) -> NamePair<S>;
 
 struct MeterSend {
+  static constexpr EventType kType = EventType::send;
   Pid pid = 0;
-  std::uint32_t pc = 0;
-  SocketId sock = 0;         // socket the message was sent through
+  std::uint32_t pc = 0;     // call-site tag ("PC when system call was made")
+  SocketId sock = 0;        // socket the message was sent through
   std::uint32_t msg_length = 0;
-  std::string dest_name;     // empty when unknown (e.g. connected stream)
-};
+  std::string dest_name;    // empty when unknown (e.g. connected stream)
 
-struct MeterRecvCall {
-  Pid pid = 0;
-  std::uint32_t pc = 0;
-  SocketId sock = 0;
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("sock", b.sock);
+    f("msgLength", b.msg_length);
+    f("destName", b.dest_name);
+  }
 };
 
 struct MeterRecv {
+  static constexpr EventType kType = EventType::recv;
   Pid pid = 0;
   std::uint32_t pc = 0;
   SocketId sock = 0;
   std::uint32_t msg_length = 0;
-  std::string source_name;   // empty when unknown
+  std::string source_name;  // empty when unknown
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("sock", b.sock);
+    f("msgLength", b.msg_length);
+    f("sourceName", b.source_name);
+  }
+};
+
+struct MeterRecvCall {
+  static constexpr EventType kType = EventType::recvcall;
+  Pid pid = 0;
+  std::uint32_t pc = 0;
+  SocketId sock = 0;
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("sock", b.sock);
+  }
 };
 
 struct MeterSockCrt {
+  static constexpr EventType kType = EventType::sockcrt;
   Pid pid = 0;
   std::uint32_t pc = 0;
   SocketId sock = 0;
   std::uint32_t domain = 0;
   std::uint32_t type = 0;
   std::uint32_t protocol = 0;
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("sock", b.sock);
+    f("domain", b.domain);
+    f("socktype", b.type);
+    f("protocol", b.protocol);
+  }
 };
 
 struct MeterDup {
+  static constexpr EventType kType = EventType::dup;
   Pid pid = 0;
   std::uint32_t pc = 0;
   SocketId sock = 0;
   SocketId new_sock = 0;
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("sock", b.sock);
+    f("newSock", b.new_sock);
+  }
 };
 
 struct MeterDestSock {
+  static constexpr EventType kType = EventType::destsock;
   Pid pid = 0;
   std::uint32_t pc = 0;
   SocketId sock = 0;
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("sock", b.sock);
+  }
 };
 
 struct MeterFork {
+  static constexpr EventType kType = EventType::fork;
   Pid pid = 0;   // parent
   std::uint32_t pc = 0;
   Pid new_pid = 0;  // child
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("newPid", b.new_pid);
+  }
+};
+
+struct MeterAccept {
+  static constexpr EventType kType = EventType::accept;
+  Pid pid = 0;
+  std::uint32_t pc = 0;
+  SocketId sock = 0;        // socket accepting the connection
+  SocketId new_sock = 0;    // connection socket created by the accept
+  std::string sock_name;    // name bound to the accepting socket
+  std::string peer_name;    // name bound to the connecting socket
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("sock", b.sock);
+    f("newSock", b.new_sock);
+    f("sockName", NamePair{b.sock_name, b.peer_name});
+  }
+};
+
+struct MeterConnect {
+  static constexpr EventType kType = EventType::connect;
+  Pid pid = 0;
+  std::uint32_t pc = 0;
+  SocketId sock = 0;        // socket requesting the connection
+  std::string sock_name;    // name bound to the connecting socket
+  std::string peer_name;    // name bound to the accepting socket
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("sock", b.sock);
+    f("sockName", NamePair{b.sock_name, b.peer_name});
+  }
 };
 
 struct MeterTermProc {
+  static constexpr EventType kType = EventType::termproc;
   Pid pid = 0;
   std::uint32_t pc = 0;
   std::int32_t status = 0;  // 0 = normal termination
+
+  template <typename B, typename F>
+  static void fields(B& b, F&& f) {
+    f("pid", b.pid);
+    f("pc", b.pc);
+    f("status", b.status);
+  }
 };
 
 using MeterBody =
@@ -169,16 +288,19 @@ struct MeterMsg {
   static std::optional<MeterMsg> parse(const util::Bytes& wire);
 
   /// Parses one message from `wire` starting at `pos` if a complete message
-  /// is present; advances `pos` past it. Used by filters draining a stream.
+  /// is present; advances `pos` past it (a concatenated batch parses by
+  /// repeated calls).
   static std::optional<MeterMsg> parse_stream(const util::Bytes& wire,
                                               std::size_t& pos);
 
-  /// One-line human-readable rendering, e.g.
-  /// "send machine=0 cpuTime=12000 pid=7 sock=3 len=64 dest=328140".
+  /// One-line human-readable rendering: the event name, the header, then
+  /// every body field as label=value, e.g. "send     machine=0
+  /// cpuTime=12000 procTime=0 pid=7 pc=0 sock=3 msgLength=64
+  /// destName=328140".
   std::string pretty() const;
 };
 
-/// Convenience builders set the body and leave the header for the meter.
+/// A message with a default body of type `t`, header left for the meter.
 MeterMsg make_msg(EventType t);
 
 }  // namespace dpm::meter

@@ -8,6 +8,8 @@ namespace dpm::obs {
 
 namespace {
 
+constexpr std::size_t kMaxJourneys = 512;  // finished journeys kept for export
+
 /// splitmix64 — the edge-phase mixer. Deterministic, stateless, and good
 /// enough to decorrelate edge ids that differ in a few low bits.
 std::uint64_t mix64(std::uint64_t x) {
@@ -294,7 +296,7 @@ void ProvenanceTracker::finish(Entry&& e) {
   } else {
     c_rejected_->add(1);
   }
-  while (journeys_.size() >= cfg_.max_journeys && !journeys_.empty()) {
+  while (journeys_.size() >= kMaxJourneys && !journeys_.empty()) {
     journeys_.pop_front();
   }
   journeys_.push_back(std::move(e.j));

@@ -50,7 +50,6 @@ class ProvenanceTracker {
     std::uint32_t sample_period = 64;  // trace 1 record in N per edge (>= 1)
     std::uint64_t seed = 1;            // phase-spreads edges deterministically
     std::size_t max_inflight = 4096;   // sampled entries in flight (then evict)
-    std::size_t max_journeys = 512;    // finished journeys kept for export
   };
 
   /// The last stage an accepted record reaches in this world:

@@ -1,22 +1,22 @@
 // Deterministic checkpoint/replay primitives.
 //
-// A world of cooperative tasks runs each simulated process on a real OS
-// thread, so its instantaneous state (stacks included) cannot be
-// serialized byte for byte. What *can* be captured exactly is the other
-// half of the determinism equation: because a run is a pure function of
-// its generative inputs (seed, config, FaultPlan, the timed stimulus
-// script the harness injected), a checkpoint is
+// A world of cooperative tasks runs each simulated process as a fiber on
+// a stack of its own (DESIGN.md §15), so its instantaneous state (stacks
+// included) cannot be serialized byte for byte. What *can* be captured
+// exactly is the other half of the determinism equation: because a run is
+// a pure function of its generative inputs (seed, config, FaultPlan, the
+// timed stimulus script the harness injected), a checkpoint is
 //
 //   (inputs, cut point, state digest)
 //
 // and restore is re-execution of the inputs up to the cut, followed by a
 // component-by-component comparison of the restored world's digest
-// against the recorded one. The digest covers everything the ISSUE of
-// record cares about — armed timers, clocks, task/process tables, meter
-// rings and conservation ledgers, fabric in-flight state, the fault
-// cursor, every named RNG stream — so a divergence is not just detected
-// but *named* ("sim.events diverged"), which is what makes replay bugs
-// debuggable.
+// against the recorded one. The digest covers everything a replay must
+// reproduce — armed timers, clocks, task/process tables, sockets, the
+// meter and fan-in conservation ledgers (pending batches included),
+// fabric in-flight state, the fault cursor, every named RNG stream, files
+// and obs instruments — so a divergence is not just detected but *named*
+// ("sim.events diverged"), which is what makes replay bugs debuggable.
 //
 // This header holds the layer-free pieces: the incremental digest and
 // the Snapshot (a timestamped bag of named component hashes with a

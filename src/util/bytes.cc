@@ -15,13 +15,6 @@ std::uint8_t* BinaryWriter::grow_overflow(std::size_t n) {
   return own_.data();
 }
 
-void BinaryWriter::fixed_string(std::string_view s, std::size_t width) {
-  const std::size_t n = s.size() < width ? s.size() : width;
-  std::uint8_t* p = grow(width);
-  if (n != 0) std::memcpy(p, s.data(), n);
-  std::memset(p + n, 0, width - n);
-}
-
 void BinaryWriter::patch_u32(std::size_t at, std::uint32_t v) {
   if (fixed_ != nullptr) {
     if (overflow_ || at + 4 > fixed_pos_ || at + 4 > fixed_cap_) return;
@@ -44,55 +37,6 @@ Bytes BinaryWriter::take() {
   return std::move(own_);
 }
 
-bool BinaryReader::need(std::size_t n) {
-  if (failed_ || size_ - pos_ < n) {
-    failed_ = true;
-    return false;
-  }
-  return true;
-}
-
-std::optional<std::uint8_t> BinaryReader::u8() {
-  if (!need(1)) return std::nullopt;
-  return data_[pos_++];
-}
-
-std::optional<std::uint16_t> BinaryReader::u16() {
-  if (!need(2)) return std::nullopt;
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                    static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
-
-std::optional<std::uint32_t> BinaryReader::u32() {
-  if (!need(4)) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-std::optional<std::uint64_t> BinaryReader::u64() {
-  if (!need(8)) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
-std::optional<std::int32_t> BinaryReader::i32() {
-  auto v = u32();
-  if (!v) return std::nullopt;
-  return static_cast<std::int32_t>(*v);
-}
-
-std::optional<std::int64_t> BinaryReader::i64() {
-  auto v = u64();
-  if (!v) return std::nullopt;
-  return static_cast<std::int64_t>(*v);
-}
-
 std::optional<Bytes> BinaryReader::raw(std::size_t n) {
   if (!need(n)) return std::nullopt;
   Bytes b(data_ + pos_, data_ + pos_ + n);
@@ -105,15 +49,6 @@ std::optional<std::string> BinaryReader::lstring() {
   if (!n || !need(*n)) return std::nullopt;
   std::string s(reinterpret_cast<const char*>(data_ + pos_), *n);
   pos_ += *n;
-  return s;
-}
-
-std::optional<std::string> BinaryReader::fixed_string(std::size_t width) {
-  if (!need(width)) return std::nullopt;
-  std::size_t len = width;
-  while (len > 0 && data_[pos_ + len - 1] == 0) --len;
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
-  pos_ += width;
   return s;
 }
 

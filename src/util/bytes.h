@@ -12,6 +12,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace dpm::util {
@@ -44,28 +47,32 @@ class BinaryWriter {
 
   // The value writers are inline: they run per field on the meter's
   // per-event encode path, where the call itself would dominate the store.
-  void u8(std::uint8_t v) { *grow(1) = v; }
-  void u16(std::uint16_t v) {
-    std::uint8_t* p = grow(2);
-    p[0] = static_cast<std::uint8_t>(v & 0xff);
-    p[1] = static_cast<std::uint8_t>(v >> 8);
-  }
-  void u32(std::uint32_t v) {
-    std::uint8_t* p = grow(4);
-    for (int i = 0; i < 4; ++i) {
-      p[i] = static_cast<std::uint8_t>(v & 0xff);
-      v >>= 8;
+
+  /// One value: an integer at its own width, little-endian; an enum at its
+  /// underlying type's; a std::string as an lstring. The field-list codecs
+  /// write every field through it.
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      lstring(v);
+    } else {
+      static_assert(std::is_integral_v<T>, "no wire encoding for this type");
+      auto u = static_cast<std::make_unsigned_t<T>>(v);
+      std::uint8_t* p = grow(sizeof(T));
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        p[i] = static_cast<std::uint8_t>(u & 0xff);
+        u = static_cast<decltype(u)>(u >> 8);
+      }
     }
   }
-  void u64(std::uint64_t v) {
-    std::uint8_t* p = grow(8);
-    for (int i = 0; i < 8; ++i) {
-      p[i] = static_cast<std::uint8_t>(v & 0xff);
-      v >>= 8;
-    }
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i32(std::int32_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
   /// Raw bytes, no length prefix.
   void raw(const std::uint8_t* data, std::size_t n) {
     if (n != 0) std::memcpy(grow(n), data, n);
@@ -81,8 +88,6 @@ class BinaryWriter {
     }
     if (!s.empty()) std::memcpy(p + 4, s.data(), s.size());
   }
-  /// Exactly `width` bytes: `s` truncated or zero-padded (fixed-layout field).
-  void fixed_string(std::string_view s, std::size_t width);
 
   /// Overwrites a previously written u32 at `at` (for back-patched sizes).
   /// `at` counts from where this writer started appending.
@@ -134,16 +139,42 @@ class BinaryReader {
   BinaryReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
-  std::optional<std::uint8_t> u8();
-  std::optional<std::uint16_t> u16();
-  std::optional<std::uint32_t> u32();
-  std::optional<std::uint64_t> u64();
-  std::optional<std::int32_t> i32();
-  std::optional<std::int64_t> i64();
+  std::optional<std::uint8_t> u8() { return read<std::uint8_t>(); }
+  std::optional<std::uint16_t> u16() { return read<std::uint16_t>(); }
+  std::optional<std::uint32_t> u32() { return read<std::uint32_t>(); }
+  std::optional<std::uint64_t> u64() { return read<std::uint64_t>(); }
+  std::optional<std::int32_t> i32() { return read<std::int32_t>(); }
+  std::optional<std::int64_t> i64() { return read<std::int64_t>(); }
   std::optional<Bytes> raw(std::size_t n);
   std::optional<std::string> lstring();
-  /// Reads `width` bytes and strips trailing NULs (fixed-layout field).
-  std::optional<std::string> fixed_string(std::size_t width);
+
+  /// Reads one value written by BinaryWriter::put into `out`; false (and
+  /// `out` untouched) past the end.
+  template <typename T>
+  bool get(T& out) {
+    if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> v{};
+      if (!get(v)) return false;
+      out = static_cast<T>(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      auto v = lstring();
+      if (!v) return false;
+      out = std::move(*v);
+    } else {
+      static_assert(std::is_integral_v<T>, "no wire encoding for this type");
+      if (!need(sizeof(T))) return false;
+      std::make_unsigned_t<T> v = 0;
+      for (std::size_t i = sizeof(T); i-- > 0;) {
+        v = static_cast<decltype(v)>(v << 8 | data_[pos_ + i]);
+      }
+      pos_ += sizeof(T);
+      out = static_cast<T>(v);
+    }
+    return true;
+  }
+  /// Marks the reader failed: a field decoded but broke a rule of its
+  /// message (a count over its cap).
+  void fail() { failed_ = true; }
 
   bool ok() const { return !failed_; }
   std::size_t remaining() const { return size_ - pos_; }
@@ -151,12 +182,46 @@ class BinaryReader {
   void skip(std::size_t n);
 
  private:
-  bool need(std::size_t n);
+  template <typename T>
+  std::optional<T> read() {
+    T v{};
+    if (!get(v)) return std::nullopt;
+    return v;
+  }
+  bool need(std::size_t n) {
+    if (failed_ || size_ - pos_ < n) {
+      failed_ = true;
+      return false;
+    }
+    return true;
+  }
+
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
   bool failed_ = false;
 };
+
+/// The little-endian u32 at `p`: a frame's size word, read in place.
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// A default-built alternative of the message variant `V` whose static
+/// kType is `t` (a wire type word); nullopt when no alternative has it.
+template <typename V, typename T>
+std::optional<V> alternative_of(T t) {
+  std::optional<V> out;
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (void)((std::variant_alternative_t<I, V>::kType == t &&
+            (out.emplace(std::in_place_index<I>), true)) ||
+           ...);
+  }(std::make_index_sequence<std::variant_size_v<V>>{});
+  return out;
+}
 
 /// Hex dump ("de ad be ef") of at most `max_bytes` bytes, for diagnostics.
 std::string hex_dump(const Bytes& b, std::size_t max_bytes = 64);

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "testing.h"
+
 namespace dpm::daemon {
 namespace {
 
@@ -139,6 +145,152 @@ TEST(Protocol, SerializedSizeIsFramed) {
   const std::uint32_t size = wire[0] | wire[1] << 8 | wire[2] << 16 |
                              static_cast<std::uint32_t>(wire[3]) << 24;
   EXPECT_EQ(size, wire.size());
+}
+
+// ---- golden bytes: the wire layout of every message, pinned ----
+
+using dpm::testing::hex;
+using dpm::testing::unhex;
+
+struct GoldenFrame {
+  const char* name;
+  DaemonMsg msg;
+  const char* wire;  // hex of serialize(); a change here is a wire change
+};
+
+// One fixed instance per DaemonMsg alternative, in variant order. Every
+// field holds a distinct value, so a moved, resized or reordered field
+// changes the hex.
+const GoldenFrame kGoldenFrames[] = {
+    {"CreateRequest",
+     CreateRequest{.uid = 100,
+                   .filename = "A",
+                   .params = {"arg1", "arg2", "arg3"},
+                   .filter_port = 1234,
+                   .filter_host = "blue",
+                   .meter_flags = 0x1ff,
+                   .control_port = 5678,
+                   .control_host = "yellow",
+                   .stdin_file = "input.dat",
+                   .nonce = 0x0102030405060708ull},
+     "5c0000000b0000006400000001000000410300000004000000617267"
+     "3104000000617267320400000061726733d20404000000626c7565ff"
+     "0100002e160600000079656c6c6f7709000000696e7075742e646174"
+     "0807060504030201"},
+    {"CreateReply", CreateReply{.pid = 2120, .status = -3},
+     "100000001200000048080000fdffffff"},
+    {"FilterRequest",
+     FilterRequest{.uid = 1,
+                   .filterfile = "filter",
+                   .logfile = "/usr/tmp/f1.log",
+                   .descriptions = "descriptions",
+                   .templates = "templates",
+                   .control_port = 9,
+                   .control_host = "red",
+                   .nonce = 77,
+                   .mode = 2,
+                   .parent_host = "agg",
+                   .parent_port = 4100},
+     "610000000c000000010000000600000066696c7465720f0000002f75"
+     "73722f746d702f66312e6c6f670c0000006465736372697074696f6e"
+     "730900000074656d706c617465730900030000007265644d00000000"
+     "00000002030000006167670410"},
+    {"FilterReply", FilterReply{.pid = 2117, .status = 0, .meter_port = 1050},
+     "120000001300000045080000000000001a04"},
+    {"SetFlagsRequest", SetFlagsRequest{.uid = 5, .pid = 10, .flags = 0xff},
+     "140000000d000000050000000a000000ff000000"},
+    {"ProcRequest",
+     ProcRequest{.what = MsgType::kill_request, .uid = 7, .pid = 42},
+     "1000000010000000070000002a000000"},
+    {"AcquireRequest",
+     AcquireRequest{.uid = 2,
+                    .pid = 99,
+                    .filter_port = 700,
+                    .filter_host = "blue",
+                    .meter_flags = 3},
+     "1e000000110000000200000063000000bc0204000000626c75650300"
+     "0000"},
+    {"SimpleReply", SimpleReply{.status = 13},
+     "0c000000150000000d000000"},
+    {"StateNote",
+     StateNote{.machine = "green", .pid = 2122, .event = 2, .status = -9},
+     "1a0000001e00000005000000677265656e4a08000002f7ffffff"},
+    {"IoNote", IoNote{.machine = "red", .pid = 1, .data = "some output\n"},
+     "230000001f00000003000000726564010000000c000000736f6d6520"
+     "6f75747075740a"},
+    {"IoSend", IoSend{.uid = 1, .pid = 2, .data = "stdin data"},
+     "1e0000002000000001000000020000000a000000737464696e206461"
+     "7461"},
+    {"BatchCreateRequest",
+     BatchCreateRequest{.uid = 3,
+                        .items = {{"pingpong_server", {"5000", "64"}},
+                                  {"hello", {}}},
+                        .filter_port = 1050,
+                        .filter_host = "hub",
+                        .meter_flags = 0x3ff,
+                        .control_port = 1040,
+                        .control_host = "hub",
+                        .nonce = 0xdeadbeefcafef00dull},
+     "600000002100000003000000020000000f00000070696e67706f6e67"
+     "5f736572766572020000000400000035303030020000003634050000"
+     "0068656c6c6f000000001a0403000000687562ff0300001004030000"
+     "006875620df0fecaefbeadde"},
+    {"BatchCreateReply",
+     BatchCreateReply{.nonce = 0x1234, .pids = {2130, -1}, .statuses = {0, 3}},
+     "280000002200000034120000000000000200000052080000ffffffff"
+     "020000000000000003000000"},
+    {"BatchProcRequest",
+     BatchProcRequest{.what = MsgType::stop_request,
+                      .uid = 4,
+                      .nonce = 99,
+                      .pids = {2130, 2131, 2132}},
+     "28000000230000000f00000004000000630000000000000003000000"
+     "520800005308000054080000"},
+    {"BatchProcReply",
+     BatchProcReply{.nonce = 99, .statuses = {0, 3, 0}},
+     "20000000240000006300000000000000030000000000000003000000"
+     "00000000"},
+};
+
+TEST(Protocol, GoldenBytesForEveryMessage) {
+  ASSERT_EQ(std::size(kGoldenFrames), std::variant_size_v<DaemonMsg>);
+  for (std::size_t i = 0; i < std::size(kGoldenFrames); ++i) {
+    const GoldenFrame& g = kGoldenFrames[i];
+    SCOPED_TRACE(g.name);
+    EXPECT_EQ(g.msg.index(), i);
+    EXPECT_EQ(hex(serialize(g.msg)), g.wire);
+    // Round trip: the frame parses to the same alternative and type, and
+    // re-serializes to the same bytes (the encoding is injective: every
+    // field is fixed-width or length-prefixed).
+    auto parsed = parse(unhex(g.wire));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->index(), i);
+    EXPECT_EQ(msg_type(*parsed), msg_type(g.msg));
+    EXPECT_EQ(hex(serialize(*parsed)), g.wire);
+  }
+}
+
+TEST(Protocol, BatchMessagesRoundTrip) {
+  const auto bcr = round_trip<BatchCreateRequest>(kGoldenFrames[11].msg);
+  ASSERT_EQ(bcr.items.size(), 2u);
+  EXPECT_EQ(bcr.items[0].filename, "pingpong_server");
+  EXPECT_EQ(bcr.items[0].params,
+            (std::vector<std::string>{"5000", "64"}));
+  EXPECT_TRUE(bcr.items[1].params.empty());
+  EXPECT_EQ(bcr.control_host, "hub");
+  EXPECT_EQ(bcr.nonce, 0xdeadbeefcafef00dull);
+
+  const auto bcy = round_trip<BatchCreateReply>(kGoldenFrames[12].msg);
+  EXPECT_EQ(bcy.pids, (std::vector<std::int32_t>{2130, -1}));
+  EXPECT_EQ(bcy.statuses, (std::vector<std::int32_t>{0, 3}));
+
+  const auto bpr = round_trip<BatchProcRequest>(kGoldenFrames[13].msg);
+  EXPECT_EQ(bpr.what, MsgType::stop_request);
+  EXPECT_EQ(bpr.pids, (std::vector<std::int32_t>{2130, 2131, 2132}));
+
+  const auto bpy = round_trip<BatchProcReply>(kGoldenFrames[14].msg);
+  EXPECT_EQ(bpy.nonce, 99u);
+  EXPECT_EQ(bpy.statuses, (std::vector<std::int32_t>{0, 3, 0}));
 }
 
 }  // namespace

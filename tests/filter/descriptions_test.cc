@@ -165,24 +165,60 @@ TEST_F(DecodeTest, RejectsUnknownType) {
 }
 
 TEST_F(DecodeTest, EveryEventTypeDecodes) {
+  // The default description file and the field lists describe the same
+  // bytes: every field of the header's and each body's fields() list
+  // decodes, under its label, to the value the message holds, and the
+  // description has no field the list lacks (a counted string adds its
+  // <name>Len field).
   using namespace meter;
   const MeterBody bodies[] = {
       MeterBody{MeterSend{1, 2, 3, 4, "d"}},
       MeterBody{MeterRecv{1, 2, 3, 4, "s"}},
       MeterBody{MeterRecvCall{1, 2, 3}},
-      MeterBody{MeterSockCrt{1, 2, 3, 2, 1, 0}},
+      MeterBody{MeterSockCrt{1, 2, 3, 5, 6, 7}},
       MeterBody{MeterDup{1, 2, 3, 4}},
       MeterBody{MeterDestSock{1, 2, 3}},
       MeterBody{MeterFork{1, 2, 9}},
-      MeterBody{MeterAccept{1, 2, 3, 4, "a", "b"}},
-      MeterBody{MeterConnect{1, 2, 3, "a", "b"}},
-      MeterBody{MeterTermProc{1, 2, 0}},
+      MeterBody{MeterAccept{1, 2, 3, 4, "a", "bc"}},
+      MeterBody{MeterConnect{1, 2, 3, "a", "bc"}},
+      MeterBody{MeterTermProc{1, 2, -3}},
   };
   for (const auto& b : bodies) {
-    auto wire = stamped(b).serialize();
-    auto rec = desc_.decode(wire);
+    const MeterMsg m = *MeterMsg::parse(stamped(b).serialize());
+    auto rec = desc_.decode(m.serialize());
     ASSERT_TRUE(rec.has_value());
-    EXPECT_EQ(rec->num("pid").value(), 1);
+    SCOPED_TRACE(rec->event_name);
+    auto num = [&](const char* label) {
+      return rec->num(label).value_or(-999);
+    };
+    MeterHeader::fields(m.header, [&](std::string_view label, const auto& v) {
+      // Decoded records name traceType "type", as templates match it
+      // (Fig 3.3 "type=1").
+      const std::string name(label == "traceType" ? "type" : label);
+      EXPECT_EQ(num(name.c_str()), static_cast<std::int64_t>(v)) << name;
+    });
+    std::size_t described = 0;
+    std::visit(
+        [&](const auto& body) {
+          body.fields(body, [&](const char* label, const auto& v) {
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_integral_v<T>) {
+              EXPECT_EQ(num(label), static_cast<std::int64_t>(v)) << label;
+              described += 1;
+            } else if constexpr (std::is_same_v<T, std::string>) {
+              EXPECT_EQ(rec->text(label).value_or("?"), v) << label;
+              described += 2;
+            } else {  // NamePair: two lengths, then two names
+              EXPECT_EQ(rec->text("sockName").value_or("?"), v.sock_name);
+              EXPECT_EQ(rec->text("peerName").value_or("?"), v.peer_name);
+              described += 4;
+            }
+          });
+        },
+        m.body);
+    const EventDesc* d = desc_.by_type(static_cast<std::uint32_t>(m.type()));
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->fields.size(), described);
   }
 }
 

@@ -44,7 +44,7 @@ TEST_F(LimitsTest, DescriptorTableExhaustion) {
 }
 
 TEST_F(LimitsTest, DatagramQueueOverflowDropsSilently) {
-  const std::size_t qmax = world_.config().dgram_queue_max;
+  const std::size_t qmax = kDgramQueueMax;
   std::size_t received = 0;
   (void)world_.spawn(machines_[0], "sink", 100, [&](Sys& sys) {
     auto fd = sys.socket(SockDomain::internet, SockType::dgram);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "meter/meterflags.h"
+#include "testing.h"
 #include "util/rng.h"
 
 namespace dpm::meter {
@@ -329,6 +330,73 @@ TEST(MeterMsgs, WireSizeMatchesSerializedSizeForEveryShape) {
   for (int i = 0; i < 2000; ++i) {
     const MeterMsg m = random_msg(rng);
     EXPECT_EQ(m.wire_size(), m.serialize().size()) << m.pretty();
+  }
+}
+
+// ---- golden bytes: the wire layout of every body, pinned ----
+
+using dpm::testing::hex;
+using dpm::testing::unhex;
+
+struct GoldenRecord {
+  const char* name;
+  MeterBody body;
+  const char* wire;  // hex of serialize(); a change here is a wire change
+};
+
+// One fixed instance per body. Every field holds a distinct value wide
+// enough to fill its bytes, so a moved, resized or reordered field changes
+// the hex. Header: machine 3, cpuTime 123456789, procTime 40000.
+const GoldenRecord kGoldenRecords[] = {
+    {"send", MeterSend{-7, 0x01020304, 0x1122334455667788ull, 4096, "328140"},
+     "38000000030015cd5b0700000000409c00000000000001000000f9ff"
+     "ffff0403020188776655443322110010000006000000333238313430"},
+    {"recv", MeterRecv{70000, 9, 42, 0xfffffffe, "/tmp/sock"},
+     "3b000000030015cd5b0700000000409c000000000000020000007011"
+     "0100090000002a00000000000000feffffff090000002f746d702f73"
+     "6f636b"},
+    {"recvcall", MeterRecvCall{5, 6, 0x8000000000000001ull},
+     "2a000000030015cd5b0700000000409c000000000000030000000500"
+     "0000060000000100000000000080"},
+    {"sockcrt", MeterSockCrt{1, 2, 3, 2, 1, 17},
+     "36000000030015cd5b0700000000409c000000000000040000000100"
+     "0000020000000300000000000000020000000100000011000000"},
+    {"dup", MeterDup{11, 12, 13, 0xabcdef},
+     "32000000030015cd5b0700000000409c000000000000050000000b00"
+     "00000c0000000d00000000000000efcdab0000000000"},
+    {"destsock", MeterDestSock{21, 22, 23},
+     "2a000000030015cd5b0700000000409c000000000000060000001500"
+     "0000160000001700000000000000"},
+    {"fork", MeterFork{100, 0x7fffffff, -101},
+     "26000000030015cd5b0700000000409c000000000000070000006400"
+     "0000ffffff7f9bffffff"},
+    {"accept", MeterAccept{9, 8, 7, 6, "listener", "client-name"},
+     "4d000000030015cd5b0700000000409c000000000000080000000900"
+     "00000800000007000000000000000600000000000000080000000b00"
+     "00006c697374656e6572636c69656e742d6e616d65"},
+    {"connect", MeterConnect{31, 32, 33, "me", "them"},
+     "38000000030015cd5b0700000000409c000000000000090000001f00"
+     "000020000000210000000000000002000000040000006d657468656d"},
+    {"termproc", MeterTermProc{41, 42, -1},
+     "26000000030015cd5b0700000000409c0000000000000a0000002900"
+     "00002a000000ffffffff"},
+};
+
+TEST(MeterMsgs, GoldenBytesForEveryBody) {
+  for (const GoldenRecord& g : kGoldenRecords) {
+    SCOPED_TRACE(g.name);
+    const MeterMsg m = stamped(g.body);
+    const util::Bytes wire = m.serialize();
+    EXPECT_EQ(hex(wire), g.wire);
+    auto parsed = MeterMsg::parse(unhex(g.wire));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->body.index(), m.body.index());
+    EXPECT_EQ(event_name(parsed->type()), g.name);
+    EXPECT_EQ(parsed->pid(), m.pid());
+    EXPECT_EQ(parsed->header.machine, 3);
+    EXPECT_EQ(parsed->header.cpu_time, 123456789);
+    EXPECT_EQ(parsed->header.proc_time, 40000);
+    EXPECT_EQ(hex(parsed->serialize()), g.wire);
   }
 }
 

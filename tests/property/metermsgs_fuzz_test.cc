@@ -10,11 +10,19 @@ namespace dpm::meter {
 namespace {
 
 std::string random_name(util::Rng& rng) {
-  switch (rng.uniform(0, 3)) {
+  switch (rng.uniform(0, 4)) {
     case 0: return "";
     case 1: return std::to_string(rng.uniform(0, 1u << 30));
     case 2: return "/tmp/sock" + std::to_string(rng.uniform(0, 99));
-    default: return "#" + std::to_string(rng.uniform(1, 1 << 20));
+    case 3: return "fd#" + std::to_string(rng.uniform(1, 1 << 20));
+    default: {
+      // Arbitrary bytes: names are counted, so embedded and trailing NULs
+      // must survive the round trip.
+      std::string s(static_cast<std::size_t>(rng.uniform(1, 16)), '\0');
+      for (char& c : s) c = static_cast<char>(rng.uniform(0, 255));
+      if (rng.bernoulli(0.5)) s.back() = '\0';
+      return s;
+    }
   }
 }
 

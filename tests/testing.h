@@ -2,10 +2,12 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kernel/syscalls.h"
 #include "kernel/world.h"
+#include "util/bytes.h"
 
 namespace dpm::testing {
 
@@ -24,6 +26,28 @@ inline kernel::WorldConfig quick_config(std::uint64_t seed = 1) {
   kernel::WorldConfig cfg;
   cfg.seed = seed;
   return cfg;
+}
+
+/// Lowercase hex of `b`, two digits per byte: how the golden-bytes tests
+/// pin a wire encoding.
+inline std::string hex(const util::Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t v : b) {
+    out += kDigits[v >> 4];
+    out += kDigits[v & 0xf];
+  }
+  return out;
+}
+
+/// The bytes `hex` rendered.
+inline util::Bytes unhex(std::string_view s) {
+  util::Bytes out;
+  for (std::size_t i = 0; i + 1 < s.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(s.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
 }
 
 }  // namespace dpm::testing

@@ -30,7 +30,6 @@ TEST(BinaryRoundTrip, AllWidths) {
   w.i32(-42);
   w.i64(-1234567890123LL);
   w.lstring("hello");
-  w.fixed_string("ab", 4);
 
   BinaryReader r(w.bytes());
   EXPECT_EQ(r.u8().value(), 7);
@@ -40,7 +39,6 @@ TEST(BinaryRoundTrip, AllWidths) {
   EXPECT_EQ(r.i32().value(), -42);
   EXPECT_EQ(r.i64().value(), -1234567890123LL);
   EXPECT_EQ(r.lstring().value(), "hello");
-  EXPECT_EQ(r.fixed_string(4).value(), "ab");
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_TRUE(r.ok());
 }
@@ -104,12 +102,50 @@ TEST(BinaryWriter, SpanWriterRefusesOverflowInsteadOfTruncating) {
   EXPECT_EQ(region, wire);  // back-patched size word included
 }
 
-TEST(BinaryWriter, FixedStringTruncates) {
+TEST(BinaryRoundTrip, PutAndGetMatchTheNamedWidths) {
+  // The field-list codecs write every field through put(): each type must
+  // land at its own width, an enum at its underlying type's, a string as
+  // an lstring with its bytes kept exactly.
+  enum class Tag : std::uint32_t { x = 0xa1b2c3d4 };
+  const std::string name("a\0b\0", 4);
+  BinaryWriter named;
+  named.u8(7);
+  named.u16(0x1234);
+  named.i32(-5);
+  named.u64(0x0123456789abcdefULL);
+  named.i64(-1234567890123LL);
+  named.u32(0xa1b2c3d4);
+  named.lstring(name);
   BinaryWriter w;
-  w.fixed_string("abcdef", 3);
-  EXPECT_EQ(w.size(), 3u);
+  w.put(std::uint8_t{7});
+  w.put(std::uint16_t{0x1234});
+  w.put(std::int32_t{-5});
+  w.put(std::uint64_t{0x0123456789abcdefULL});
+  w.put(std::int64_t{-1234567890123LL});
+  w.put(Tag::x);
+  w.put(name);
+  EXPECT_EQ(w.bytes(), named.bytes());
+
   BinaryReader r(w.bytes());
-  EXPECT_EQ(r.fixed_string(3).value(), "abc");
+  std::uint8_t a = 0;
+  std::uint16_t b = 0;
+  std::int32_t c = 0;
+  std::uint64_t d = 0;
+  std::int64_t e = 0;
+  Tag t{};
+  std::string s;
+  EXPECT_TRUE(r.get(a) && r.get(b) && r.get(c) && r.get(d) && r.get(e) &&
+              r.get(t) && r.get(s));
+  EXPECT_EQ(a, 7);
+  EXPECT_EQ(b, 0x1234);
+  EXPECT_EQ(c, -5);
+  EXPECT_EQ(d, 0x0123456789abcdefULL);
+  EXPECT_EQ(e, -1234567890123LL);
+  EXPECT_EQ(t, Tag::x);
+  EXPECT_EQ(s, name);
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_FALSE(r.get(a));
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Bytes, StringConversionRoundTrip) {
