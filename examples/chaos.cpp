@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   }
   const analysis::Ordering ord = analysis::order_events(trace);
   analysis::live::LiveAnalysis live;
-  for (const analysis::Event& e : trace.events) live.add_event(e);
+  for (const analysis::Event& e : trace.events) live.add_event(e, trace.names);
   const std::string json = analysis::live::chrome_trace_json(live);
   const auto check = analysis::live::check_chrome_trace(json);
   if (!check.ok) {

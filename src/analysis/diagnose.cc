@@ -105,11 +105,11 @@ Diagnosis diagnose(const TraceFacts& facts, const CommStats& stats,
   {
     std::uint64_t dgram_sends = 0, dgram_recvs = 0;
     for (const Event& e : trace.events) {
-      if (e.type == meter::EventType::send && !e.dest_name.empty() &&
+      if (e.type == meter::EventType::send && e.dest_name != 0 &&
           facts.ordering.matcher.owner_of_name(e.dest_name)) {
         ++dgram_sends;
       }
-      if (e.type == meter::EventType::recv && !e.source_name.empty() &&
+      if (e.type == meter::EventType::recv && e.source_name != 0 &&
           facts.ordering.matcher.owner_of_name(e.source_name)) {
         ++dgram_recvs;
       }

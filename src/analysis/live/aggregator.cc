@@ -140,7 +140,19 @@ void LiveAnalysis::on_pair(const PairingCore::Pair& p) {
   if (!had_cycle_ && relax(send, recv, EdgeKind::message)) propagate(recv);
 }
 
-void LiveAnalysis::add_event(const Event& e) {
+void LiveAnalysis::add_event(const Event& e, const NameTable& names) {
+  if (&names == names_.get()) return add(e);
+  Event own = e;
+  for (NameId Event::*f : {&Event::dest_name, &Event::source_name,
+                           &Event::sock_name, &Event::peer_name}) {
+    own.*f = names_->intern(names.text(e.*f));
+  }
+  add(own);
+}
+
+void LiveAnalysis::add_event(const RecordEvent& e) { add(e.interned(*names_)); }
+
+void LiveAnalysis::add(const Event& e) {
   const auto idx = static_cast<std::uint32_t>(nodes_.size());
   Node n;
   n.proc = e.proc();
@@ -192,7 +204,7 @@ void LiveAnalysis::add_event(const Event& e) {
     }
   }
 
-  for (LiveObserver* o : observers_) o->on_event(idx, e);
+  for (LiveObserver* o : observers_) o->on_event(idx, e, *names_);
 
   // Pairing: this event may complete any number of parked pairs.
   pairing_.observe(e, idx);
@@ -337,23 +349,23 @@ void TraceTailer::take_line(std::string_view line) {
   if (line.empty() || line.front() == '#') return;
   ++lines_;
   Event e;
-  if (!parse_trace_event_line(line, e)) {
+  if (!parse_trace_event_line(line, e, live_->names())) {
     ++malformed_;
     return;
   }
   e.index = live_->events();
-  live_->add_event(e);
+  live_->add_event(e, live_->names());
 }
 
 // ---- LiveRecordSink -------------------------------------------------------
 
 void LiveRecordSink::on_record(const filter::Record& rec) {
-  std::optional<Event> e = event_from_record(rec);
+  std::optional<RecordEvent> e = event_from_record(rec);
   if (!e) {
     ++dropped_;
     return;
   }
-  e->index = live_->events();
+  e->event.index = live_->events();
   live_->add_event(*e);
 }
 

@@ -64,11 +64,13 @@ enum class EdgeKind : std::uint8_t { none, program, message };
 /// arrival order, the same ones lamport_of/time_of use), then on_pair for
 /// every pair the event completed, then on_gap for every parked event the
 /// TTL sweep expelled. The same trace fed in any chunking produces the
-/// same callback sequence.
+/// same callback sequence. on_event's `names` is the aggregator's table
+/// (the same on every call), which the event's name ids index.
 class LiveObserver {
  public:
   virtual ~LiveObserver() = default;
-  virtual void on_event(std::size_t index, const Event& e) = 0;
+  virtual void on_event(std::size_t index, const Event& e,
+                        const NameTable& names) = 0;
   virtual void on_pair(std::size_t /*send_index*/, std::size_t /*recv_index*/) {
   }
   virtual void on_gap(std::size_t /*index*/) {}
@@ -81,9 +83,19 @@ class LiveAnalysis {
   /// appear in world.obs_snapshot()). Null keeps a private registry.
   explicit LiveAnalysis(LiveConfig cfg = {}, obs::Registry* reg = nullptr);
 
-  /// Consumes one event. Indices are assigned by arrival order; the
-  /// event's own `index` field is ignored.
-  void add_event(const Event& e);
+  /// The table the name ids of the aggregator's events index. The
+  /// tailer parses into it; observers read names through it.
+  NameTable& names() { return *names_; }
+  const NameTable& names() const { return *names_; }
+
+  /// Consumes one event whose name ids index `names`: names() itself on
+  /// the tailer's path, or a Trace's table when a batch trace is replayed
+  /// here (its names are then interned into names()). Indices are
+  /// assigned by arrival order; the event's own `index` field is ignored.
+  void add_event(const Event& e, const NameTable& names);
+  /// Consumes one record event_from_record converted (the filter sink's
+  /// path), interning its names into names().
+  void add_event(const RecordEvent& e);
 
   // ---- happens-before state (mirrors Ordering for equivalence) ----------
   std::size_t events() const { return nodes_.size(); }
@@ -214,6 +226,8 @@ class LiveAnalysis {
     obs::Histogram* latency_hist = nullptr;
   };
 
+  /// add_event's body, for an event whose name ids index names().
+  void add(const Event& e);
   void on_pair(const PairingCore::Pair& p);
   bool relax(std::uint32_t u, std::uint32_t v, EdgeKind kind);
   void propagate(std::uint32_t from);
@@ -224,7 +238,9 @@ class LiveAnalysis {
   obs::Registry* reg_ = nullptr;
 
   std::vector<Node> nodes_;
-  PairingCore pairing_;
+  // On the heap, so pairing_'s pointer to it survives a move.
+  std::unique_ptr<NameTable> names_ = std::make_unique<NameTable>();
+  PairingCore pairing_{*names_};
   std::map<ProcKey, std::uint32_t> last_of_;  // per-process last event
   std::map<ProcKey, ProcStats> procs_;
   std::map<std::pair<ProcKey, ProcKey>, ChanStats> chans_;

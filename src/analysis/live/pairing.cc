@@ -24,8 +24,7 @@ void PairingCore::try_pair(Chan& c) {
   }
 }
 
-void PairingCore::route_named(const std::string& name,
-                              const Endpoint& owner) {
+void PairingCore::route_named(NameId name, const Endpoint& owner) {
   // Everything parked on the name routes now, in index order (the vector
   // preserves arrival = index order per name).
   auto pit = parked_by_name_.find(name);
@@ -72,7 +71,7 @@ void PairingCore::observe(const Event& e, std::size_t index) {
       break;
     }
     case meter::EventType::send: {
-      if (e.dest_name.empty()) {
+      if (e.dest_name == 0) {
         Chan& c = stream_[{e.proc(), e.sock}];
         push_side(c.sends, index);
         try_pair(c);
@@ -88,7 +87,7 @@ void PairingCore::observe(const Event& e, std::size_t index) {
       break;
     }
     case meter::EventType::recv: {
-      if (e.source_name.empty()) {
+      if (e.source_name == 0) {
         if (auto remote = join_.remote_of(e.proc(), e.sock)) {
           Chan& c = stream_[{remote->proc, remote->sock}];
           push_side(c.recvs, index);
@@ -147,9 +146,14 @@ void PairingCore::sweep() {
     it = v.empty() ? parked_stream_recvs_.erase(it) : std::next(it);
   }
 
-  for (auto it = parked_by_name_.begin(); it != parked_by_name_.end();) {
+  // Gaps follow the names' text order; ids follow first appearance.
+  std::vector<NameId> by_text;
+  for (const auto& [name, v] : parked_by_name_) by_text.push_back(name);
+  std::sort(by_text.begin(), by_text.end(), NameTable::ByName{names_});
+  for (const NameId name : by_text) {
+    const auto it = parked_by_name_.find(name);
     auto& v = it->second;
-    const std::string channel = "name:" + it->first;
+    const std::string channel = "name:" + std::string(names_->text(name));
     auto keep = std::remove_if(v.begin(), v.end(), [&](const ParkedDgram& w) {
       if (w.stamp >= cutoff) return false;
       --parked_;
@@ -158,7 +162,7 @@ void PairingCore::sweep() {
       return true;
     });
     v.erase(keep, v.end());
-    it = v.empty() ? parked_by_name_.erase(it) : std::next(it);
+    if (v.empty()) parked_by_name_.erase(it);
   }
 }
 

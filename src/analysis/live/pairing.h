@@ -41,6 +41,10 @@ namespace dpm::analysis::live {
 
 class PairingCore {
  public:
+  /// `names` is the table the observed events' name ids index; it must
+  /// outlive the core.
+  explicit PairingCore(const NameTable& names) : names_(&names) {}
+
   struct Pair {
     std::size_t send = 0;  // trace index of the SEND
     std::size_t recv = 0;  // trace index of the RECEIVE
@@ -133,7 +137,7 @@ class PairingCore {
   void push_side(Side& s, std::size_t index);
   void try_pair(Chan& c);
   /// Routes the datagram traffic parked on `name`, which just got `owner`.
-  void route_named(const std::string& name, const Endpoint& owner);
+  void route_named(NameId name, const Endpoint& owner);
   /// Routes the stream receives parked at `ep`, whose remote is `remote`.
   void route_joined(const Endpoint& ep, const Endpoint& remote);
   void sweep();
@@ -147,7 +151,8 @@ class PairingCore {
   // Parked events awaiting evidence.
   std::map<std::pair<ProcKey, std::uint64_t>, std::vector<ParkedStreamRecv>>
       parked_stream_recvs_;
-  std::map<std::string, std::vector<ParkedDgram>> parked_by_name_;
+  std::map<NameId, std::vector<ParkedDgram>> parked_by_name_;
+  const NameTable* names_;
   std::size_t parked_ = 0;
 
   // Park TTL state (inert until set_park_ttl + advance_progress).

@@ -29,7 +29,8 @@ class ProvenanceLiveObserver : public LiveObserver {
   ProvenanceLiveObserver(obs::ProvenanceTracker* tracker, obs::Registry* reg)
       : t_(tracker), reg_(reg) {}
 
-  void on_event(std::size_t index, const Event& e) override {
+  void on_event(std::size_t index, const Event& e,
+                const NameTable& /*names*/) override {
     if (t_ == nullptr) return;
     t_->on_live_event(index, e.machine, e.pid,
                       static_cast<std::uint32_t>(e.type), e.cpu_time,

@@ -20,7 +20,7 @@ Ordering order_events(const Trace& trace) {
   // keyed by the sending endpoint, datagram traffic by name ownership)
   // live in the incremental PairingCore shared with the streaming
   // aggregator — the batch path just feeds it the whole trace.
-  live::PairingCore pairing;
+  live::PairingCore pairing(trace.names);
   for (std::size_t i = 0; i < n; ++i) pairing.observe(trace.events[i], i);
 
   // Every event has at most two successors in the happens-before DAG:

@@ -149,8 +149,10 @@ bool PredicateDetector::conjunct_holds(const CompiledConjunct& cc,
 
 // ---- event intake ---------------------------------------------------------
 
-void PredicateDetector::on_event(std::size_t index, const Event& e) {
+void PredicateDetector::on_event(std::size_t index, const Event& e,
+                                 const NameTable& names) {
   if (finished_) return;
+  names_ = &names;
   ++events_seen_;
   PendEvent pe;
   pe.e = e;
@@ -330,7 +332,7 @@ void PredicateDetector::settle(PendEvent& pe) {
   // State update: the fields this event type carries.
   const std::uint32_t mask = updates_.update_mask(e.type);
   for (FieldId id = 0; id < state_field_count(); ++id) {
-    if (mask & (1u << id)) rt.state[id] = state_field_value(e, id);
+    if (mask & (1u << id)) rt.state[id] = state_field_value(e, id, *names_);
   }
 
   if (e.type == meter::EventType::send) {

@@ -93,7 +93,8 @@ class PredicateDetector : public live::LiveObserver {
   bool add_predicate(std::string_view spec_text, std::string* error = nullptr);
 
   // ---- LiveObserver (feed from a LiveAnalysis via add_observer) ----------
-  void on_event(std::size_t index, const Event& e) override;
+  void on_event(std::size_t index, const Event& e,
+                const NameTable& names) override;
   void on_pair(std::size_t send_index, std::size_t recv_index) override;
   void on_gap(std::size_t index) override;
 
@@ -270,6 +271,8 @@ class PredicateDetector : public live::LiveObserver {
   std::map<std::string, std::size_t> pred_of_;  // name -> preds_ index
   std::vector<PredState> preds_;
 
+  // The aggregator's name table, which pending events' name ids index.
+  const NameTable* names_ = nullptr;
   std::map<std::size_t, PendEvent> pending_;  // index -> unsettled event
   std::map<ProcKey, std::deque<std::size_t>> proc_pending_;
   std::set<std::size_t> candidates_;  // settle-eligible (to re-verify)

@@ -136,7 +136,8 @@ FieldId state_field_id(std::string_view name) {
 
 std::size_t state_field_count() { return kFields.size(); }
 
-filter::FieldValue state_field_value(const Event& e, FieldId id) {
+filter::FieldValue state_field_value(const Event& e, FieldId id,
+                                     const NameTable& names) {
   switch (id) {
     case 0: return std::string(meter::event_name(e.type));
     case 1: return static_cast<std::int64_t>(e.machine);
@@ -149,10 +150,10 @@ filter::FieldValue state_field_value(const Event& e, FieldId id) {
     case 8: return static_cast<std::int64_t>(e.msg_length);
     case 9: return static_cast<std::int64_t>(e.new_pid);
     case 10: return static_cast<std::int64_t>(e.status);
-    case 11: return e.dest_name;
-    case 12: return e.source_name;
-    case 13: return e.sock_name;
-    case 14: return e.peer_name;
+    case 11: return std::string(names.text(e.dest_name));
+    case 12: return std::string(names.text(e.source_name));
+    case 13: return std::string(names.text(e.sock_name));
+    case 14: return std::string(names.text(e.peer_name));
     default: return std::int64_t{0};
   }
 }

@@ -95,8 +95,10 @@ inline constexpr FieldId kNoField = 0xff;
 FieldId state_field_id(std::string_view name);
 /// Number of known state fields (FieldIds are < this).
 std::size_t state_field_count();
-/// The value event `e` assigns to `id` (`type` renders as the event name).
-filter::FieldValue state_field_value(const Event& e, FieldId id);
+/// The value event `e` assigns to `id` (`type` renders as the event name,
+/// a socket name field as its text in `names`, the table `e`'s ids index).
+filter::FieldValue state_field_value(const Event& e, FieldId id,
+                                     const NameTable& names);
 
 /// A clause with its field resolved and its value pre-analyzed.
 struct CompiledClause {

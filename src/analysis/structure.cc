@@ -40,8 +40,8 @@ ConnectionMatcher::Learned ConnectionMatcher::observe(const Event& e) {
   return out;
 }
 
-bool ConnectionMatcher::learn_name(const std::string& name, Endpoint ep) {
-  if (name.empty()) return false;
+bool ConnectionMatcher::learn_name(NameId name, Endpoint ep) {
+  if (name == 0) return false;
   auto [it, fresh] = names_.try_emplace(name, ep);
   if (!fresh) {
     if (it->second.sock != 0) return false;  // the first real owner keeps it
@@ -103,12 +103,12 @@ CommGraph build_comm_graph(const Trace& trace,
   std::map<std::pair<ProcKey, ProcKey>, Tally> dgram_edges;
 
   for (const Event& e : trace.events) {
-    if (e.type == meter::EventType::send && e.dest_name.empty()) {
+    if (e.type == meter::EventType::send && e.dest_name == 0) {
       auto& t = chan_sends[{e.proc(), e.sock}];
       ++t.messages;
       t.bytes += e.msg_length;
     } else if (e.type == meter::EventType::recv) {
-      if (!e.source_name.empty()) {
+      if (e.source_name != 0) {
         if (auto owner = matcher.owner_of_name(e.source_name)) {
           auto& t = dgram_edges[{owner->proc, e.proc()}];
           ++t.messages;
@@ -179,7 +179,7 @@ std::vector<ConnStat> connection_table(const Trace& trace,
   };
   std::map<Endpoint, Tally> sends;
   for (const Event& e : trace.events) {
-    if (e.type == meter::EventType::send && e.dest_name.empty()) {
+    if (e.type == meter::EventType::send && e.dest_name == 0) {
       auto& t = sends[Endpoint{e.proc(), e.sock}];
       ++t.messages;
       t.bytes += e.msg_length;

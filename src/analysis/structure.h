@@ -18,7 +18,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -69,8 +68,9 @@ class ConnectionMatcher {
   }
 
   /// Socket-name ownership: which endpoint bound `name` (datagram
-  /// matching), once an owner with a non-zero socket id is known.
-  std::optional<Endpoint> owner_of_name(const std::string& name) const {
+  /// matching), once an owner with a non-zero socket id is known. `name`
+  /// is an id in the table of the events the matcher observed.
+  std::optional<Endpoint> owner_of_name(NameId name) const {
     auto it = names_.find(name);
     if (it == names_.end() || it->second.sock == 0) return std::nullopt;
     return it->second;
@@ -84,11 +84,11 @@ class ConnectionMatcher {
   bool rebound() const { return rebound_; }
 
  private:
-  using NamePair = std::pair<std::string, std::string>;
+  using NamePair = std::pair<NameId, NameId>;
 
   /// Records `ep` as the owner of `name` unless one with a non-zero socket
   /// id is already known; true when `ep` is the first such owner.
-  bool learn_name(const std::string& name, Endpoint ep);
+  bool learn_name(NameId name, Endpoint ep);
   /// Pairs the oldest unjoined connect and accept under `key`, if both
   /// exist.
   std::optional<std::pair<Endpoint, Endpoint>> join(const NamePair& key);
@@ -98,7 +98,7 @@ class ConnectionMatcher {
   std::map<NamePair, std::deque<Endpoint>> connects_;
   std::map<NamePair, std::deque<Endpoint>> accepts_;
   std::map<std::pair<ProcKey, std::uint64_t>, Endpoint> peers_;
-  std::map<std::string, Endpoint> names_;
+  std::map<NameId, Endpoint> names_;
   std::size_t matched_ = 0;
   bool rebound_ = false;
 };

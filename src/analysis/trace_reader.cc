@@ -13,7 +13,34 @@ std::string proc_key_text(const ProcKey& k) {
   return util::strprintf("m%u/p%d", k.machine, k.pid);
 }
 
-std::optional<Event> event_from_record(const filter::Record& rec) {
+NameTable& NameTable::operator=(const NameTable& other) {
+  if (this == &other) return *this;
+  names_ = other.names_;
+  ids_.clear();
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    ids_.emplace(names_[i], static_cast<NameId>(i + 1));
+  }
+  return *this;
+}
+
+NameId NameTable::intern(std::string_view name) {
+  if (name.empty()) return 0;
+  if (const auto it = ids_.find(name); it != ids_.end()) return it->second;
+  const NameId id = static_cast<NameId>(names_.size() + 1);
+  ids_.emplace(names_.emplace_back(name), id);
+  return id;
+}
+
+Event RecordEvent::interned(NameTable& names) const {
+  Event e = event;
+  e.dest_name = names.intern(dest_name);
+  e.source_name = names.intern(source_name);
+  e.sock_name = names.intern(sock_name);
+  e.peer_name = names.intern(peer_name);
+  return e;
+}
+
+std::optional<RecordEvent> event_from_record(const filter::Record& rec) {
   auto type = meter::event_by_name(util::to_lower(rec.event_name));
   if (!type) {
     // Description files name events in caps ("SEND"); map a few aliases.
@@ -23,7 +50,8 @@ std::optional<Event> event_from_record(const filter::Record& rec) {
     else if (lower == "destsock") type = meter::EventType::destsock;
     else return std::nullopt;
   }
-  Event e;
+  RecordEvent out;
+  Event& e = out.event;
   e.type = *type;
   if (auto v = rec.num("machine")) e.machine = static_cast<std::uint16_t>(*v);
   if (auto v = rec.num("cpuTime")) e.cpu_time = *v;
@@ -35,11 +63,11 @@ std::optional<Event> event_from_record(const filter::Record& rec) {
   if (auto v = rec.num("msgLength")) e.msg_length = static_cast<std::uint32_t>(*v);
   if (auto v = rec.num("newPid")) e.new_pid = static_cast<std::int32_t>(*v);
   if (auto v = rec.num("status")) e.status = static_cast<std::int32_t>(*v);
-  if (auto v = rec.text("destName")) e.dest_name = *v;
-  if (auto v = rec.text("sourceName")) e.source_name = *v;
-  if (auto v = rec.text("sockName")) e.sock_name = *v;
-  if (auto v = rec.text("peerName")) e.peer_name = *v;
-  return e;
+  if (auto v = rec.text("destName")) out.dest_name = std::move(*v);
+  if (auto v = rec.text("sourceName")) out.source_name = std::move(*v);
+  if (auto v = rec.text("sockName")) out.sock_name = std::move(*v);
+  if (auto v = rec.text("peerName")) out.peer_name = std::move(*v);
+  return out;
 }
 
 namespace {
@@ -130,25 +158,25 @@ Field field_of(std::string_view name) {
   return Field::other;
 }
 
-/// The Event's copy of a string field. Numeric tokens are canonicalized
+/// The id of a string field's text. Numeric tokens are canonicalized
 /// through their parsed value, as Record::text renders a value that
 /// parse_trace_line stored as an integer ("007" -> "7").
-void assign_text(std::string& out, std::string_view value) {
+NameId intern_text(NameTable& names, std::string_view value) {
   if (const auto n = util::parse_int(value)) {
     char buf[24];
     const auto res = std::to_chars(buf, buf + sizeof buf, *n);
-    out.assign(buf, res.ptr);
-  } else {
-    out.assign(value);
+    return names.intern(
+        std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
   }
+  return names.intern(value);
 }
 
-void apply_field(Event& e, Field f, std::string_view value) {
+void apply_field(Event& e, Field f, std::string_view value, NameTable& names) {
   switch (f) {
-    case Field::dest_name: return assign_text(e.dest_name, value);
-    case Field::source_name: return assign_text(e.source_name, value);
-    case Field::sock_name: return assign_text(e.sock_name, value);
-    case Field::peer_name: return assign_text(e.peer_name, value);
+    case Field::dest_name: e.dest_name = intern_text(names, value); return;
+    case Field::source_name: e.source_name = intern_text(names, value); return;
+    case Field::sock_name: e.sock_name = intern_text(names, value); return;
+    case Field::peer_name: e.peer_name = intern_text(names, value); return;
     default: break;
   }
   const auto num = util::parse_int(value);
@@ -173,11 +201,11 @@ void apply_field(Event& e, Field f, std::string_view value) {
 }  // namespace
 
 /// One scan per token finds its end, its first '=' and whether its value
-/// holds a '%'. The only allocations are the Event's own string fields
+/// holds a '%'. The only allocations are a socket name's first interning
 /// (and an unescape scratch, for the rare '%'-escaped value). Repeated
 /// names resolve as the Record path does: a data field keeps its first
 /// value (Record::find), `event` its last (parse_trace_line).
-bool parse_trace_event_line(std::string_view line, Event& e) {
+bool parse_trace_event_line(std::string_view line, Event& e, NameTable& names) {
   std::string_view event_name;
   bool saw_event = false;
   bool event_escaped = false;
@@ -219,7 +247,7 @@ bool parse_trace_event_line(std::string_view line, Event& e) {
       scratch = filter::unescape_value(value);
       value = scratch;
     }
-    apply_field(e, f, value);
+    apply_field(e, f, value, names);
   }
   if (!saw_event) return false;
   if (event_escaped) {
@@ -247,7 +275,7 @@ Trace read_trace(const std::string& text) {
     start = end + 1;
     if (line.empty() || line[0] == '#') continue;
     Event& e = out.events.emplace_back();
-    if (!parse_trace_event_line(line, e)) {
+    if (!parse_trace_event_line(line, e, out.names)) {
       out.events.pop_back();
       ++out.malformed;
       continue;

@@ -95,11 +95,14 @@ std::optional<DaemonMsg> parse(const Bytes& wire) {
   if (!r.get(size) || !r.get(type) || size != wire.size()) return std::nullopt;
   auto msg = message_of(type);
   if (!msg) return std::nullopt;
+  // A frame holds exactly its fields: the last one must end it, so that
+  // every accepted frame re-serializes to its own bytes.
   const bool ok = std::visit(
       [&](auto& b) {
         b.fields(b, Get{r});
-        if constexpr (requires { b.valid(); }) return r.ok() && b.valid();
-        return r.ok();
+        const bool whole = r.ok() && r.remaining() == 0;
+        if constexpr (requires { b.valid(); }) return whole && b.valid();
+        return whole;
       },
       *msg);
   if (!ok) return std::nullopt;

@@ -1241,21 +1241,19 @@ util::SysResult<void> Sys::meter_forward(
 util::SysResult<Fd> Sys::open(const std::string& path, OpenMode mode) {
   enter(world_.config().costs.file_io_base);
   Machine& m = mach();
+  auto of = std::make_shared<OpenFile>();
   if (mode == OpenMode::read) {
     auto f = m.fs.open_read(path, proc_->euid);
     if (!f) return f.error();
   } else {
     auto f = m.fs.open_write(path, proc_->euid, mode == OpenMode::write_trunc);
     if (!f) return f.error();
+    if (mode == OpenMode::append) of->offset = (*f)->content.size();
   }
-  auto of = std::make_shared<OpenFile>();
   of->machine = proc_->machine;
   of->path = path;
   of->writable = mode != OpenMode::read;
   of->append = mode == OpenMode::append;
-  if (of->append) {
-    if (auto data = m.fs.read_bytes(path)) of->offset = data->size();
-  }
   const Fd fd = proc_->fds.alloc(Descriptor::for_file(std::move(of)));
   if (fd < 0) return Err::emfile;
   return fd;
@@ -1270,15 +1268,12 @@ util::SysResult<util::Bytes> Sys::read(Fd fd, std::size_t max) {
     case Descriptor::Kind::file: {
       const auto& costs = world_.config().costs;
       enter(costs.file_io_base);
-      auto data = world_.machine(d->file->machine).fs.read_bytes(d->file->path);
-      if (!data) return Err::enoent;
-      if (d->file->offset >= data->size()) return util::Bytes{};  // EOF
-      const std::size_t n = std::min(max, data->size() - d->file->offset);
-      util::Bytes out(data->begin() + static_cast<std::ptrdiff_t>(d->file->offset),
-                      data->begin() + static_cast<std::ptrdiff_t>(d->file->offset + n));
-      d->file->offset += n;
+      const FileData* f = world_.machine(d->file->machine).fs.find(d->file->path);
+      if (!f) return Err::enoent;
+      util::Bytes out = f->content.read(d->file->offset, max);  // empty at EOF
+      d->file->offset += out.size();
       charge(util::usec(costs.file_io_per_kb.count() *
-                        static_cast<std::int64_t>(n) / 1024));
+                        static_cast<std::int64_t>(out.size()) / 1024));
       return out;
     }
     case Descriptor::Kind::pipe: {
@@ -1301,44 +1296,49 @@ util::SysResult<util::Bytes> Sys::read(Fd fd, std::size_t max) {
 }
 
 util::SysResult<std::size_t> Sys::write(Fd fd, const util::Bytes& data) {
+  return write_bytes(fd, data.data(), data.size(), &data);
+}
+
+util::SysResult<std::size_t> Sys::write(Fd fd, std::string_view data) {
+  return write_bytes(fd, reinterpret_cast<const std::uint8_t*>(data.data()),
+                     data.size(), nullptr);
+}
+
+util::SysResult<std::size_t> Sys::write_bytes(Fd fd, const std::uint8_t* data,
+                                              std::size_t n,
+                                              const util::Bytes* owned) {
   Descriptor* d = proc_->fds.get(fd);
   if (!d) return Err::ebadf;
   switch (d->kind) {
     case Descriptor::Kind::socket:
-      return send(fd, data);
+      return owned ? send(fd, *owned) : send(fd, util::Bytes(data, data + n));
     case Descriptor::Kind::file: {
       const auto& costs = world_.config().costs;
       enter(costs.file_io_base +
             util::usec(costs.file_io_per_kb.count() *
-                       static_cast<std::int64_t>(data.size()) / 1024));
+                       static_cast<std::int64_t>(n) / 1024));
       if (!d->file->writable) return Err::eacces;
       Machine& fm = world_.machine(d->file->machine);
       auto f = fm.fs.open_write(d->file->path, proc_->euid, /*truncate=*/false);
       if (!f) return f.error();
-      auto& content = (*f)->content;
+      FileContent& content = (*f)->content;
       if (d->file->offset > content.size()) d->file->offset = content.size();
-      content.resize(std::max(content.size(), d->file->offset + data.size()));
-      std::copy(data.begin(), data.end(),
-                content.begin() + static_cast<std::ptrdiff_t>(d->file->offset));
-      d->file->offset += data.size();
-      return data.size();
+      content.write(d->file->offset, data, n);
+      d->file->offset += n;
+      return n;
     }
     case Descriptor::Kind::pipe: {
       enter();
       auto pipe = d->pipe;
-      pipe->buf.insert(pipe->buf.end(), data.begin(), data.end());
+      pipe->buf.insert(pipe->buf.end(), data, data + n);
       pipe->readers.wake_all(world_.exec());
-      return data.size();
+      return n;
     }
     case Descriptor::Kind::null:
       enter();
-      return data.size();  // discarded
+      return n;  // discarded
   }
   return Err::ebadf;
-}
-
-util::SysResult<std::size_t> Sys::write(Fd fd, std::string_view data) {
-  return write(fd, util::to_bytes(data));
 }
 
 util::SysResult<void> Sys::unlink(const std::string& path) {

@@ -260,6 +260,11 @@ class Sys {
                                           const net::SockAddr& dest);
   /// recvfrom body without the syscall prologue (read() on dgram sockets).
   util::SysResult<Datagram> recvfrom_unlogged(Fd fd);
+  /// write() body for both overloads; `owned` is the caller's Bytes when
+  /// it has them, so a socket send copies nothing more.
+  util::SysResult<std::size_t> write_bytes(Fd fd, const std::uint8_t* data,
+                                           std::size_t n,
+                                           const util::Bytes* owned);
 
   World& world_;
   std::shared_ptr<Process> proc_;

@@ -679,7 +679,10 @@ sim::replay::Snapshot World::checkpoint() const {
       d.mix(static_cast<std::uint64_t>(id));
       for (const auto& [path, f] : m->fs.files()) {
         d.mix(path);
-        mix_bytes(d, f.content);
+        // The same hash as mixing the whole file as one string: its bytes
+        // in order, then its length.
+        f.content.for_each_block([&d](std::string_view b) { d.mix_piece(b); });
+        d.mix(static_cast<std::uint64_t>(f.content.size()));
         d.mix(static_cast<std::uint64_t>(f.owner));
         d.mix(static_cast<std::uint64_t>(f.world_readable ? 1 : 0));
         d.mix(static_cast<std::uint64_t>(f.program ? 1 : 0));
@@ -741,7 +744,7 @@ util::SysResult<std::size_t> World::copy_file(MachineId src_m,
   if (!dm.accounts.count(uid) && uid != kSuperUser) return util::Err::eacces;
   auto out = dm.fs.open_write(dst, uid, /*truncate=*/true);
   if (!out) return out.error();
-  (*out)->content = f.content;
+  (*out)->content = f.content;  // shares the blocks until either side writes
   (*out)->program = f.program;  // executables stay executable when copied
   return f.content.size();
 }

@@ -1,5 +1,7 @@
 #include "net/address.h"
 
+#include <charconv>
+
 #include "util/strings.h"
 
 namespace dpm::net {
@@ -31,9 +33,13 @@ std::string SockAddr::text() const {
   switch (family) {
     case Family::unspec:
       return "";
-    case Family::internet:
-      return util::strprintf(
-          "%lld", static_cast<long long>(static_cast<std::int64_t>(host) * 65536 + port));
+    case Family::internet: {
+      // Every datagram send renders its destination: to_chars, not a
+      // printf round trip.
+      char buf[24];
+      const auto end = std::to_chars(buf, buf + sizeof buf, *numeric()).ptr;
+      return std::string(buf, end);
+    }
     case Family::unix_path:
     case Family::internal:
       return path;

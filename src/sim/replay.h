@@ -47,11 +47,17 @@ class Digest {
   }
   void mix_signed(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
   void mix(std::string_view s) {
+    mix_piece(s);
+    mix(static_cast<std::uint64_t>(s.size()));  // length-delimit
+  }
+  /// The bytes alone, not length-delimited: a value hashed in pieces
+  /// mixes its total length after the last piece, as mix(string_view)
+  /// does.
+  void mix_piece(std::string_view s) {
     for (unsigned char c : s) {
       h_ ^= c;
       h_ *= 0x100000001b3ULL;
     }
-    mix(static_cast<std::uint64_t>(s.size()));  // length-delimit
   }
   void mix_time(util::TimePoint t) { mix_signed(util::count_us(t)); }
   void mix_double(double v);

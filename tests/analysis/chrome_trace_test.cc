@@ -28,7 +28,7 @@ LiveAnalysis paired_analysis() {
       {Stamp{0, 1900, 0}, MeterRecv{1, 0, 5, 32, ""}},
   }));
   LiveAnalysis live;
-  for (const Event& e : trace.events) live.add_event(e);
+  for (const Event& e : trace.events) live.add_event(e, trace.names);
   return live;
 }
 
@@ -91,7 +91,7 @@ TEST(ChromeTrace, SingleProcessHasCriticalPathButNoFlows) {
       {Stamp{0, 10, 0}, MeterSend{1, 0, 5, 8, ""}},
   }));
   LiveAnalysis live;
-  for (const Event& e : trace.events) live.add_event(e);
+  for (const Event& e : trace.events) live.add_event(e, trace.names);
   const ChromeTraceCheck check = check_chrome_trace(chrome_trace_json(live));
   ASSERT_TRUE(check.ok) << check.error;
   EXPECT_EQ(check.slices, live.events() + live.critical_path().steps.size());

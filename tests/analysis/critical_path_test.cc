@@ -21,7 +21,7 @@ using meter::MeterSend;
 LiveAnalysis analyze(const std::vector<std::pair<Stamp, meter::MeterBody>>& evs) {
   const Trace trace = read_trace(analysis_testing::trace_text(evs));
   LiveAnalysis live;
-  for (const Event& e : trace.events) live.add_event(e);
+  for (const Event& e : trace.events) live.add_event(e, trace.names);
   return live;
 }
 
@@ -152,7 +152,7 @@ TEST(CriticalPath, GrowsMonotonicallyAsEventsStream) {
   const std::int64_t expected_total[] = {0, 40, 90, 170};
   std::int64_t prev = -1;
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    live.add_event(trace.events[i]);
+    live.add_event(trace.events[i], trace.names);
     const auto cp = live.critical_path();
     ASSERT_TRUE(cp.valid);
     EXPECT_EQ(cp.total_us, expected_total[i]) << "after event " << i;

@@ -48,7 +48,7 @@ void expect_equivalent(const std::string& text) {
 
   {
     live::LiveAnalysis live;
-    for (const Event& e : trace.events) live.add_event(e);
+    for (const Event& e : trace.events) live.add_event(e, trace.names);
     compare(live, "event-by-event");
   }
   for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, text.size() + 1}) {

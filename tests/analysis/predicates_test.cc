@@ -45,7 +45,7 @@ std::vector<PredicateDetector::Verdict> run_detector(
   std::string err;
   EXPECT_TRUE(det.add_predicate(spec, &err)) << err;
   const Trace tr = dpm::analysis_testing::make_trace(events);
-  for (const Event& e : tr.events) live.add_event(e);
+  for (const Event& e : tr.events) live.add_event(e, tr.names);
   det.finish();
   if (stats != nullptr) *stats = det.stats();
   if (status != nullptr) *status = det.status();
@@ -306,7 +306,7 @@ TEST(PredicateDetectorTest, UnmatchedReceiveSettlesOnFinish) {
       {Stamp{0, 1000, 0}, MeterRecv{100, 0, 10, 32, ""}},
       {Stamp{0, 2000, 0}, MeterTermProc{100, 0, 0}},
   });
-  for (const Event& e : tr.events) live.add_event(e);
+  for (const Event& e : tr.events) live.add_event(e, tr.names);
   EXPECT_EQ(det.stats().settled, 0u);
   EXPECT_EQ(det.stats().unsettled, 2u);
   det.finish();
@@ -359,7 +359,7 @@ TEST(PredicateDetectorTest, SettledSendWakesItsWaitingReceive) {
                                 &err))
       << err;
   const Trace tr = dpm::analysis_testing::make_trace(blocked_send_chain());
-  for (const Event& e : tr.events) live.add_event(e);
+  for (const Event& e : tr.events) live.add_event(e, tr.names);
 
   const auto st = det.stats();
   EXPECT_EQ(st.settled, tr.events.size());
@@ -384,7 +384,7 @@ TEST(PredicateDetectorTest, FinishJoinsWaitingReceiveInsteadOfSevering) {
                                 &err))
       << err;
   const Trace tr = dpm::analysis_testing::make_trace(blocked_send_chain());
-  for (const Event& e : tr.events) live.add_event(e);
+  for (const Event& e : tr.events) live.add_event(e, tr.names);
   EXPECT_GT(det.stats().unsettled, 0u);
 
   det.finish();
@@ -415,7 +415,7 @@ TEST(PredicateDetectorTest, SendStampsArePrunedAndBounded) {
         {Stamp{1, 500, 0}, MeterSockCrt{101, 0, 54, 2, 1, 0}},
         {Stamp{1, 600, 0}, MeterSockCrt{101, 0, 55, 2, 1, 0}},
     });
-    for (const Event& e : tr.events) live.add_event(e);
+    for (const Event& e : tr.events) live.add_event(e, tr.names);
     EXPECT_EQ(det.stats().send_stamps, 0u);
     EXPECT_GE(det.stats().send_stamps_dropped, 1u);
   }
@@ -438,7 +438,7 @@ TEST(PredicateDetectorTest, SendStampsArePrunedAndBounded) {
         {Stamp{0, 4000, 0}, MeterSend{100, 0, 10, 32, ""}},
         {Stamp{0, 5000, 0}, MeterSend{100, 0, 10, 32, ""}},
     });
-    for (const Event& e : tr.events) live.add_event(e);
+    for (const Event& e : tr.events) live.add_event(e, tr.names);
     const auto st = det.stats();
     EXPECT_EQ(st.send_stamps, 2u);
     EXPECT_EQ(st.send_stamps_dropped, 3u);

@@ -52,11 +52,11 @@ TEST(ConnectionMatcher, OwnerOfNameFromConnect) {
       {Stamp{0, 100, 0}, MeterConnect{1, 0, 5, "196612", "131073"}},
   });
   ConnectionMatcher m(trace);
-  auto owner = m.owner_of_name("196612");
+  auto owner = m.owner_of_name(trace.names.intern("196612"));
   ASSERT_TRUE(owner.has_value());
   EXPECT_EQ(owner->proc, (ProcKey{0, 1}));
   EXPECT_EQ(owner->sock, 5u);
-  EXPECT_FALSE(m.owner_of_name("nope").has_value());
+  EXPECT_FALSE(m.owner_of_name(trace.names.intern("nope")).has_value());
 }
 
 TEST(CommGraph, StreamEdgeFromSendRecords) {

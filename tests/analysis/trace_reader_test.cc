@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "analysis_testing.h"
 #include "filter/trace.h"
 #include "util/rng.h"
@@ -23,8 +25,8 @@ Trace record_path(const std::string& text) {
       ++out.malformed;
       continue;
     }
-    e->index = out.events.size();
-    out.events.push_back(std::move(*e));
+    e->event.index = out.events.size();
+    out.events.push_back(e->interned(out.names));
   }
   return out;
 }
@@ -48,12 +50,33 @@ void expect_same_events(const Trace& got, const Trace& want,
     EXPECT_EQ(a.msg_length, b.msg_length);
     EXPECT_EQ(a.new_pid, b.new_pid);
     EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.dest_name, b.dest_name);
-    EXPECT_EQ(a.source_name, b.source_name);
-    EXPECT_EQ(a.sock_name, b.sock_name);
-    EXPECT_EQ(a.peer_name, b.peer_name);
+    EXPECT_EQ(got.names.text(a.dest_name), want.names.text(b.dest_name));
+    EXPECT_EQ(got.names.text(a.source_name), want.names.text(b.source_name));
+    EXPECT_EQ(got.names.text(a.sock_name), want.names.text(b.sock_name));
+    EXPECT_EQ(got.names.text(a.peer_name), want.names.text(b.peer_name));
     EXPECT_EQ(a.index, b.index);
   }
+}
+
+TEST(TraceReader, NameTableInternsEachNameOnce) {
+  NameTable names;
+  EXPECT_EQ(names.intern(""), 0u);
+  const NameId a = names.intern("196612");
+  const NameId b = names.intern("/tmp/sock");
+  EXPECT_NE(a, 0u);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(names.intern("196612"), a);
+  EXPECT_EQ(names.text(a), "196612");
+  EXPECT_EQ(names.text(0), "");
+  // A copy keeps the ids and its own index: it outlives the original.
+  auto original = std::make_unique<NameTable>(names);
+  NameTable copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.intern("/tmp/sock"), b);
+  EXPECT_EQ(copy.text(b), "/tmp/sock");
+  const NameId c = copy.intern("131073");
+  EXPECT_NE(c, a);
+  EXPECT_NE(c, b);
 }
 
 TEST(TraceReader, MatchesRecordPath) {

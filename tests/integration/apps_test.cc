@@ -172,8 +172,8 @@ TEST(AppsTest, DatagramLossVisibleUnderLossyNetwork) {
   for (const auto& e : trace.events) {
     // Datagram sends carry a destination name; the sink's final stdout
     // report is a metered *stream* send and is excluded here.
-    if (e.type == meter::EventType::send && !e.dest_name.empty()) ++sends;
-    if (e.type == meter::EventType::recv && !e.source_name.empty()) ++recvs;
+    if (e.type == meter::EventType::send && e.dest_name != 0) ++sends;
+    if (e.type == meter::EventType::recv && e.source_name != 0) ++recvs;
   }
   EXPECT_EQ(sends, 200);
   EXPECT_EQ(recvs, static_cast<int>(received));

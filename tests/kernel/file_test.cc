@@ -1,6 +1,8 @@
 // Filesystem + file descriptor + rcp (§3.5.3) + protection (§3.5.5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "kernel/file_system.h"
 #include "kernel/syscalls.h"
 #include "kernel/world.h"
@@ -168,6 +170,123 @@ TEST_F(FileTest, HostPipeStdio) {
   }, opts);
   world_.run();
   EXPECT_EQ(out->host_drain(), "got: echo me\n");
+}
+
+// ---- the block file store ------------------------------------------------
+
+constexpr std::size_t kBlock = FileContent::kBlockBytes;
+
+/// `n` bytes of a pattern that repeats neither per block nor per chunk.
+std::string pattern(std::size_t n, unsigned salt = 0) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>((i * 131 + i / 251 + salt) & 0xff);
+  }
+  return out;
+}
+
+TEST_F(FileTest, ChunkedWritesAcrossBlocksReadBackWhole) {
+  // Chunk sizes that straddle every block boundary at different offsets.
+  const std::string want = pattern(200 * 1024);
+  const std::size_t chunks[] = {1, 4095, 65536, 7, 30001, 65535, 2};
+  std::string got;
+  (void)world_.spawn(machines_[0], "p", 100, [&](Sys& sys) {
+    auto w = sys.open("big", Sys::OpenMode::write_trunc);
+    ASSERT_TRUE(w.ok());
+    for (std::size_t at = 0, i = 0; at < want.size(); ++i) {
+      const std::size_t n = std::min(chunks[i % std::size(chunks)], want.size() - at);
+      ASSERT_EQ(*sys.write(*w, std::string_view(want).substr(at, n)), n);
+      at += n;
+    }
+    auto r = sys.open("big", Sys::OpenMode::read);
+    ASSERT_TRUE(r.ok());
+    for (;;) {
+      auto chunk = sys.read(*r, 4096);
+      ASSERT_TRUE(chunk.ok());
+      if (chunk->empty()) break;
+      got += util::to_string(*chunk);
+    }
+  });
+  world_.run();
+  EXPECT_TRUE(got == want);
+  EXPECT_TRUE(world_.machine(machines_[0]).fs.read_text("big").value() == want);
+}
+
+TEST_F(FileTest, RcpCopyKeepsItsBytesWhenTheSourceChanges) {
+  // The source's writer keeps an fd at offset 10, inside the first block,
+  // which the copy shares after rcp.
+  const std::string head = pattern(10, 1);
+  const std::string body = pattern(150 * 1024, 2);
+  (void)world_.spawn(machines_[0], "src", 100, [&](Sys& sys) {
+    auto w = sys.open("log", Sys::OpenMode::write_trunc);
+    ASSERT_TRUE(sys.write(*w, head).ok());
+    auto a = sys.open("log", Sys::OpenMode::append);
+    ASSERT_TRUE(sys.write(*a, body).ok());
+    ASSERT_TRUE(sys.rcp("red", "log", "green", "copy").ok());
+    ASSERT_TRUE(sys.write(*w, "XYZ").ok());  // into the shared first block
+    ASSERT_TRUE(sys.write(*a, "tail").ok());  // onto the shared last block
+  });
+  world_.run();
+  std::string src = head + body + "tail";
+  src.replace(10, 3, "XYZ");
+  EXPECT_TRUE(world_.machine(machines_[1]).fs.read_text("copy").value() == head + body);
+  EXPECT_TRUE(world_.machine(machines_[0]).fs.read_text("log").value() == src);
+}
+
+TEST_F(FileTest, RcpSourceKeepsItsBytesWhenTheCopyChanges) {
+  // The roles reversed: the copy's writer holds an fd at offset 10 across
+  // the rcp that replaces the copy's bytes with the source's blocks.
+  const std::string orig = pattern(150 * 1024, 3);
+  world_.machine(machines_[0]).fs.put_text("log", orig, 100);
+  (void)world_.spawn(machines_[1], "dst", 100, [&](Sys& sys) {
+    auto w = sys.open("copy", Sys::OpenMode::write_trunc);
+    ASSERT_TRUE(sys.write(*w, pattern(10, 4)).ok());
+    ASSERT_TRUE(sys.rcp("red", "log", "green", "copy").ok());
+    ASSERT_TRUE(sys.write(*w, "XYZ").ok());
+    auto a = sys.open("copy", Sys::OpenMode::append);
+    ASSERT_TRUE(sys.write(*a, "tail").ok());
+  });
+  world_.run();
+  std::string copy = orig + "tail";
+  copy.replace(10, 3, "XYZ");
+  EXPECT_TRUE(world_.machine(machines_[1]).fs.read_text("copy").value() == copy);
+  EXPECT_TRUE(world_.machine(machines_[0]).fs.read_text("log").value() == orig);
+}
+
+TEST_F(FileTest, AppendOnAMultiBlockFileWritesAtItsEnd) {
+  const std::string orig = pattern(2 * kBlock + 17, 5);
+  world_.machine(machines_[0]).fs.put_text("log", orig, 100);
+  (void)world_.spawn(machines_[0], "p", 100, [&](Sys& sys) {
+    auto a = sys.open("log", Sys::OpenMode::append);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(sys.write(*a, "end").ok());
+  });
+  world_.run();
+  EXPECT_TRUE(world_.machine(machines_[0]).fs.read_text("log").value() == orig + "end");
+}
+
+TEST_F(FileTest, AppendedFileDigestsLikeOnePut) {
+  // Many small appends and one put of the same bytes hash the same in a
+  // checkpoint: the digest does not see the block layout.
+  const std::string text = pattern(3 * kBlock + 5, 6);
+  (void)world_.spawn(machines_[0], "p", 100, [&](Sys& sys) {
+    auto w = sys.open("log", Sys::OpenMode::write_trunc);
+    for (std::size_t at = 0; at < text.size(); at += 1000) {
+      ASSERT_TRUE(sys.write(*w, std::string_view(text).substr(at, 1000)).ok());
+    }
+  });
+  world_.run();
+  World other(dpm::testing::quick_config());
+  dpm::testing::add_machines(other, {"red", "green"});
+  other.machine(machines_[0]).fs.put_text("log", text, 100);
+  auto files = [](const World& w) {
+    for (const auto& c : w.checkpoint().components) {
+      if (c.name == "files") return c.hash;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_NE(files(world_), 0u);
+  EXPECT_EQ(files(world_), files(other));
 }
 
 }  // namespace

@@ -13,6 +13,12 @@ TEST(SockAddr, InetTextIsPaperStyleNumber) {
   EXPECT_EQ(a.numeric().value(), 228358924);
 }
 
+TEST(SockAddr, InetTextAtTheEndsOfItsRange) {
+  EXPECT_EQ(SockAddr::inet(0, 0, 0).text(), "0");
+  // The largest name: host 2^32-1, port 65535, i.e. 2^48 - 1.
+  EXPECT_EQ(SockAddr::inet(0, 0xffffffffu, 65535).text(), "281474976710655");
+}
+
 TEST(SockAddr, UnixTextIsPath) {
   SockAddr a = SockAddr::unix_name("/tmp/sock");
   EXPECT_EQ(a.text(), "/tmp/sock");

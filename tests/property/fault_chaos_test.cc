@@ -148,7 +148,7 @@ std::vector<std::string> drive_session_chaos(std::uint64_t seed,
   analysis::Ordering ord = analysis::order_events(trace);
 
   analysis::live::LiveAnalysis live;
-  for (const analysis::Event& e : trace.events) live.add_event(e);
+  for (const analysis::Event& e : trace.events) live.add_event(e, trace.names);
   if (live.events() != trace.events.size()) {
     violate("batch_live_equivalence", "live dropped events");
   } else {
@@ -330,7 +330,7 @@ TEST_P(FaultChaosTest, ShardedFanInSessionSurvivesStorm) {
   EXPECT_EQ(trace.malformed, 0u);
   analysis::Ordering ord = analysis::order_events(trace);
   analysis::live::LiveAnalysis live;
-  for (const analysis::Event& e : trace.events) live.add_event(e);
+  for (const analysis::Event& e : trace.events) live.add_event(e, trace.names);
   ASSERT_EQ(live.events(), trace.events.size());
   EXPECT_EQ(live.stats().message_pairs, ord.message_pairs);
   for (std::size_t i = 0; i < trace.events.size(); ++i) {

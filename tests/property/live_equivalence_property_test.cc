@@ -91,7 +91,7 @@ TEST_P(LiveEquivalenceProperty, StreamingMatchesBatchOnRandomWorkloads) {
   const Ordering ord = order_events(trace);
 
   live::LiveAnalysis live;
-  for (const Event& e : trace.events) live.add_event(e);
+  for (const Event& e : trace.events) live.add_event(e, trace.names);
 
   ASSERT_EQ(live.events(), trace.events.size());
   const auto st = live.stats();

@@ -127,7 +127,7 @@ std::vector<std::string> run_once(const std::string& text, std::int64_t eps,
   }
   if (chunk == 0) {
     const Trace tr = read_trace(text);
-    for (const Event& e : tr.events) live.add_event(e);
+    for (const Event& e : tr.events) live.add_event(e, tr.names);
   } else {
     live::TraceTailer tailer(live);
     for (std::size_t at = 0; at < text.size(); at += chunk) {
@@ -187,7 +187,7 @@ TEST_P(PredicateProperty, DefinitelyIsSubsetOfPossibly) {
     ASSERT_TRUE(det.add_predicate(spec, &err)) << err;
   }
   const Trace tr = read_trace(text);
-  for (const Event& e : tr.events) live.add_event(e);
+  for (const Event& e : tr.events) live.add_event(e, tr.names);
   det.finish();
 
   // Every definite verdict must upgrade an earlier possibly verdict with
