@@ -12,8 +12,9 @@
 # kernel.meter_bytes on its cross-machine edge. Host events/s are printed
 # next to the recorded ones but not bounded. The simulated figures of
 # bench_scale --smoke (per topology and per controller wave),
-# bench_perturbation --smoke and bench_controller --smoke must reproduce
-# their committed files exactly. It also runs the analysis smoke
+# bench_perturbation --smoke, bench_controller --smoke and
+# bench_meter_overhead --smoke must reproduce their committed files
+# exactly. It also runs the analysis smoke
 # (bench_analysis --smoke checks EXPERIMENTS E6's figures on its
 # synthetic traces) and prints the task-switch microbench's ns per
 # switch (bench_executive --smoke fails only on a wrong switch count; the
@@ -29,14 +30,15 @@ build="${1:-build}"
 bench="$repo/$build/bench"
 
 for bin in bench_pipeline bench_filter bench_scale bench_perturbation \
-           bench_provenance bench_analysis bench_controller bench_executive; do
+           bench_provenance bench_analysis bench_controller bench_executive \
+           bench_meter_overhead; do
   if [ ! -x "$bench/$bin" ]; then
     echo "check_bench: $bench/$bin not built" >&2
     exit 1
   fi
 done
 for f in BENCH_pipeline.json BENCH_scale.json BENCH_perturbation.json \
-         BENCH_controller.json; do
+         BENCH_controller.json BENCH_meter_overhead.json; do
   if [ ! -f "$repo/$f" ]; then
     echo "check_bench: no committed $f to compare against" >&2
     exit 1
@@ -143,6 +145,20 @@ else
   echo "check_bench: bench_controller smoke differs from" \
        "BENCH_controller.json:" >&2
   diff "$repo/BENCH_controller.json" BENCH_controller.json >&2 || true
+  fail=1
+fi
+
+echo "== bench_meter_overhead --smoke (E1: meter messages by batch size)"
+"$bench/bench_meter_overhead" --smoke
+
+# E1's figures are simulated counts and time: the fresh file must equal
+# the committed one.
+if cmp -s "$repo/BENCH_meter_overhead.json" BENCH_meter_overhead.json; then
+  echo "   meter overhead: BENCH_meter_overhead.json reproduced"
+else
+  echo "check_bench: bench_meter_overhead smoke differs from" \
+       "BENCH_meter_overhead.json:" >&2
+  diff "$repo/BENCH_meter_overhead.json" BENCH_meter_overhead.json >&2 || true
   fail=1
 fi
 

@@ -325,8 +325,9 @@ std::optional<CompiledPredicate> CompiledPredicate::compile(
       }
       if (!comp.wildcard) {
         if (c.field == "type") {
-          // Accept a type number or name; canonicalize to the name the
-          // state tracks (state_field_value renders event names).
+          // Accept a type number or any spelling of a name ("send",
+          // "SEND", "RECEIVE"); canonicalize to the name the state tracks
+          // (state_field_value renders event names).
           if (const auto num = util::parse_int(comp.value)) {
             const auto et = static_cast<meter::EventType>(*num);
             const std::string_view nm = meter::event_name(et);
@@ -335,7 +336,9 @@ std::optional<CompiledPredicate> CompiledPredicate::compile(
               return std::nullopt;
             }
             comp.value = std::string(nm);
-          } else if (!meter::event_by_name(comp.value)) {
+          } else if (const auto et = meter::event_by_name(comp.value)) {
+            comp.value = std::string(meter::event_name(*et));
+          } else {
             set_error(error, "unknown event type name '" + comp.value + "'");
             return std::nullopt;
           }

@@ -41,15 +41,9 @@ Event RecordEvent::interned(NameTable& names) const {
 }
 
 std::optional<RecordEvent> event_from_record(const filter::Record& rec) {
-  auto type = meter::event_by_name(util::to_lower(rec.event_name));
-  if (!type) {
-    // Description files name events in caps ("SEND"); map a few aliases.
-    const std::string lower = util::to_lower(rec.event_name);
-    if (lower == "receive") type = meter::EventType::recv;
-    else if (lower == "socket") type = meter::EventType::sockcrt;
-    else if (lower == "destsock") type = meter::EventType::destsock;
-    else return std::nullopt;
-  }
+  // Description files name events in caps ("SEND", "RECEIVE").
+  const auto type = meter::event_by_name(rec.event_name);
+  if (!type) return std::nullopt;
   RecordEvent out;
   Event& e = out.event;
   e.type = *type;
@@ -71,39 +65,6 @@ std::optional<RecordEvent> event_from_record(const filter::Record& rec) {
 }
 
 namespace {
-
-/// Case-insensitive match of `s` against an all-lowercase literal.
-bool iequals(std::string_view s, std::string_view lower_lit) {
-  if (s.size() != lower_lit.size()) return false;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    char c = s[i];
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-    if (c != lower_lit[i]) return false;
-  }
-  return true;
-}
-
-/// Event type for a trace line's event name. Description files use caps
-/// ("SEND") and a few long forms; matched without allocating.
-std::optional<meter::EventType> type_for_name(std::string_view name) {
-  using meter::EventType;
-  struct Alias {
-    const char* name;
-    EventType type;
-  };
-  static constexpr Alias kNames[] = {
-      {"send", EventType::send},         {"recv", EventType::recv},
-      {"receive", EventType::recv},      {"recvcall", EventType::recvcall},
-      {"sockcrt", EventType::sockcrt},   {"socket", EventType::sockcrt},
-      {"dup", EventType::dup},           {"destsock", EventType::destsock},
-      {"fork", EventType::fork},         {"accept", EventType::accept},
-      {"connect", EventType::connect},   {"termproc", EventType::termproc},
-  };
-  for (const auto& a : kNames) {
-    if (iequals(name, a.name)) return a.type;
-  }
-  return std::nullopt;
-}
 
 /// The bytes the token scan stops at: separators, '=' and '%'.
 constexpr auto kSpecial = [] {
@@ -254,7 +215,7 @@ bool parse_trace_event_line(std::string_view line, Event& e, NameTable& names) {
     scratch = filter::unescape_value(event_name);
     event_name = scratch;
   }
-  const auto t = type_for_name(event_name);
+  const auto t = meter::event_by_name(event_name);
   if (!t) return false;
   e.type = *t;
   return true;

@@ -1,6 +1,5 @@
 #include "filter/count_filter.h"
 
-#include <algorithm>
 #include <map>
 
 #include "filter/filter_program.h"
@@ -11,9 +10,6 @@ namespace dpm::filter {
 
 namespace {
 
-using kernel::Fd;
-using kernel::SockDomain;
-using kernel::SockType;
 using kernel::Sys;
 
 /// Aggregated view of the accepted records.
@@ -72,8 +68,8 @@ kernel::ProcessMain make_count_filter_main(
       sys.exit(1);
     }
     const std::string& logfile = argv[1];
-    const auto port = util::parse_int(argv[4]);
-    if (!port || *port <= 0 || *port > 65535) {
+    const auto port = parse_port(argv[4]);
+    if (!port) {
       (void)sys.print("countfilter: bad port\n");
       sys.exit(1);
     }
@@ -84,15 +80,9 @@ kernel::ProcessMain make_count_filter_main(
     // world's registry like the standard filter.
     FilterEngine engine(std::move(files->descriptions), files->templates,
                         &sys.world().obs());
-
-    auto lsock = sys.socket(SockDomain::internet, SockType::stream);
-    if (!lsock || !sys.bind_port(*lsock, static_cast<net::Port>(*port)) ||
-        !sys.listen(*lsock, 32)) {
-      sys.exit(1);
-    }
+    const kernel::Fd lsock = open_meter_port(sys, *port, "");
 
     Counters counters;
-
     auto rewrite_log = [&] {
       auto fd = sys.open(logfile, Sys::OpenMode::write_trunc);
       if (fd) {
@@ -102,34 +92,22 @@ kernel::ProcessMain make_count_filter_main(
     };
     rewrite_log();  // an empty summary exists from the start
 
-    std::vector<Fd> conns;
-    for (;;) {
-      std::vector<Fd> fds = conns;
-      fds.push_back(*lsock);
-      auto sel = sys.select(fds, false, std::nullopt);
-      if (!sel) break;
-      bool changed = false;
-      for (Fd fd : sel->readable) {
-        if (fd == *lsock) {
-          auto conn = sys.accept(*lsock);
-          if (conn) conns.push_back(*conn);
-          continue;
-        }
-        auto data = sys.recv(fd, 8192);
-        if (!data || data->empty()) {
-          engine.end_connection(static_cast<std::uint64_t>(fd));
-          (void)sys.close(fd);
-          conns.erase(std::remove(conns.begin(), conns.end(), fd), conns.end());
-          continue;
-        }
-        engine.feed_each(static_cast<std::uint64_t>(fd), *data,
-                         [&](const Record& rec) {
-                           counters.add(rec);
-                           changed = true;
-                         });
-      }
-      if (changed) rewrite_log();
-    }
+    bool changed = false;
+    serve_meter_port(
+        sys, lsock,
+        {.data =
+             [&](std::uint64_t conn, const util::Bytes& data) {
+               engine.feed_each(conn, data, [&](const Record& rec) {
+                 counters.add(rec);
+                 changed = true;
+               });
+             },
+         .closed = [&](std::uint64_t conn) { engine.end_connection(conn); },
+         .round_end =
+             [&] {
+               if (changed) rewrite_log();
+               changed = false;
+             }});
 
     (void)sys.write(2, filter_summary_line("countfilter", engine.stats()));
     sys.exit(0);

@@ -1,8 +1,8 @@
 #include "filter/descriptions.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
-#include <iterator>
 #include <limits>
 
 #include "meter/metermsgs.h"
@@ -204,6 +204,31 @@ const EventDesc* Descriptions::by_name(const std::string& name) const {
 
 namespace {
 
+/// The meter header as the filter reads it: name, offset and width of
+/// each field of meter::MeterHeader::fields, in wire order. The filter
+/// calls traceType `type`, as Fig 3.3's rules and every log line do
+/// ("type=1"); that rename is the table's one departure from the list.
+struct HeaderField {
+  std::string_view name;
+  std::size_t offset = 0;
+  std::size_t width = 0;
+};
+constexpr auto kHeaderFields = [] {
+  std::array<HeaderField, 5> out{};  // at() fails to compile past the end
+  meter::MeterHeader h;
+  std::size_t i = 0;
+  std::size_t offset = 0;
+  meter::MeterHeader::fields(h, [&](std::string_view name, auto& v) {
+    out.at(i++) = {name == "traceType" ? "type" : name, offset, sizeof v};
+    offset += sizeof v;
+  });
+  return out;
+}();
+constexpr HeaderField kSizeWord = kHeaderFields.front();
+constexpr HeaderField kTypeWord = kHeaderFields.back();
+static_assert(kSizeWord.name == "size" && kTypeWord.name == "type" &&
+              kTypeWord.offset + kTypeWord.width == meter::kHeaderSize);
+
 std::optional<std::int64_t> read_le(const std::uint8_t* raw, std::size_t size,
                                     std::size_t at, std::size_t len) {
   if (at > size || size - at < len) return std::nullopt;
@@ -229,12 +254,13 @@ bool string_fits(std::size_t cursor, std::int64_t len, std::size_t size) {
 std::optional<RecordView> make_record_view(const std::uint8_t* data,
                                            std::size_t size) {
   if (size < meter::kHeaderSize) return std::nullopt;
-  const auto wire_size = read_le(data, size, 0, 4);
+  const auto wire_size = read_le(data, size, kSizeWord.offset, kSizeWord.width);
   if (static_cast<std::size_t>(*wire_size) != size) return std::nullopt;
   RecordView v;
   v.data = data;
   v.size = size;
-  v.type = static_cast<std::uint32_t>(*read_le(data, size, 22, 4));
+  v.type = static_cast<std::uint32_t>(
+      *read_le(data, size, kTypeWord.offset, kTypeWord.width));
   return v;
 }
 
@@ -244,29 +270,17 @@ std::optional<Record> Descriptions::decode(const util::Bytes& raw) const {
 
 std::optional<Record> Descriptions::decode(const std::uint8_t* raw,
                                            std::size_t size) const {
-  if (size < meter::kHeaderSize) return std::nullopt;
-  Record rec;
-
-  // Fixed header layout: size u32 @0, machine u16 @4, cpuTime i64 @6,
-  // procTime i64 @14, traceType u32 @22.
-  auto wire_size = read_le(raw, size, 0, 4);
-  auto machine = read_le(raw, size, 4, 2);
-  auto cpu = read_le(raw, size, 6, 8);
-  auto proc = read_le(raw, size, 14, 8);
-  auto type = read_le(raw, size, 22, 4);
-  if (!wire_size || static_cast<std::size_t>(*wire_size) != size) {
-    return std::nullopt;
-  }
-  rec.type = static_cast<std::uint32_t>(*type);
-
-  const EventDesc* desc = by_type(rec.type);
+  const auto view = make_record_view(raw, size);
+  if (!view) return std::nullopt;
+  const EventDesc* desc = by_type(view->type);
   if (!desc) return std::nullopt;
+  Record rec;
+  rec.type = view->type;
   rec.event_name = desc->name;
-  rec.fields.emplace_back("size", *wire_size);
-  rec.fields.emplace_back("machine", *machine);
-  rec.fields.emplace_back("cpuTime", *cpu);
-  rec.fields.emplace_back("procTime", *proc);
-  rec.fields.emplace_back("type", *type);
+  // In bounds: make_record_view checked the record holds a whole header.
+  for (const HeaderField& h : kHeaderFields) {
+    rec.fields.emplace_back(h.name, *read_le(raw, size, h.offset, h.width));
+  }
 
   const std::size_t body = meter::kHeaderSize;
   // Counted strings are laid out back to back starting at the first
@@ -309,12 +323,7 @@ std::optional<WirePlan> WirePlan::build(const EventDesc& desc, int line,
     }
     return std::nullopt;
   };
-  // The five fixed header fields, mirroring decode().
-  const struct { const char* name; std::size_t off, len; } kHeader[] = {
-      {"size", 0, 4},     {"machine", 4, 2}, {"cpuTime", 6, 8},
-      {"procTime", 14, 8}, {"type", 22, 4},
-  };
-  const std::size_t fields = std::size(kHeader) + desc.fields.size();
+  const std::size_t fields = kHeaderFields.size() + desc.fields.size();
   if (fields > kMaxFields) {
     return fail(Kind::too_many_fields,
                 util::strprintf("has %zu fields; at most %zu fit the view "
@@ -323,9 +332,10 @@ std::optional<WirePlan> WirePlan::build(const EventDesc& desc, int line,
   }
   WirePlan plan;
   plan.event_name_ = desc.name;
-  for (const auto& h : kHeader) {
+  // The fixed header fields first, as decode() lays them out.
+  for (const HeaderField& h : kHeaderFields) {
     plan.names_.emplace_back(h.name);
-    plan.fields_.push_back(Loc{h.off, h.len, -1, 0});
+    plan.fields_.push_back(Loc{h.offset, h.width, -1, 0});
   }
   for (const FieldDesc& f : desc.fields) {
     Loc loc;
@@ -426,10 +436,7 @@ bool WirePlan::validate(const RecordView& v) const {
 }
 
 bool WirePlan::validate(const RecordView& v, std::string_view* strings) const {
-  if (v.size < meter::kHeaderSize) return false;
-  const auto wire_size = read_le(v.data, v.size, 0, 4);
-  if (static_cast<std::size_t>(*wire_size) != v.size) return false;
-  if (v.size < fixed_end_) return false;
+  if (!make_record_view(v.data, v.size) || v.size < fixed_end_) return false;
   if (strings_.empty()) return true;
   return string_views(v, static_cast<int>(strings_.size()) - 1, strings);
 }

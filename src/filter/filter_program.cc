@@ -1,12 +1,9 @@
 #include "filter/filter_program.h"
 
-#include <algorithm>
-
 #include "filter/provtap.h"
 #include "filter/trace.h"
 #include "kernel/syscalls.h"
 #include "kernel/world.h"
-#include "meter/metermsgs.h"
 #include "obs/span.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -99,60 +96,24 @@ void FilterEngine::select(std::uint64_t conn, const std::uint8_t* raw,
 void FilterEngine::drain(std::uint64_t conn, const util::Bytes& data,
                          const OnAccept& on_accept) {
   bytes_in_->add(data.size());
-  util::Bytes& buf = partial_[conn];
-  // Fast path: with no partial remainder carried over, frame directly over
-  // the incoming bytes and stash only the trailing partial record — the
-  // steady state never copies the full payload through the staging buffer.
-  const bool direct = buf.empty();
-  const std::uint8_t* base;
-  std::size_t len;
-  if (direct) {
-    base = data.data();
-    len = data.size();
-  } else {
-    buf.insert(buf.end(), data.begin(), data.end());
-    base = buf.data();
-    len = buf.size();
-  }
-
-  std::size_t pos = 0;
-  bool desync = false;
-  while (len - pos >= 4) {
-    const std::uint32_t size = util::load_u32(base + pos);
-    if (size < meter::kHeaderSize || size > (1u << 20)) {
-      // Desynchronized stream: drop the connection's buffer.
-      malformed_->add(1);
-      desync = true;
-      break;
-    }
-    if (len - pos < size) break;  // record incomplete
-    const std::uint8_t* raw = base + pos;
-    pos += size;
-    records_in_->add(1);
-
-    // Selection runs in place over the wire bytes: the view borrows
-    // `base`, which is not touched until the loop ends.
-    select(conn, raw, size, on_accept);
-  }
-  if (desync) {
-    buf.clear();  // everything after the bad size word is dropped
-  } else if (direct) {
-    if (pos < len) buf.assign(base + pos, base + len);
-  } else {
-    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(pos));
-  }
+  // Selection runs in place over the framed bytes: the view borrows them
+  // only for the call.
+  const bool framed = framer_.feed(
+      conn, data, [&](const std::uint8_t* raw, std::size_t size) {
+        records_in_->add(1);
+        select(conn, raw, size, on_accept);
+      });
+  // A desynchronized stream: everything after the bad size word is dropped.
+  if (!framed) malformed_->add(1);
 }
 
 void FilterEngine::end_connection(std::uint64_t conn) {
-  auto it = partial_.find(conn);
-  if (it == partial_.end()) return;
-  if (!it->second.empty()) {
-    // The connection ended mid-record: the cut-short tail is a counted
-    // loss, not a silent one.
+  // The connection ended mid-record: the cut-short tail is a counted loss,
+  // not a silent one.
+  if (framer_.end(conn)) {
     malformed_->add(1);
     truncated_->add(1);
   }
-  partial_.erase(it);
 }
 
 std::string FilterEngine::feed(std::uint64_t conn, const util::Bytes& data) {
@@ -226,6 +187,61 @@ std::optional<SupportFiles> load_support_files(kernel::Sys& sys,
   return SupportFiles{std::move(*desc), std::move(*templ)};
 }
 
+std::optional<net::Port> parse_port(std::string_view text) {
+  const auto n = util::parse_int(text);
+  if (!n || *n <= 0 || *n > 65535) return std::nullopt;
+  return static_cast<net::Port>(*n);
+}
+
+kernel::Fd open_meter_port(kernel::Sys& sys, net::Port port,
+                           std::string_view bind_error) {
+  auto lsock =
+      sys.socket(kernel::SockDomain::internet, kernel::SockType::stream);
+  if (!lsock) sys.exit(1);
+  if (!sys.bind_port(*lsock, port)) {
+    if (!bind_error.empty()) (void)sys.print(bind_error);
+    sys.exit(1);
+  }
+  if (!sys.listen(*lsock, 32)) sys.exit(1);
+  return *lsock;
+}
+
+void serve_meter_port(kernel::Sys& sys, kernel::Fd lsock,
+                      const MeterPortHooks& hooks, ProvenanceTap* prov) {
+  std::vector<kernel::Fd> conns;
+  for (;;) {
+    std::vector<kernel::Fd> fds = conns;
+    fds.push_back(lsock);
+    auto sel = sys.select(fds, /*child_events=*/false, std::nullopt);
+    if (!sel) return;
+    if (hooks.round_begin) hooks.round_begin();
+    for (kernel::Fd fd : sel->readable) {
+      if (fd == lsock) {
+        if (auto conn = sys.accept(lsock)) {
+          conns.push_back(*conn);
+          if (prov) {
+            prov->open_conn(static_cast<std::uint64_t>(*conn),
+                            sys.socket_id(*conn));
+          }
+        }
+        continue;
+      }
+      const auto conn = static_cast<std::uint64_t>(fd);
+      auto data = sys.recv(fd, 8192);
+      if (!data || data->empty()) {
+        // The metered process went away: end its connection.
+        hooks.closed(conn);
+        if (prov) prov->close_conn(conn);
+        (void)sys.close(fd);
+        std::erase(conns, fd);
+        continue;
+      }
+      hooks.data(conn, *data);
+    }
+    hooks.round_end();
+  }
+}
+
 kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
   return [argv](kernel::Sys& sys) {
     if (argv.size() < 5) {
@@ -233,8 +249,8 @@ kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
       sys.exit(1);
     }
     const std::string& logfile = argv[1];
-    const auto port = util::parse_int(argv[4]);
-    if (!port || *port <= 0 || *port > 65535) {
+    const auto port = parse_port(argv[4]);
+    if (!port) {
       (void)sys.print("filter: bad port\n");
       sys.exit(1);
     }
@@ -272,16 +288,8 @@ kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
       (void)sys.print("filter: cannot open log file\n");
       sys.exit(1);
     }
-
-    auto lsock = sys.socket(kernel::SockDomain::internet,
-                            kernel::SockType::stream);
-    if (!lsock) sys.exit(1);
-    auto bound = sys.bind_port(*lsock, static_cast<net::Port>(*port));
-    if (!bound) {
-      (void)sys.print("filter: cannot bind meter port\n");
-      sys.exit(1);
-    }
-    if (!sys.listen(*lsock, 32)) sys.exit(1);
+    const kernel::Fd lsock =
+        open_meter_port(sys, *port, "filter: cannot bind meter port\n");
 
     // Trace lines are batched per select round instead of written per
     // record; kHighWater bounds the buffer within a round. Every round
@@ -296,40 +304,31 @@ kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
       pending.clear();
     };
 
-    std::vector<kernel::Fd> conns;
-    for (;;) {
-      std::vector<kernel::Fd> fds = conns;
-      fds.push_back(*lsock);
-      auto sel = sys.select(fds, /*child_events=*/false, std::nullopt);
-      if (!sel) break;
-      obs::ObsSpan round(reg, "filter.select_round");
-      const std::uint64_t records_before = engine.stats().records_in;
-      for (kernel::Fd fd : sel->readable) {
-        if (fd == *lsock) {
-          auto conn = sys.accept(*lsock);
-          if (conn) {
-            conns.push_back(*conn);
-            prov.open_conn(static_cast<std::uint64_t>(*conn),
-                           sys.socket_id(*conn));
-          }
-          continue;
-        }
-        auto data = sys.recv(fd, 8192);
-        if (!data || data->empty()) {
-          // Metered process went away; drop the connection.
-          engine.end_connection(static_cast<std::uint64_t>(fd));
-          prov.close_conn(static_cast<std::uint64_t>(fd));
-          (void)sys.close(fd);
-          conns.erase(std::remove(conns.begin(), conns.end(), fd), conns.end());
-          continue;
-        }
-        engine.feed(static_cast<std::uint64_t>(fd), *data, pending);
-        if (pending.size() >= kHighWater) flush_log();
-      }
-      flush_log();
-      records_per_round.record(
-          static_cast<std::int64_t>(engine.stats().records_in - records_before));
-    }
+    // A round's span opens when select returns and closes after the
+    // round's log flush.
+    std::optional<obs::ObsSpan> round;
+    std::uint64_t records_before = 0;
+    serve_meter_port(
+        sys, lsock,
+        {.round_begin =
+             [&] {
+               round.emplace(reg, "filter.select_round");
+               records_before = engine.stats().records_in;
+             },
+         .data =
+             [&](std::uint64_t conn, const util::Bytes& data) {
+               engine.feed(conn, data, pending);
+               if (pending.size() >= kHighWater) flush_log();
+             },
+         .closed = [&](std::uint64_t conn) { engine.end_connection(conn); },
+         .round_end =
+             [&] {
+               flush_log();
+               records_per_round.record(static_cast<std::int64_t>(
+                   engine.stats().records_in - records_before));
+               round.reset();
+             }},
+        &prov);
     flush_log();
 
     (void)sys.write(2, filter_summary_line("filter", engine.stats()));

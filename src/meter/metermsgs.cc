@@ -1,5 +1,6 @@
 #include "meter/metermsgs.h"
 
+#include <algorithm>
 #include <type_traits>
 
 #include "meter/meterflags.h"
@@ -63,7 +64,7 @@ namespace {
 /// reverse lookup silently truncated.
 struct EventTypeName {
   EventType type;
-  const char* name;
+  std::string_view name;
 };
 
 constexpr EventTypeName kEventTypeNames[] = {
@@ -72,7 +73,17 @@ constexpr EventTypeName kEventTypeNames[] = {
     {EventType::dup, "dup"},           {EventType::destsock, "destsock"},
     {EventType::fork, "fork"},         {EventType::accept, "accept"},
     {EventType::connect, "connect"},   {EventType::termproc, "termproc"},
+    // The standard description file's names for two types (Fig 3.2),
+    // accepted as input; event_name gives the first spelling above.
+    {EventType::recv, "receive"},      {EventType::sockcrt, "socket"},
 };
+
+/// ASCII case-insensitive equality with an all-lowercase name.
+bool equals_ignoring_case(std::string_view s, std::string_view lower) {
+  return std::ranges::equal(s, lower, [](char c, char l) {
+    return (c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c) == l;
+  });
+}
 
 }  // namespace
 
@@ -84,9 +95,8 @@ std::string_view event_name(EventType t) {
 }
 
 std::optional<EventType> event_by_name(std::string_view name) {
-  const std::string lower = util::to_lower(name);
   for (const auto& e : kEventTypeNames) {
-    if (lower == e.name) return e.type;
+    if (equals_ignoring_case(name, e.name)) return e.type;
   }
   return std::nullopt;
 }
@@ -254,9 +264,11 @@ std::optional<MeterMsg> MeterMsg::parse_stream(const util::Bytes& wire,
   auto body = body_of(msg.header.trace_type);
   if (!body) return std::nullopt;
   msg.body = std::move(*body);
+  // The body ends exactly where the size word says: a record holds its
+  // fields and nothing after them.
   util::BinaryReader br(wire.data() + pos + kHeaderSize, size - kHeaderSize);
   visit_fields(msg.body, Get{br});
-  if (!br.ok()) return std::nullopt;
+  if (!br.ok() || br.remaining() != 0) return std::nullopt;
   pos += size;
   return msg;
 }

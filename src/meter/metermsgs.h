@@ -38,7 +38,11 @@ enum class EventType : std::uint32_t {
   termproc = 10,
 };
 
+/// The canonical lowercase name of `t` ("send", "recv"); "unknown" for a
+/// number that is no event type.
 std::string_view event_name(EventType t);
+/// The type a name spells, ignoring case: a canonical name, or one of the
+/// standard description file's (RECEIVE, SOCKET). No allocation.
 std::optional<EventType> event_by_name(std::string_view name);
 
 using Pid = std::int32_t;
@@ -61,8 +65,9 @@ struct MeterHeader {
   std::int64_t proc_time = 0; // CPU time charged to the process, 10ms grain
   EventType trace_type = EventType::send;
 
+  // constexpr so the filter can derive its header table at compile time.
   template <typename B, typename F>
-  static void fields(B& b, F&& f) {
+  static constexpr void fields(B& b, F&& f) {
     f("size", b.size);
     f("machine", b.machine);
     f("cpuTime", b.cpu_time);
@@ -289,7 +294,8 @@ struct MeterMsg {
 
   /// Parses one message from `wire` starting at `pos` if a complete message
   /// is present; advances `pos` past it (a concatenated batch parses by
-  /// repeated calls).
+  /// repeated calls). The body must end exactly where the size word says,
+  /// so an accepted message re-serializes to exactly its bytes.
   static std::optional<MeterMsg> parse_stream(const util::Bytes& wire,
                                               std::size_t& pos);
 

@@ -445,6 +445,44 @@ TEST(PredicateDetectorTest, SendStampsArePrunedAndBounded) {
   }
 }
 
+TEST(PredicateDetectorTest, TypeClauseAcceptsEverySpelling) {
+  // A type clause may name an event in any case, by the description
+  // file's name, or by number: each spelling compiles to the name the
+  // state holds, so all of them find the same verdicts.
+  auto verdicts_of = [](const Events& events, const std::string& type) {
+    std::vector<std::tuple<int, std::int64_t, std::int64_t>> out;
+    for (const auto& v :
+         run_detector(events, "p: @0:* type=" + type, /*eps=*/100)) {
+      out.emplace_back(static_cast<int>(v.kind), v.cut_lo_us, v.cut_hi_us);
+    }
+    return out;
+  };
+  const Events one_send = {
+      {Stamp{0, 1000, 0}, MeterSend{100, 0, 10, 32, ""}},
+      {Stamp{0, 2000, 0}, MeterTermProc{100, 0, 0}},
+  };
+  const auto sends = verdicts_of(one_send, "send");
+  EXPECT_FALSE(sends.empty());
+  for (const char* spelling : {"SEND", "Send", "1"}) {
+    EXPECT_EQ(verdicts_of(one_send, spelling), sends) << spelling;
+  }
+  const Events one_recv = {
+      {Stamp{0, 1000, 0}, MeterRecv{100, 0, 10, 32, ""}},
+      {Stamp{0, 2000, 0}, MeterTermProc{100, 0, 0}},
+  };
+  const auto recvs = verdicts_of(one_recv, "recv");
+  EXPECT_FALSE(recvs.empty());
+  for (const char* spelling : {"RECEIVE", "2"}) {
+    EXPECT_EQ(verdicts_of(one_recv, spelling), recvs) << spelling;
+  }
+
+  std::string err;
+  const auto nope = PredicateSpec::parse("p: @0:* type=nope", &err);
+  ASSERT_TRUE(nope.has_value()) << err;
+  EXPECT_FALSE(CompiledPredicate::compile(*nope, desc(), &err).has_value());
+  EXPECT_NE(err.find("nope"), std::string::npos) << err;
+}
+
 TEST(PredicateDetectorTest, RejectsDuplicateNamesAndBadSpecs) {
   PredicateDetector det(desc());
   std::string err;

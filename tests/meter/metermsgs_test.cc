@@ -188,6 +188,21 @@ TEST(MeterMsgs, ParseRejectsBadType) {
   EXPECT_FALSE(MeterMsg::parse(wire).has_value());
 }
 
+TEST(MeterMsgs, TrailingByteAfterLastFieldIsRejected) {
+  // A send record plus one byte, its size word counting the byte: the
+  // body must end where the size word says, so the frame is no record.
+  const util::Bytes wire = stamped(MeterSend{1, 0, 1, 10, ""}).serialize();
+  util::Bytes longer = wire;
+  longer.push_back(0);
+  util::BinaryWriter size_word(longer.data(), 4);
+  size_word.u32(static_cast<std::uint32_t>(longer.size()));
+  EXPECT_FALSE(MeterMsg::parse(longer).has_value());
+  std::size_t pos = 0;
+  EXPECT_FALSE(MeterMsg::parse_stream(longer, pos).has_value());
+  EXPECT_EQ(pos, 0u);
+  EXPECT_TRUE(MeterMsg::parse(wire).has_value());
+}
+
 TEST(MeterMsgs, PrettyIsOneLine) {
   MeterMsg m = stamped(MeterAccept{9, 8, 7, 6, "l", "c"});
   const std::string p = m.pretty();

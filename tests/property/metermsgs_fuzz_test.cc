@@ -1,6 +1,6 @@
 // Property tests for the meter message wire format: random messages
-// round-trip bit-exactly; arbitrary bytes and truncations never crash or
-// mis-parse.
+// round-trip bit-exactly; arbitrary bytes, flips and truncations never
+// crash or mis-parse.
 #include <gtest/gtest.h>
 
 #include "meter/metermsgs.h"
@@ -115,6 +115,33 @@ TEST_P(MeterMsgFuzz, RandomBytesNeverCrash) {
     (void)MeterMsg::parse_stream(junk, pos);
     EXPECT_LE(pos, junk.size());
   }
+}
+
+TEST_P(MeterMsgFuzz, FlippedBytesParseOnlyAsThemselves) {
+  // Flips of 1-4 bytes. A record's last field must end it, so a flipped
+  // length cannot leave a shorter record with an unread tail: every
+  // accepted record is canonical and re-serializes to exactly its input.
+  util::Rng rng(GetParam() + 400);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 200; ++i) {
+    const util::Bytes wire = random_msg(rng).serialize();
+    for (int flip = 0; flip < 20; ++flip) {
+      util::Bytes bad = wire;
+      const int n = static_cast<int>(rng.uniform(1, 4));
+      for (int k = 0; k < n; ++k) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(bad.size()) - 1));
+        bad[at] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
+      }
+      if (auto m = MeterMsg::parse(bad)) {
+        ++accepted;
+        EXPECT_EQ(m->serialize(), bad);
+      }
+    }
+  }
+  // Flips of field values (not sizes, lengths or the type) leave valid
+  // records, so some must have been accepted.
+  EXPECT_GT(accepted, 0u);
 }
 
 TEST_P(MeterMsgFuzz, StreamOfManyMessagesReassembles) {
