@@ -8,9 +8,9 @@
 # rewind/trace_browser smokes. Then the double-run determinism gate:
 # two fresh processes of the rewind walk-through (which itself
 # byte-verifies restored-vs-fresh checkpoints in-process) and of the
-# trace browser must print byte-identical output, and the shrink repro
-# bench_replay emits must byte-match the committed
-# repros/storm_seed21.repro.
+# trace browser must print byte-identical output, and a fresh
+# bench_replay run must byte-match the committed BENCH_replay.json and
+# every committed repros/*.repro.
 # Usage: scripts/check_replay.sh [-j N]
 set -eu
 
@@ -37,9 +37,12 @@ cmp "$tmp/rewind.1" "$tmp/rewind.2"
 ./build-asan/examples/trace_browser > "$tmp/tb.2"
 cmp "$tmp/tb.1" "$tmp/tb.2"
 
-# The committed shrink artifact reproduces bit for bit.
+# The committed result file and shrink artifacts reproduce bit for bit.
 mkdir -p "$tmp/bench"
 (cd "$tmp/bench" && "$root/build-asan/bench/bench_replay" --smoke >/dev/null)
-cmp "$tmp/bench/repros/storm_seed21.repro" "$root/repros/storm_seed21.repro"
+cmp "$tmp/bench/BENCH_replay.json" "$root/BENCH_replay.json"
+for repro in "$root"/repros/*.repro; do
+  cmp "$tmp/bench/repros/$(basename "$repro")" "$repro"
+done
 
 echo "check_replay.sh: all replay gates passed"

@@ -6,7 +6,8 @@
 // saturates on exactly this loop, so FilterBytecode::compile performs all
 // of that resolution ONCE per (rule, event type) against the record
 // description (Fig 3.2), then lowers each type's rules into a flat op
-// array that evaluation dispatches over the record's wire bytes.
+// array that evaluation dispatches over the record's wire bytes. A
+// program never changes after compile.
 //
 // Front end (per described event type, against its WirePlan layout):
 //   * the LHS field name becomes a layout ordinal;
@@ -28,25 +29,13 @@
 //
 // The ISA (documented in DESIGN.md §10):
 //   cmp_imm     a=lhs ordinal, b=literal index, cmp=CmpOp, fail=jump
-//   cmp_imm_int off/len=wire location, b=literal index (numeric),
-//               cmp=CmpOp, fail=jump — the specialized form for a
-//               fixed-width integer field against a numeric literal: the
-//               value is read little-endian straight off the record at the
-//               offset burned in at lowering, no field dispatch at all
 //   cmp_field   a=lhs ordinal, b=rhs ordinal,   cmp=CmpOp, fail=jump
-//   accept      a=rule index (its pre-baked discard mask is the decision)
+//   accept      a=discard mask index (the matching rule's mask)
 //   reject
-// A rule lowers to its clauses in sequence followed by `accept`; each
-// clause's `fail` jumps to the next rule's first op (or the final
+// A rule lowers to its clauses in source order followed by `accept`;
+// each clause's `fail` jumps to the next rule's first op (or the final
 // `reject`), preserving first-match-wins and the matching rule's discard
 // mask exactly.
-//
-// Adaptive first-reject ordering: the interpreter counts which clause of
-// each rule fails most, and after a fixed warmup regenerates the program
-// with each rule's clauses sorted most-rejecting-first. Only clauses
-// *within* a rule move — conjunctions are order-insensitive, and rule
-// order determines the winning discard mask, so decisions are identical
-// before and after the reorder.
 //
 // Decisions are identical to Templates::evaluate on the decoded record
 // for every record WirePlan::validate accepts; the interpreted matcher is
@@ -93,75 +82,41 @@ class FilterBytecode {
   void set_ops_counter(obs::Counter* c) { ops_counter_ = c; }
 
   std::uint64_t ops_executed() const { return ops_; }
-  /// Programs regenerated by the adaptive clause reorder.
-  std::uint64_t reorders() const { return reorders_; }
   /// Number of lowered programs: one per described event type.
   std::size_t program_count() const { return progs_.size(); }
 
  private:
-  /// One clause resolved against a type's layout (the front end's output,
-  /// kept so a reorder can regenerate the program).
-  struct ClauseSrc {
-    std::uint16_t lhs = 0;  // layout ordinal
-    CmpOp op = CmpOp::eq;
-    bool rhs_is_field = false;
-    std::uint16_t rhs_field = 0;           // when rhs_is_field
-    std::optional<std::int64_t> rhs_num;   // pre-parsed numeric literal
-    std::string rhs_text;                  // literal's textual view
-    /// Wire location of an integer lhs compared against a numeric
-    /// literal (burned into cmp_imm_int).
-    std::optional<WirePlan::IntLoc> lhs_int;
-  };
-  /// Rule sources kept for regeneration; discard masks live here so the
-  /// Decision pointer stays stable across a reorder.
-  struct RuleSrc {
-    std::vector<ClauseSrc> clauses;
-    std::vector<bool> discard;  // per-field mask; empty = no discards
-  };
-  enum class Op : std::uint8_t {
-    cmp_imm, cmp_imm_int, cmp_field, accept, reject
-  };
+  enum class Op : std::uint8_t { cmp_imm, cmp_field, accept, reject };
   struct Instr {
     Op op = Op::reject;
     CmpOp cmp = CmpOp::eq;
-    std::uint8_t len = 0;    // cmp_imm_int: integer width (1/2/4/8)
-    std::uint16_t a = 0;     // lhs field ordinal; accept: rule index
-    std::uint16_t b = 0;     // cmp_field: rhs ordinal; cmp_imm*: literal index
-    std::uint32_t off = 0;   // cmp_imm_int: absolute wire offset of the lhs
+    // A template file may hold more than 65,535 rules or literals, so the
+    // indices are 32-bit.
+    std::uint32_t a = 0;     // lhs field ordinal; accept: discard mask index
+    std::uint32_t b = 0;     // cmp_field: rhs ordinal; cmp_imm: literal index
     std::uint32_t fail = 0;  // pc on clause failure
-    std::uint16_t src_rule = 0;    // learning backrefs
-    std::uint16_t src_clause = 0;
   };
   struct Literal {
     std::optional<std::int64_t> num;
     std::string text;
   };
   struct Program {
-    std::vector<RuleSrc> rules;
     std::vector<Instr> code;
     std::vector<Literal> lits;
-    // First-reject learning (per rule, per clause in source order).
-    std::vector<std::vector<std::uint64_t>> fail_counts;
-    std::uint64_t evals = 0;
-    bool reordered = false;
+    /// One per lowered rule; empty = the rule discards nothing.
+    std::vector<std::vector<bool>> discards;
   };
 
-  /// Resolves `rule` against `plan`'s layout for event type `type`;
-  /// nullopt when the rule can never match that type.
-  static std::optional<RuleSrc> resolve(const Rule& rule, const WirePlan& plan,
-                                        std::uint32_t type);
-  static void generate(Program& p);
-  void maybe_reorder(Program& p);
+  /// Appends `rule`, resolved against `plan`'s layout for event type
+  /// `type`, to `p`. Leaves `p` as it was when the rule can never match
+  /// that type.
+  static void lower(const Rule& rule, const WirePlan& plan, std::uint32_t type,
+                    Program& p);
 
   std::vector<Program> progs_;  // indexed by WirePlan::index()
   bool accept_all_ = false;     // empty rule set: accept, discard nothing
   std::uint64_t ops_ = 0;
-  std::uint64_t reorders_ = 0;
   obs::Counter* ops_counter_ = nullptr;
-
-  /// Evaluations of one type's program before its clauses are reordered
-  /// from the observed fail counts (one-shot, deterministic).
-  static constexpr std::uint64_t kLearnWindow = 256;
 };
 
 }  // namespace dpm::filter

@@ -80,7 +80,7 @@ kernel::ProcessMain make_count_filter_main(
     // world's registry like the standard filter.
     FilterEngine engine(std::move(files->descriptions), files->templates,
                         &sys.world().obs());
-    const kernel::Fd lsock = open_meter_port(sys, *port, "");
+    const kernel::Fd lsock = open_meter_port(sys, *port, "countfilter");
 
     Counters counters;
     auto rewrite_log = [&] {

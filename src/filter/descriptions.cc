@@ -229,17 +229,28 @@ constexpr HeaderField kTypeWord = kHeaderFields.back();
 static_assert(kSizeWord.name == "size" && kTypeWord.name == "type" &&
               kTypeWord.offset + kTypeWord.width == meter::kHeaderSize);
 
-std::optional<std::int64_t> read_le(const std::uint8_t* raw, std::size_t size,
-                                    std::size_t at, std::size_t len) {
-  if (at > size || size - at < len) return std::nullopt;
+// Both readers are `inline` because every framed record and rendered
+// field runs them: without the hint GCC -O2 leaves the loop out of line,
+// one call per integer field.
+
+/// The little-endian integer of `len` (1..8) bytes at `p`, which the
+/// caller has bounds-checked.
+inline std::int64_t le_value(const std::uint8_t* p, std::size_t len) {
   std::uint64_t v = 0;
-  for (std::size_t i = len; i-- > 0;) v = (v << 8) | raw[at + i];
+  for (std::size_t i = len; i-- > 0;) v = (v << 8) | p[i];
   // Fields are signed, as in the paper's C structs (a killed process's
   // termproc status is -1): sign-extend sub-8-byte widths.
   if (len < 8 && (v & (1ULL << (8 * len - 1)))) {
     v |= ~((1ULL << (8 * len)) - 1);
   }
   return static_cast<std::int64_t>(v);
+}
+
+inline std::optional<std::int64_t> read_le(const std::uint8_t* raw,
+                                           std::size_t size, std::size_t at,
+                                           std::size_t len) {
+  if (at > size || size - at < len) return std::nullopt;
+  return le_value(raw + at, len);
 }
 
 /// True when `len` more bytes fit at `cursor` (overflow-safe: a counted
@@ -457,14 +468,7 @@ bool WirePlan::extract(const RecordView& v, FieldView* out, std::size_t cap,
     const Loc& f = fields_[i];
     if (f.length > 0) {
       // In bounds by the fixed_end_ check above.
-      std::uint64_t raw = 0;
-      for (std::size_t j = f.length; j-- > 0;) {
-        raw = (raw << 8) | v.data[f.offset + j];
-      }
-      if (f.length < 8 && (raw & (1ULL << (8 * f.length - 1)))) {
-        raw |= ~((1ULL << (8 * f.length)) - 1);
-      }
-      out[i] = FieldView{static_cast<std::int64_t>(raw)};
+      out[i] = FieldView{le_value(v.data + f.offset, f.length)};
     } else {
       out[i] = FieldView{strings[f.ordinal]};
     }

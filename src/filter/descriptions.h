@@ -134,19 +134,6 @@ class WirePlan {
   /// first field with that name wins.
   std::size_t index_of(std::string_view name) const;
 
-  /// Absolute wire offset/width of layout field `i` when it is a
-  /// fixed-width integer; nullopt for counted strings and out-of-range
-  /// indices. Lets the bytecode compiler burn offsets into instructions so
-  /// integer compares read the wire directly.
-  struct IntLoc {
-    std::size_t offset = 0;
-    std::size_t length = 0;
-  };
-  std::optional<IntLoc> int_loc(std::size_t i) const {
-    if (i >= fields_.size() || fields_[i].length == 0) return std::nullopt;
-    return IntLoc{fields_[i].offset, fields_[i].length};
-  }
-
   /// Extracts layout field `i`; nullopt when the record is too short or a
   /// string length is inconsistent (exactly when decode() would fail).
   /// `strings` (when non-null) is a scratch previously filled by the

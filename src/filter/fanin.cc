@@ -163,8 +163,7 @@ kernel::ProcessMain make_localfilter_main(
     ProvenanceTap prov(world.provenance(), /*final_filter=*/false);
     StagedUplink up(sys, "localfilter", argv[4], *pport, prov);
 
-    const kernel::Fd lsock =
-        open_meter_port(sys, *port, "localfilter: cannot bind meter port\n");
+    const kernel::Fd lsock = open_meter_port(sys, *port, "localfilter");
     if (!up.establish()) {
       (void)sys.print("localfilter: parent unreachable\n");
       sys.exit(1);
@@ -225,8 +224,7 @@ kernel::ProcessMain make_aggregator_main(
     ProvenanceTap prov(world.provenance(), /*final_filter=*/false);
     StagedUplink up(sys, "aggregator", argv[2], *pport, prov);
 
-    const kernel::Fd lsock =
-        open_meter_port(sys, *port, "aggregator: cannot bind port\n");
+    const kernel::Fd lsock = open_meter_port(sys, *port, "aggregator");
     if (!up.establish()) {
       (void)sys.print("aggregator: parent unreachable\n");
       sys.exit(1);

@@ -194,12 +194,12 @@ std::optional<net::Port> parse_port(std::string_view text) {
 }
 
 kernel::Fd open_meter_port(kernel::Sys& sys, net::Port port,
-                           std::string_view bind_error) {
+                           const std::string& prog) {
   auto lsock =
       sys.socket(kernel::SockDomain::internet, kernel::SockType::stream);
   if (!lsock) sys.exit(1);
   if (!sys.bind_port(*lsock, port)) {
-    if (!bind_error.empty()) (void)sys.print(bind_error);
+    (void)sys.print(prog + ": cannot bind meter port\n");
     sys.exit(1);
   }
   if (!sys.listen(*lsock, 32)) sys.exit(1);
@@ -288,8 +288,7 @@ kernel::ProcessMain make_filter_main(const std::vector<std::string>& argv) {
       (void)sys.print("filter: cannot open log file\n");
       sys.exit(1);
     }
-    const kernel::Fd lsock =
-        open_meter_port(sys, *port, "filter: cannot bind meter port\n");
+    const kernel::Fd lsock = open_meter_port(sys, *port, "filter");
 
     // Trace lines are batched per select round instead of written per
     // record; kHighWater bounds the buffer within a round. Every round

@@ -43,7 +43,6 @@ void meter_emit(World& world, Process& p, MeterEventDraft&& draft) {
       // (dead filter, reset socket). Events are counted — emitted and
       // dropped in the same breath — instead of buffered, so conservation
       // stays exact without unbounded pending growth.
-      ++p.meter_events;
       world.mobs_.events->add(1);
       world.mobs_.dropped_records->add(1);
     }
@@ -80,7 +79,6 @@ void meter_emit(World& world, Process& p, MeterEventDraft&& draft) {
     // batch, one entry per record in wire order.
     p.prov_emit_us.push_back(util::count_us(world.exec().now()));
   }
-  ++p.meter_events;
   world.mobs_.events->add(1);
   world.mobs_.pending_bytes->add(
       static_cast<std::int64_t>(p.meter_pending.size() - before));
@@ -116,8 +114,6 @@ void meter_flush(World& world, Process& p) {
     // Without a usable meter socket the batch is simply lost (Appendix C):
     // no send happens, so no CPU is charged and nothing is counted as
     // delivered — the loss lands in the dropped counters instead.
-    ++p.meter_dropped_batches;
-    p.meter_dropped_bytes += batch.size();
     world.mobs_.dropped_batches->add(1);
     world.mobs_.dropped_bytes->add(batch.size());
     world.mobs_.dropped_records->add(batch_msgs);
@@ -141,8 +137,6 @@ void meter_flush(World& world, Process& p) {
                util::usec(costs.meter_flush_per_kb.count() *
                           static_cast<std::int64_t>(batch.size()) / 1024));
 
-  ++p.meter_flushes;
-  p.meter_bytes += batch.size();
   world.mobs_.flushes->add(1);
   world.mobs_.bytes->add(batch.size());
   world.mobs_.batch_bytes->record(static_cast<std::int64_t>(batch.size()));

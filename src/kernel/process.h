@@ -100,14 +100,6 @@ class Process {
 
   /// Call-site tag recorded as "pc" in meter messages (apps may set it).
   std::uint32_t pc = 0;
-
-  // ---- per-process metering statistics (for experiments) ----
-  std::uint64_t meter_events = 0;
-  std::uint64_t meter_flushes = 0;          // batches delivered
-  std::uint64_t meter_bytes = 0;            // bytes delivered
-  std::uint64_t meter_dropped_batches = 0;  // batches lost: no meter socket
-  std::uint64_t meter_dropped_bytes = 0;
-  std::uint64_t syscalls = 0;
 };
 
 }  // namespace dpm::kernel

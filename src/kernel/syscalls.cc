@@ -33,7 +33,6 @@ std::int64_t Sys::proctime_us() const {
 }
 
 void Sys::enter(util::Duration extra_cost) {
-  ++proc_->syscalls;
   stop_checkpoint();
   charge(world_.config().costs.syscall_base + extra_cost);
 }

@@ -506,12 +506,6 @@ void mix_process(Digest& d, const Process& p) {
   }
   mix_wait(d, p.child_wait);
   d.mix(static_cast<std::uint64_t>(p.pc));
-  d.mix(p.meter_events);
-  d.mix(p.meter_flushes);
-  d.mix(p.meter_bytes);
-  d.mix(p.meter_dropped_batches);
-  d.mix(p.meter_dropped_bytes);
-  d.mix(p.syscalls);
 }
 
 void mix_socket(Digest& d, const Socket& s) {

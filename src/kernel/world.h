@@ -274,8 +274,8 @@ class World {
   // ---- checkpoint / restore (deterministic replay; sim/replay.h) ----
   /// Captures a named component-by-component digest of the full sim state
   /// at the current instant: time, scheduler + task table, armed timers,
-  /// clock models, machine/process tables, sockets (incl. meter rings and
-  /// frame cursors), the conservation ledgers, fabric in-flight/fault
+  /// clock models, machine/process tables (pending meter batches
+  /// included), sockets, the conservation ledgers, fabric in-flight/fault
   /// state, the fault injector's cursor, the world RNG stream, every obs
   /// instrument, and the filesystems. Two worlds with equal checkpoints
   /// are behaviorally indistinguishable from here on.
@@ -285,9 +285,9 @@ class World {
   /// recording's generative inputs, re-drives it to `expected.at`, and
   /// calls restore() to prove bit-identity. Returns the names of the
   /// diverged components — empty means this world *is* the checkpointed
-  /// one as far as any future execution can tell. (Tasks run on OS
-  /// threads, so restore is re-execution plus verification rather than
-  /// stack deserialization; see sim/replay.h.)
+  /// one as far as any future execution can tell. (Tasks are fibers on
+  /// stacks of their own, so restore is re-execution plus verification
+  /// rather than stack deserialization; see sim/replay.h.)
   std::vector<std::string> restore(const sim::replay::Snapshot& expected) const;
 
   // ---- experiment hooks ----

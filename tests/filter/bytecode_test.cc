@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "filter/oracle.h"
 #include "filter/trace.h"
 #include "meter/metermsgs.h"
 
@@ -182,6 +183,66 @@ TEST(CompiledTemplates, TypeClauseFoldsLikeTheDecodedField) {
               templ->evaluate(rec).accept)
         << rules;
   }
+}
+
+TEST(CompiledTemplates, OpsPerRecordDoNotDependOnHistory) {
+  // A program is fixed at compile: a record costs the same ops on a fresh
+  // program as after a long run of records of its type.
+  const Descriptions desc = standard_descriptions();
+  FilterBytecode bytecode = compile("pid>=0, msgLength>1024\n", desc);
+  const util::Bytes small = send_msg(1, 3, 64, "x").serialize();
+  auto ops_for_one = [&] {
+    const std::uint64_t before = bytecode.ops_executed();
+    EXPECT_FALSE(decide(bytecode, desc, small).accept);
+    return bytecode.ops_executed() - before;
+  };
+  // pid>=0 holds, msgLength>1024 fails, reject.
+  EXPECT_EQ(ops_for_one(), 3u);
+  for (int i = 0; i < 300; ++i) (void)decide(bytecode, desc, small);
+  EXPECT_EQ(ops_for_one(), 3u);
+}
+
+TEST(CompiledTemplates, DiscardDropsEveryFieldOfItsName) {
+  // A description may name two fields alike (here pid twice, and a body
+  // field named like the header's machine): '#' drops all of them, as
+  // the reference filter's discard set does.
+  auto desc = Descriptions::parse(
+      "SEND 1, pid,0,4,10 pid,4,4,10 machine,8,8,10\n");
+  ASSERT_TRUE(desc.has_value());
+  auto templ = Templates::parse("pid=#*, machine=#*\n");
+  ASSERT_TRUE(templ.has_value());
+  FilterBytecode bytecode = FilterBytecode::compile(*templ, *desc);
+
+  const util::Bytes wire = send_msg(1, 3, 10, "x").serialize();
+  const auto expected = oracle_line(*desc, *templ, wire.data(), wire.size());
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(expected->find("pid="), std::string::npos);
+  EXPECT_EQ(expected->find("machine="), std::string::npos);
+  EXPECT_EQ(bytecode_line(*desc, bytecode, wire.data(), wire.size()),
+            expected);
+}
+
+TEST(CompiledTemplates, IndicesPastSixteenBitsNameTheirOwnOperands) {
+  // 65,536 rules that never match ahead of one that does: the last rule's
+  // literal and discard-mask indices pass 16 bits and must still name its
+  // own literal and mask. One described type keeps the programs small.
+  auto desc = Descriptions::parse(
+      "SEND 1, pid,0,4,10 pc,4,4,10 sock,8,8,10 msgLength,16,4,10 "
+      "destNameLen,20,4,10 destName,24,0,0\n");
+  ASSERT_TRUE(desc.has_value());
+  std::string rules = "pid=-1, machine=#*\n";
+  for (int i = 1; i < 65536; ++i) rules += "pid=-1\n";
+  rules += "pid=7, sock=#*\n";
+  auto templ = Templates::parse(rules);
+  ASSERT_TRUE(templ.has_value());
+  FilterBytecode bytecode = FilterBytecode::compile(*templ, *desc);
+
+  const util::Bytes wire = send_msg(1, 3, 10, "x").serialize();  // pid 7
+  const auto expected = oracle_line(*desc, *templ, wire.data(), wire.size());
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_NE(*expected, "");
+  EXPECT_EQ(bytecode_line(*desc, bytecode, wire.data(), wire.size()),
+            expected);
 }
 
 TEST(CompiledTemplates, RecordLayoutMatchesDecodeOrder) {

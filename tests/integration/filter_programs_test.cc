@@ -108,13 +108,14 @@ TEST(FilterProgramsTest, BadPortExitsOne) {
 }
 
 TEST(FilterProgramsTest, TakenPortExitsOne) {
-  // countfilter exits without a word.
+  // Every filter program names itself and the port it could not bind.
   expect_exits_one({
       {stdfilter("4870", 4870), "filter: cannot bind meter port\n"},
-      {countfilter("4870", 4870), ""},
+      {countfilter("4870", 4870), "countfilter: cannot bind meter port\n"},
       {localfilter("4870", "4900", 4870),
        "localfilter: cannot bind meter port\n"},
-      {aggregator("4870", "4900", 4870), "aggregator: cannot bind port\n"},
+      {aggregator("4870", "4900", 4870),
+       "aggregator: cannot bind meter port\n"},
   });
 }
 

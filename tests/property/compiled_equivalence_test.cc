@@ -3,8 +3,7 @@
 // the accepted records rendered by trace_line_view, must produce exactly
 // the reference filter's lines (decode + the interpreted Templates
 // evaluator + trace_line), for random rule sets over random meter
-// messages — before, during, and after the bytecode's adaptive clause
-// reorder.
+// messages and for long runs of records through one compiled program.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -194,15 +193,15 @@ TEST_P(CompiledEquivalence, BytecodeMatchesCompiledAndInterpretedOnViews) {
 }
 
 TEST_P(CompiledEquivalence, BytecodeStaysEquivalentAcrossAdaptiveReorder) {
-  // Feed far more records of one type than the learn window so the
-  // program regenerates with reordered clauses; every record's decision
-  // and discard-edited line must match the reference before and after.
+  // A long run of records of one type through one compiled program:
+  // every record's decision and discard-edited line must match the
+  // reference, however many records came before it.
   util::Rng rng(GetParam() * 8837 + 11);
   auto desc = Descriptions::parse(default_descriptions_text());
   ASSERT_TRUE(desc.has_value());
 
   // Multi-clause rules over one hot type, each led by a clause that never
-  // fails, so the reorder must move a more rejecting clause ahead of it.
+  // fails, so records are rejected by a later clause of the rule.
   const std::string text =
       "type=1, pid>=0, msgLength>1024, pid<15, machine=2\n"
       "type=1, sock<100, pid>=15, msgLength<=64, machine=#*\n"
@@ -223,8 +222,6 @@ TEST_P(CompiledEquivalence, BytecodeStaysEquivalentAcrossAdaptiveReorder) {
                           "at record " + std::to_string(i));
     if (HasFatalFailure()) return;
   }
-  // The warmup was long enough that the one-shot reorder actually fired.
-  EXPECT_GT(bytecode.reorders(), 0u);
   EXPECT_GT(bytecode.ops_executed(), 1200u);
 }
 

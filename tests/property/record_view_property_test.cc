@@ -232,9 +232,8 @@ TEST_P(RecordViewProperty, BytecodeEngineEqualsCompiledEngine) {
   // The bytecode engine against the owned-record reference filter, and
   // the same rules compiled into a standalone program that runs record by
   // record without the engine's reassembly or validate scratch. Batches
-  // are large enough that every type passes the bytecode's 256-evaluation
-  // reorder window inside one feed, so the reordered programs are checked
-  // too.
+  // are large enough that every type sees hundreds of records inside one
+  // feed, so each program runs far past its first few evaluations.
   util::Rng rng(GetParam() * 911 + 13);
   auto desc = Descriptions::parse(default_descriptions_text());
   ASSERT_TRUE(desc.has_value());
