@@ -13,13 +13,22 @@
 //   streaming:  TraceTailer::feed in 8 KiB chunks into a fresh
 //               LiveAnalysis (windows + critical path maintained) per pass
 //
-// Every run writes BENCH_live.json: per-workload events/sec for both
-// sides, the streaming/batch ratio, and the equivalence verdict (pair
-// counts and every Lamport clock compared). `bench_live --smoke` asserts
-// only equivalence — timing assertions under ctest or sanitizers are
-// flaky by construction; the recorded ratios are the benchmark's output.
+// A third path feeds each workload's wire bytes through a FilterEngine
+// with a LiveRecordSink, as a session's filter feeds live analysis: each
+// accepted record reaches the aggregator through the sink's wire-view
+// entry point (event_from_view), with no decode and no log.
+//
+// Every run writes BENCH_live.json: per workload the event and pair
+// counts and both equivalence verdicts (the tailer's and the sink's:
+// pair counts, every matched send and every Lamport clock compared with
+// batch). Those are deterministic, so the smoke and the full run write
+// the same file, and scripts/check_bench.sh compares a fresh one with the
+// committed file byte for byte. The events/sec of both sides and their
+// ratio are host time: they are printed, not recorded. The bench exits
+// nonzero when either path diverges from batch on any workload.
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -36,12 +45,12 @@
 namespace dpm::bench {
 namespace {
 
-/// Trace text of one workload: the records rendered by an accept-all
-/// filter, exactly what a filter log (and thus both analysis paths)
-/// contains.
-std::string make_trace_text(Workload w, int events) {
+/// Trace text of a batch of meter records: the records rendered by an
+/// accept-all filter, exactly what a filter log (and thus both analysis
+/// paths) contains.
+std::string trace_text(const util::Bytes& batch) {
   auto engine = make_engine(/*rules=*/"");
-  return engine.feed(1, make_batch(w, events));
+  return engine.feed(1, batch);
 }
 
 /// The pipeline workloads exercise parsing, parking, and connection
@@ -50,7 +59,7 @@ std::string make_trace_text(Workload w, int events) {
 /// connect/accept stream channel with every send paired to a
 /// cross-machine receive, so incremental Lamport/critical-path relaxation
 /// runs for each event.
-std::string make_paired_trace_text(int events) {
+util::Bytes make_paired_batch(int events) {
   using namespace meter;
   std::vector<MeterMsg> msgs;
   msgs.reserve(static_cast<std::size_t>(events) + 2);
@@ -81,18 +90,18 @@ std::string make_paired_trace_text(int events) {
   }
   util::Bytes batch;
   for (const auto& m : msgs) m.serialize_into(batch);
-  auto engine = make_engine(/*rules=*/"");
-  return engine.feed(1, batch);
+  return batch;
 }
 
 struct WorkloadResult {
   const char* workload = "";
   int events = 0;            // trace events parsed per pass
-  std::size_t pairs = 0;     // message pairs (identical on both sides)
+  std::size_t pairs = 0;     // message pairs (identical on every path)
   double batch_eps = 0;      // events/sec, read_trace + order_events
   double live_eps = 0;       // events/sec, TraceTailer + LiveAnalysis
   double ratio = 0;          // live / batch
-  bool equivalent = false;   // pairs + every Lamport clock match
+  bool equivalent = false;   // tailer: pairs + every Lamport clock match
+  bool sink_equivalent = false;  // filter sink's view path: the same
 };
 
 /// Streams `text` through a fresh LiveAnalysis in 8 KiB chunks.
@@ -107,12 +116,27 @@ analysis::live::LiveAnalysis stream_once(const std::string& text) {
   return live;
 }
 
-bool check_equivalence(const std::string& text, std::size_t* pairs_out) {
-  const analysis::Trace trace = analysis::read_trace(text);
-  const analysis::Ordering ord = analysis::order_events(trace);
-  analysis::live::LiveAnalysis live = stream_once(text);
+/// Feeds `batch` through an accept-all FilterEngine, in 8 KiB reads, with
+/// a LiveRecordSink on a fresh LiveAnalysis: the path a session's filter
+/// feeds live analysis by. False when the sink drops a record.
+bool sink_once(const util::Bytes& batch, analysis::live::LiveAnalysis& live) {
+  analysis::live::LiveRecordSink sink(live);
+  auto engine = make_engine(/*rules=*/"");
+  engine.add_sink(&sink);
+  constexpr std::size_t kChunk = 8192;
+  for (std::size_t pos = 0; pos < batch.size(); pos += kChunk) {
+    const std::size_t n = std::min(kChunk, batch.size() - pos);
+    (void)engine.feed(1, util::Bytes(batch.data() + pos, batch.data() + pos + n));
+  }
+  return sink.dropped() == 0;
+}
+
+/// Pairs, the cycle flag, every matched send and every Lamport clock of
+/// `live` equal batch's.
+bool equals_batch(const analysis::live::LiveAnalysis& live,
+                  const analysis::Trace& trace,
+                  const analysis::Ordering& ord) {
   const auto st = live.stats();
-  *pairs_out = st.message_pairs;
   if (live.events() != trace.events.size()) return false;
   if (st.message_pairs != ord.message_pairs) return false;
   if (st.cross_machine_pairs != ord.cross_machine_pairs) return false;
@@ -125,15 +149,27 @@ bool check_equivalence(const std::string& text, std::size_t* pairs_out) {
   return true;
 }
 
-WorkloadResult run_workload(const char* name, const std::string& text,
+void check_equivalence(const util::Bytes& batch, const std::string& text,
+                       WorkloadResult& r) {
+  const analysis::Trace trace = analysis::read_trace(text);
+  const analysis::Ordering ord = analysis::order_events(trace);
+  const analysis::live::LiveAnalysis tailed = stream_once(text);
+  r.pairs = tailed.stats().message_pairs;
+  r.equivalent = equals_batch(tailed, trace, ord);
+  analysis::live::LiveAnalysis sunk;
+  r.sink_equivalent = sink_once(batch, sunk) && equals_batch(sunk, trace, ord);
+}
+
+WorkloadResult run_workload(const char* name, const util::Bytes& batch,
                             double min_seconds, int reps) {
   WorkloadResult r;
   r.workload = name;
+  const std::string text = trace_text(batch);
   {
     const analysis::Trace probe = analysis::read_trace(text);
     r.events = static_cast<int>(probe.events.size());
   }
-  r.equivalent = check_equivalence(text, &r.pairs);
+  check_equivalence(batch, text, r);
 
   const auto per_pass = static_cast<std::uint64_t>(r.events);
   r.batch_eps = best_rate(
@@ -170,13 +206,11 @@ bool write_bench_json(const WorkloadResult (&rs)[4],
         "      \"workload\": \"%s\",\n"
         "      \"events\": %d,\n"
         "      \"message_pairs\": %zu,\n"
-        "      \"batch_events_per_s\": %.0f,\n"
-        "      \"live_events_per_s\": %.0f,\n"
-        "      \"live_over_batch\": %.3f,\n"
-        "      \"equivalent\": %s\n"
+        "      \"equivalent\": %s,\n"
+        "      \"sink_equivalent\": %s\n"
         "    }%s\n",
-        r.workload, r.events, r.pairs, r.batch_eps, r.live_eps, r.ratio,
-        r.equivalent ? "true" : "false", i + 1 < 4 ? "," : "");
+        r.workload, r.events, r.pairs, r.equivalent ? "true" : "false",
+        r.sink_equivalent ? "true" : "false", i + 1 < 4 ? "," : "");
   }
   out << util::strprintf(
       "  ],\n"
@@ -190,16 +224,16 @@ int run(int events, double min_seconds, int reps, bool smoke) {
   WorkloadResult rs[4];
   int i = 0;
   for (Workload w : kWorkloads) {
-    rs[i++] = run_workload(workload_name(w), make_trace_text(w, events),
+    rs[i++] = run_workload(workload_name(w), make_batch(w, events),
                            min_seconds, reps);
   }
-  rs[i] = run_workload("paired", make_paired_trace_text(events), min_seconds,
+  rs[i] = run_workload("paired", make_paired_batch(events), min_seconds,
                        reps);
 
   // The live.* registry of one streaming pass over the paired workload,
   // embedded so the result file carries its own ground-truth counters.
   analysis::live::LiveAnalysis live =
-      stream_once(make_paired_trace_text(events));
+      stream_once(trace_text(make_paired_batch(events)));
   const std::string snapshot = live.obs().snapshot_jsonl();
   const std::string snap_err = obs::validate_snapshot(snapshot);
   if (!snap_err.empty()) {
@@ -216,10 +250,11 @@ int run(int events, double min_seconds, int reps, bool smoke) {
   for (const WorkloadResult& r : rs) {
     std::printf(
         "bench_live%s: %-13s %6d events, %5zu pairs: batch %9.0f ev/s, "
-        "live %9.0f ev/s (%.2fx), equivalent=%s\n",
+        "live %9.0f ev/s (%.2fx), equivalent=%s sink_equivalent=%s\n",
         smoke ? " --smoke" : "", r.workload, r.events, r.pairs, r.batch_eps,
-        r.live_eps, r.ratio, r.equivalent ? "true" : "false");
-    all_ok = all_ok && r.equivalent;
+        r.live_eps, r.ratio, r.equivalent ? "true" : "false",
+        r.sink_equivalent ? "true" : "false");
+    all_ok = all_ok && r.equivalent && r.sink_equivalent;
     // A workload that completes zero pairs exercises none of the
     // relaxation machinery — the measurement would be vacuous.
     if (r.pairs == 0) {
@@ -236,14 +271,17 @@ int run(int events, double min_seconds, int reps, bool smoke) {
 }  // namespace dpm::bench
 
 int main(int argc, char** argv) {
+  // Both modes analyze the same traces, so they write the same file; the
+  // smoke only times each side for less long. Equivalence is the
+  // pass/fail signal; the rates are printed, not asserted (sanitized or
+  // loaded machines make timing flaky).
+  constexpr int kEvents = 6000;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
-      // Equivalence is the pass/fail signal; the ratios are recorded, not
-      // asserted (sanitized or loaded machines make timing flaky).
-      return dpm::bench::run(/*events=*/1500, /*min_seconds=*/0.15,
-                             /*reps=*/2, /*smoke=*/true);
+      return dpm::bench::run(kEvents, /*min_seconds=*/0.15, /*reps=*/2,
+                             /*smoke=*/true);
     }
   }
-  return dpm::bench::run(/*events=*/6000, /*min_seconds=*/0.5, /*reps=*/5,
+  return dpm::bench::run(kEvents, /*min_seconds=*/0.5, /*reps=*/5,
                          /*smoke=*/false);
 }

@@ -14,7 +14,9 @@
 # bench_scale --smoke (per topology and per controller wave),
 # bench_perturbation --smoke, bench_controller --smoke and
 # bench_meter_overhead --smoke must reproduce their committed files
-# exactly. It also runs the analysis smoke
+# exactly, and so must bench_live --smoke (streaming and filter-sink live
+# analysis equal batch on every workload; host events/s are printed, not
+# recorded). It also runs the analysis smoke
 # (bench_analysis --smoke checks EXPERIMENTS E6's figures on its
 # synthetic traces) and prints the task-switch microbench's ns per
 # switch (bench_executive --smoke fails only on a wrong switch count; the
@@ -31,14 +33,14 @@ bench="$repo/$build/bench"
 
 for bin in bench_pipeline bench_filter bench_scale bench_perturbation \
            bench_provenance bench_analysis bench_controller bench_executive \
-           bench_meter_overhead; do
+           bench_meter_overhead bench_live; do
   if [ ! -x "$bench/$bin" ]; then
     echo "check_bench: $bench/$bin not built" >&2
     exit 1
   fi
 done
 for f in BENCH_pipeline.json BENCH_scale.json BENCH_perturbation.json \
-         BENCH_controller.json BENCH_meter_overhead.json; do
+         BENCH_controller.json BENCH_meter_overhead.json BENCH_live.json; do
   if [ ! -f "$repo/$f" ]; then
     echo "check_bench: no committed $f to compare against" >&2
     exit 1
@@ -138,6 +140,19 @@ else
   echo "check_bench: bench_meter_overhead smoke differs from" \
        "BENCH_meter_overhead.json:" >&2
   diff "$repo/BENCH_meter_overhead.json" BENCH_meter_overhead.json >&2 || true
+  fail=1
+fi
+
+echo "== bench_live --smoke (live analysis == batch, tailed and through a filter sink)"
+"$bench/bench_live" --smoke
+
+# Event and pair counts and the two equivalence verdicts: the fresh file
+# must equal the committed one.
+if cmp -s "$repo/BENCH_live.json" BENCH_live.json; then
+  echo "   live: BENCH_live.json reproduced"
+else
+  echo "check_bench: bench_live smoke differs from BENCH_live.json:" >&2
+  diff "$repo/BENCH_live.json" BENCH_live.json >&2 || true
   fail=1
 fi
 

@@ -359,14 +359,25 @@ void TraceTailer::take_line(std::string_view line) {
 
 // ---- LiveRecordSink -------------------------------------------------------
 
+void LiveRecordSink::on_view(const filter::RecordView& v,
+                             const filter::WirePlan& plan,
+                             const std::string_view* strings,
+                             const filter::Descriptions&) {
+  take(event_from_view(v, plan, strings, live_->names()));
+}
+
 void LiveRecordSink::on_record(const filter::Record& rec) {
-  std::optional<RecordEvent> e = event_from_record(rec);
+  const std::optional<RecordEvent> e = event_from_record(rec);
+  take(e ? std::optional<Event>(e->interned(live_->names())) : std::nullopt);
+}
+
+void LiveRecordSink::take(std::optional<Event> e) {
   if (!e) {
     ++dropped_;
     return;
   }
-  e->event.index = live_->events();
-  live_->add_event(*e);
+  e->index = live_->events();
+  live_->add_event(*e, live_->names());
 }
 
 }  // namespace dpm::analysis::live

@@ -93,8 +93,8 @@ class LiveAnalysis {
   /// here (its names are then interned into names()). Indices are
   /// assigned by arrival order; the event's own `index` field is ignored.
   void add_event(const Event& e, const NameTable& names);
-  /// Consumes one record event_from_record converted (the filter sink's
-  /// path), interning its names into names().
+  /// Consumes one record event_from_record converted, interning its
+  /// names into names().
   void add_event(const RecordEvent& e);
 
   // ---- happens-before state (mirrors Ordering for equivalence) ----------
@@ -296,14 +296,19 @@ class TraceTailer {
 };
 
 /// The filter push sink (filter::RecordSink) feeding a LiveAnalysis:
-/// accepted records are converted with event_from_record and aggregated
-/// with no log round-trip. Install on a World with
-/// filter::install_live_sink so every filter started in a session feeds
-/// it.
+/// accepted records are converted straight off the filter's wire view
+/// (event_from_view) and aggregated with no decode and no log round-trip.
+/// Install on a World with filter::install_live_sink so every filter
+/// started in a session feeds it.
 class LiveRecordSink : public filter::RecordSink {
  public:
   explicit LiveRecordSink(LiveAnalysis& live) : live_(&live) {}
 
+  void on_view(const filter::RecordView& v, const filter::WirePlan& plan,
+               const std::string_view* strings,
+               const filter::Descriptions& desc) override;
+  /// The same event from a decoded record (event_from_record), for
+  /// callers that hold one.
   void on_record(const filter::Record& rec) override;
 
   /// Accepted records that did not convert to an Event (unknown name or
@@ -311,6 +316,10 @@ class LiveRecordSink : public filter::RecordSink {
   std::size_t dropped() const { return dropped_; }
 
  private:
+  /// Aggregates a converted event, or counts a record that did not
+  /// convert.
+  void take(std::optional<Event> e);
+
   LiveAnalysis* live_;
   std::size_t dropped_ = 0;
 };

@@ -12,6 +12,11 @@ class BundleSink : public filter::RecordSink {
   explicit BundleSink(std::shared_ptr<LivePredicates> bundle)
       : bundle_(std::move(bundle)), sink_(bundle_->live) {}
 
+  void on_view(const filter::RecordView& v, const filter::WirePlan& plan,
+               const std::string_view* strings,
+               const filter::Descriptions& desc) override {
+    sink_.on_view(v, plan, strings, desc);
+  }
   void on_record(const filter::Record& rec) override { sink_.on_record(rec); }
 
  private:

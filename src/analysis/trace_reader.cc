@@ -40,30 +40,6 @@ Event RecordEvent::interned(NameTable& names) const {
   return e;
 }
 
-std::optional<RecordEvent> event_from_record(const filter::Record& rec) {
-  // Description files name events in caps ("SEND", "RECEIVE").
-  const auto type = meter::event_by_name(rec.event_name);
-  if (!type) return std::nullopt;
-  RecordEvent out;
-  Event& e = out.event;
-  e.type = *type;
-  if (auto v = rec.num("machine")) e.machine = static_cast<std::uint16_t>(*v);
-  if (auto v = rec.num("cpuTime")) e.cpu_time = *v;
-  if (auto v = rec.num("procTime")) e.proc_time = *v;
-  if (auto v = rec.num("pid")) e.pid = static_cast<std::int32_t>(*v);
-  if (auto v = rec.num("pc")) e.pc = static_cast<std::uint32_t>(*v);
-  if (auto v = rec.num("sock")) e.sock = static_cast<std::uint64_t>(*v);
-  if (auto v = rec.num("newSock")) e.new_sock = static_cast<std::uint64_t>(*v);
-  if (auto v = rec.num("msgLength")) e.msg_length = static_cast<std::uint32_t>(*v);
-  if (auto v = rec.num("newPid")) e.new_pid = static_cast<std::int32_t>(*v);
-  if (auto v = rec.num("status")) e.status = static_cast<std::int32_t>(*v);
-  if (auto v = rec.text("destName")) out.dest_name = std::move(*v);
-  if (auto v = rec.text("sourceName")) out.source_name = std::move(*v);
-  if (auto v = rec.text("sockName")) out.sock_name = std::move(*v);
-  if (auto v = rec.text("peerName")) out.peer_name = std::move(*v);
-  return out;
-}
-
 namespace {
 
 /// The bytes the token scan stops at: separators, '=' and '%'.
@@ -75,14 +51,23 @@ constexpr auto kSpecial = [] {
 
 /// The trace fields an Event keeps, plus `event` itself. Every other
 /// field name (size, traceType, domain, ...) is `other` and its value is
-/// never parsed.
+/// never parsed. The four socket names come last, in the order every
+/// converter interns them.
 enum class Field : std::uint8_t {
   machine, cpu_time, proc_time, pid, pc, sock, new_sock, msg_length,
   new_pid, status, dest_name, source_name, sock_name, peer_name,
   event, other,
 };
 
-Field field_of(std::string_view name) {
+// Every field of every event runs field_of and set_num, from three
+// converters. Called from three places, GCC -O2 leaves them out of line,
+// one call per field, and read_trace slowed by about 15%; set_num inlines
+// when declared `inline`, field_of only when forced.
+
+/// The one field-name table of the three Event converters (trace text,
+/// Record, wire view).
+[[gnu::always_inline]] inline Field field_of(std::string_view name) {
+  if (name.empty()) return Field::other;
   switch (name.front()) {
     case 'c':
       if (name == "cpuTime") return Field::cpu_time;
@@ -119,6 +104,48 @@ Field field_of(std::string_view name) {
   return Field::other;
 }
 
+constexpr std::size_t kNameFields = 4;
+
+/// A socket-name field's slot (0..3: dest, source, sock, peer), or
+/// kNameFields for a field that is not a name.
+std::size_t name_slot(Field f) {
+  const auto slot = static_cast<std::size_t>(f) -
+                    static_cast<std::size_t>(Field::dest_name);
+  return slot < kNameFields ? slot : kNameFields;
+}
+
+constexpr NameId Event::*kNameIds[kNameFields] = {
+    &Event::dest_name, &Event::source_name, &Event::sock_name,
+    &Event::peer_name};
+
+/// True the first time a record or line names `f`: a repeated data field
+/// keeps its first value, as Record::find does. `event` and `other`
+/// fields are never claimed.
+bool claim(std::uint32_t& seen, Field f) {
+  if (f == Field::event || f == Field::other) return false;
+  const std::uint32_t bit = 1u << static_cast<unsigned>(f);
+  if ((seen & bit) != 0) return false;
+  seen |= bit;
+  return true;
+}
+
+/// Stores a numeric field's value (a name field is not numeric).
+inline void set_num(Event& e, Field f, std::int64_t n) {
+  switch (f) {
+    case Field::machine: e.machine = static_cast<std::uint16_t>(n); break;
+    case Field::cpu_time: e.cpu_time = n; break;
+    case Field::proc_time: e.proc_time = n; break;
+    case Field::pid: e.pid = static_cast<std::int32_t>(n); break;
+    case Field::pc: e.pc = static_cast<std::uint32_t>(n); break;
+    case Field::sock: e.sock = static_cast<std::uint64_t>(n); break;
+    case Field::new_sock: e.new_sock = static_cast<std::uint64_t>(n); break;
+    case Field::msg_length: e.msg_length = static_cast<std::uint32_t>(n); break;
+    case Field::new_pid: e.new_pid = static_cast<std::int32_t>(n); break;
+    case Field::status: e.status = static_cast<std::int32_t>(n); break;
+    default: break;
+  }
+}
+
 /// The id of a string field's text. Numeric tokens are canonicalized
 /// through their parsed value, as Record::text renders a value that
 /// parse_trace_line stored as an integer ("007" -> "7").
@@ -133,29 +160,10 @@ NameId intern_text(NameTable& names, std::string_view value) {
 }
 
 void apply_field(Event& e, Field f, std::string_view value, NameTable& names) {
-  switch (f) {
-    case Field::dest_name: e.dest_name = intern_text(names, value); return;
-    case Field::source_name: e.source_name = intern_text(names, value); return;
-    case Field::sock_name: e.sock_name = intern_text(names, value); return;
-    case Field::peer_name: e.peer_name = intern_text(names, value); return;
-    default: break;
-  }
-  const auto num = util::parse_int(value);
-  if (!num) return;
-  switch (f) {
-    case Field::machine: e.machine = static_cast<std::uint16_t>(*num); break;
-    case Field::cpu_time: e.cpu_time = *num; break;
-    case Field::proc_time: e.proc_time = *num; break;
-    case Field::pid: e.pid = static_cast<std::int32_t>(*num); break;
-    case Field::pc: e.pc = static_cast<std::uint32_t>(*num); break;
-    case Field::sock: e.sock = static_cast<std::uint64_t>(*num); break;
-    case Field::new_sock: e.new_sock = static_cast<std::uint64_t>(*num); break;
-    case Field::msg_length:
-      e.msg_length = static_cast<std::uint32_t>(*num);
-      break;
-    case Field::new_pid: e.new_pid = static_cast<std::int32_t>(*num); break;
-    case Field::status: e.status = static_cast<std::int32_t>(*num); break;
-    default: break;
+  if (const std::size_t slot = name_slot(f); slot < kNameFields) {
+    e.*kNameIds[slot] = intern_text(names, value);
+  } else if (const auto num = util::parse_int(value)) {
+    set_num(e, f, *num);
   }
 }
 
@@ -201,9 +209,7 @@ bool parse_trace_event_line(std::string_view line, Event& e, NameTable& names) {
       saw_event = true;
       continue;
     }
-    const std::uint32_t bit = 1u << static_cast<unsigned>(f);
-    if (f == Field::other || (seen & bit) != 0) continue;
-    seen |= bit;
+    if (!claim(seen, f)) continue;
     if (escaped) {
       scratch = filter::unescape_value(value);
       value = scratch;
@@ -219,6 +225,68 @@ bool parse_trace_event_line(std::string_view line, Event& e, NameTable& names) {
   if (!t) return false;
   e.type = *t;
   return true;
+}
+
+std::optional<RecordEvent> event_from_record(const filter::Record& rec) {
+  // Description files name events in caps ("SEND", "RECEIVE").
+  const auto type = meter::event_by_name(rec.event_name);
+  if (!type) return std::nullopt;
+  constexpr std::string RecordEvent::*kNameTexts[kNameFields] = {
+      &RecordEvent::dest_name, &RecordEvent::source_name,
+      &RecordEvent::sock_name, &RecordEvent::peer_name};
+  RecordEvent out;
+  out.event.type = *type;
+  std::uint32_t seen = 0;
+  for (const auto& [name, value] : rec.fields) {
+    const Field f = field_of(name);
+    if (!claim(seen, f)) continue;
+    if (const std::size_t slot = name_slot(f); slot < kNameFields) {
+      out.*kNameTexts[slot] = filter::field_value_text(value);
+    } else if (const auto num = filter::field_value_num(value)) {
+      set_num(out.event, f, *num);
+    }
+  }
+  return out;
+}
+
+std::optional<Event> event_from_view(const filter::RecordView& v,
+                                     const filter::WirePlan& plan,
+                                     const std::string_view* strings,
+                                     NameTable& names) {
+  const auto type = meter::event_by_name(plan.event_name());
+  if (!type) return std::nullopt;
+  filter::FieldView fields[filter::WirePlan::kMaxFields];
+  if (!plan.extract(v, fields, std::size(fields), strings)) return std::nullopt;
+  Event e;
+  e.type = *type;
+  // A name field holding an integer is rendered as Record::text renders
+  // it, into its slot's buffer.
+  std::string_view texts[kNameFields];
+  char digits[kNameFields][24];
+  std::uint32_t seen = 0;
+  const std::vector<std::string>& field_names = plan.field_names();
+  for (std::size_t i = 0; i < plan.field_count(); ++i) {
+    const Field f = field_of(field_names[i]);
+    if (!claim(seen, f)) continue;
+    const std::size_t slot = name_slot(f);
+    if (slot == kNameFields) {
+      if (const auto num = filter::field_view_num(fields[i])) {
+        set_num(e, f, *num);
+      }
+    } else if (const auto* n = std::get_if<std::int64_t>(&fields[i])) {
+      char* const buf = digits[slot];
+      const auto res = std::to_chars(buf, buf + sizeof digits[slot], *n);
+      texts[slot] = std::string_view(buf, static_cast<std::size_t>(res.ptr - buf));
+    } else {
+      texts[slot] = std::get<std::string_view>(fields[i]);
+    }
+  }
+  // Interned in RecordEvent::interned's order, so both converters hand a
+  // table the same ids.
+  for (std::size_t slot = 0; slot < kNameFields; ++slot) {
+    e.*kNameIds[slot] = names.intern(texts[slot]);
+  }
+  return e;
 }
 
 Trace read_trace(const std::string& text) {

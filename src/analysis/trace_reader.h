@@ -110,7 +110,19 @@ struct RecordEvent {
 };
 
 /// Converts a decoded filter record; nullopt if the event name is unknown.
+/// One pass over rec.fields; a repeated field keeps its first value.
 std::optional<RecordEvent> event_from_record(const filter::Record& rec);
+
+/// Converts an accepted record straight off its wire view: what the
+/// filter hands a sink's RecordSink::on_view, with `strings` the counted
+/// strings WirePlan::validate resolved for it. Reads the same fields as
+/// event_from_record(*decode(...)) and interns the socket names into
+/// `names` in the same order (dest, source, sock, peer), so both paths
+/// give one table the same ids. nullopt if the event name is unknown.
+std::optional<Event> event_from_view(const filter::RecordView& v,
+                                     const filter::WirePlan& plan,
+                                     const std::string_view* strings,
+                                     NameTable& names);
 
 struct Trace {
   std::vector<Event> events;

@@ -349,6 +349,16 @@ std::optional<WirePlan> WirePlan::build(const EventDesc& desc, int line,
     plan.fields_.push_back(Loc{h.offset, h.width, -1, 0});
   }
   for (const FieldDesc& f : desc.fields) {
+    // A repeated name would let a comparison read only the first such
+    // field while '#' drops them all.
+    if (const std::size_t i = plan.index_of(f.name);
+        i != static_cast<std::size_t>(-1)) {
+      return fail(Kind::duplicate_field,
+                  util::strprintf(i < kHeaderFields.size()
+                                      ? "names header field '%s' in its body"
+                                      : "names field '%s' twice",
+                                  f.name.c_str()));
+    }
     Loc loc;
     if (f.length > 0) {
       loc.offset = meter::kHeaderSize + f.offset;
@@ -359,9 +369,9 @@ std::optional<WirePlan> WirePlan::build(const EventDesc& desc, int line,
                     util::strprintf("has more than %zu counted strings",
                                     kMaxStringFields));
       }
-      // decode() resolves the byte count from the first *already decoded*
-      // field named "<name>Len" — i.e. the first earlier layout field.
-      // Without one, decode() fails every record of the type.
+      // decode() resolves the byte count from the *already decoded* field
+      // named "<name>Len", an earlier layout field. Without one, decode()
+      // fails every record of the type.
       const std::size_t len_field = plan.index_of(f.name + "Len");
       if (len_field == static_cast<std::size_t>(-1)) {
         return fail(Kind::missing_length,

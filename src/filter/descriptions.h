@@ -19,7 +19,8 @@
 // length 0 with base 0 denotes a counted string: its byte count is the
 // value of the earlier "<fieldName>Len" field, and consecutive string
 // fields are laid out one after another starting at the first string
-// field's offset.
+// field's offset. A description names each field once, and no body field
+// takes a header field's name (size, machine, cpuTime, procTime, type).
 #pragma once
 
 #include <cstdint>
@@ -96,6 +97,7 @@ struct DescriptionError {
     missing_length,    // counted string with no earlier "<name>Len" field
     too_many_strings,  // more than WirePlan::kMaxStringFields strings
     too_many_fields,   // more than WirePlan::kMaxFields layout fields
+    duplicate_field,   // a field name used twice (header names included)
   };
   Kind kind = Kind::syntax;
   int line = 0;         // 1-based line of the offending description; 0 = file
@@ -130,8 +132,7 @@ class WirePlan {
   /// from the same Descriptions (the filter bytecode) index by.
   std::size_t index() const { return index_; }
 
-  /// Index of `name` in the layout, or npos. Mirrors Record::find: the
-  /// first field with that name wins.
+  /// Index of `name` in the layout, or npos. Layout names are unique.
   std::size_t index_of(std::string_view name) const;
 
   /// Extracts layout field `i`; nullopt when the record is too short or a

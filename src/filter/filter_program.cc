@@ -31,6 +31,13 @@ FilterEngine::FilterEngine(Descriptions descriptions,
   bytes_out_ = &obs_->counter(key(".bytes_out"));
 }
 
+void RecordSink::on_view(const RecordView& v, const WirePlan&,
+                         const std::string_view*, const Descriptions& desc) {
+  // The engine validated the record against its plan, so the decode
+  // cannot fail.
+  on_record(*desc.decode(v.data, v.size));
+}
+
 void FilterEngine::add_sink(RecordSink* sink) {
   if (sink != nullptr) sinks_.push_back(sink);
 }
@@ -84,12 +91,7 @@ void FilterEngine::select(std::uint64_t conn, const std::uint8_t* raw,
   // may drive live analysis synchronously, and the tracker must see the
   // accept (and queue the identity for live binding) first.
   if (prov_tap_) prov_tap_(conn, raw, size, true);
-  if (!sinks_.empty()) {
-    // Sinks take an owned Record; validate() passed, so the decode cannot
-    // fail.
-    const Record rec = *desc_.decode(raw, size);
-    for (RecordSink* sink : sinks_) sink->on_record(rec);
-  }
+  for (RecordSink* sink : sinks_) sink->on_view(*v, *wp, strings, desc_);
   on_accept(*v, *wp, strings, d.discard);
 }
 

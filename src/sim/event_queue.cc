@@ -16,6 +16,8 @@ EventId EventQueue::schedule(util::TimePoint at, Fn fn) {
 void EventQueue::cancel(EventId id) { cancelled_.insert(id); }
 
 void EventQueue::drop_cancelled() const {
+  // Most calls find nothing cancelled: skip the hash lookup of the top.
+  if (cancelled_.empty()) return;
   while (!heap_.empty() && cancelled_.erase(heap_.front().seq) > 0) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();

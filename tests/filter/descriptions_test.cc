@@ -73,12 +73,17 @@ TEST(Descriptions, RejectsMalformedInput) {
   expect_error("SEND 1, pid,0,4,10 destName,8,0,0\n", Kind::missing_length, 1);
   expect_error(send + "SEND2 2, destName,4,0,0 destNameLen,0,4,10\n",
                Kind::missing_length, 2);
-  // Strings may share one length field (decode resolves each through the
-  // first "<name>Len"), so the string limit is reachable under the field
-  // limit.
+  // A string's length may itself be a counted string (its text parses as
+  // the count), so a chain of n strings takes n + 1 fields and reaches the
+  // string limit under the field limit.
   auto strings = [](int n) {
-    std::string line = "MANY 3, sLen,0,4,10";
-    for (int i = 0; i < n; ++i) line += " s,4,0,0";
+    std::string name = "s";
+    for (int i = 0; i < n; ++i) name += "Len";
+    std::string line = "MANY 3, " + name + ",0,4,10";
+    for (int i = 0; i < n; ++i) {
+      name.resize(name.size() - 3);
+      line += " " + name + ",4,0,0";
+    }
     return line + "\n";
   };
   expect_error(send + strings(17), Kind::too_many_strings, 2);
@@ -90,6 +95,16 @@ TEST(Descriptions, RejectsMalformedInput) {
     return line + "\n";
   };
   expect_error(send + wide(28), Kind::too_many_fields, 2);
+
+  // Each field is named once, and no body field takes a header field's
+  // name: a comparison would read only the first such field while '#'
+  // dropped them all.
+  expect_error("SEND 1, pid,0,4,10 pid,4,4,10\n", Kind::duplicate_field, 1);
+  expect_error(send + "RECV 2, pid,0,4,10 machine,4,8,10\n",
+               Kind::duplicate_field, 2);
+  expect_error(send + "RECV 2, type,0,4,10\n", Kind::duplicate_field, 2);
+  expect_error(send + "RECV 2, nLen,0,4,10 n,4,0,0 n,4,0,0\n",
+               Kind::duplicate_field, 2);
 
   // Exactly at the limits is fine.
   auto ok = Descriptions::parse(send + strings(16) + wide(27));

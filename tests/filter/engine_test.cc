@@ -224,5 +224,46 @@ TEST(FilterEngine, SinkSeesAcceptedRecordsAndLeavesTheLogUnchanged) {
   }
 }
 
+/// Overrides the view entry point: renders each view it is handed and
+/// counts any call of the Record entry point.
+class ViewSink : public RecordSink {
+ public:
+  void on_view(const RecordView& v, const WirePlan& plan,
+               const std::string_view* strings, const Descriptions&) override {
+    std::string line;
+    EXPECT_TRUE(trace_line_view(plan, v, nullptr, strings, line));
+    lines.push_back(std::move(line));
+  }
+  void on_record(const Record&) override { ++record_calls; }
+  std::vector<std::string> lines;
+  std::size_t record_calls = 0;
+};
+
+TEST(FilterEngine, ViewSinkIsNeverHandedARecord) {
+  // A sink that overrides on_view gets every accepted record as a view,
+  // the same records a Record sink gets, and its on_record never runs:
+  // the engine decodes nothing for it.
+  const char* rules = "machine=#*, pid=#*, type=1\ntype=8, sockName=#*\n";
+  util::Bytes batch;
+  for (int i = 0; i < 30; ++i) {
+    const auto m = static_cast<std::uint16_t>(i % 3);
+    stamped(meter::MeterSend{i, 0, 2, 10, "d"}, m).serialize_into(batch);
+    stamped(meter::MeterRecvCall{i, 0, 2}, m).serialize_into(batch);
+    stamped(meter::MeterAccept{i, 0, 4, 5, "a", "b"}, m).serialize_into(batch);
+  }
+  FilterEngine engine = make_engine(rules);
+  ViewSink views;
+  CollectingSink records;
+  engine.add_sink(&views);
+  engine.add_sink(&records);
+  (void)engine.feed(1, batch);
+  EXPECT_EQ(views.record_calls, 0u);
+  ASSERT_EQ(views.lines.size(), 60u);
+  ASSERT_EQ(records.records.size(), views.lines.size());
+  for (std::size_t i = 0; i < views.lines.size(); ++i) {
+    EXPECT_EQ(views.lines[i], trace_line(records.records[i], {}));
+  }
+}
+
 }  // namespace
 }  // namespace dpm::filter

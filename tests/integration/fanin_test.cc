@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "analysis/ordering.h"
 #include "analysis/predicates/service.h"
 #include "analysis/trace_reader.h"
 #include "apps/apps.h"
@@ -236,6 +237,124 @@ TEST(FanInTest, ForwardersSharingACpuKeepTheirOwnSamples) {
   EXPECT_EQ(uplinks.size(), 4u);
   for (const auto& [edge, first_hops] : uplinks) {
     EXPECT_EQ(first_hops.size(), 1u) << "meter edge " << edge;
+  }
+}
+
+/// Forwards the engine's views to the installed live sink and keeps each
+/// accepted record's wire bytes. It overrides only on_view, so the engine
+/// never decodes a Record for it.
+class WireTapSink : public filter::RecordSink {
+ public:
+  explicit WireTapSink(std::shared_ptr<filter::RecordSink> inner)
+      : inner_(std::move(inner)) {}
+
+  void on_view(const filter::RecordView& v, const filter::WirePlan& plan,
+               const std::string_view* strings,
+               const filter::Descriptions& desc) override {
+    wire.emplace_back(v.data, v.data + v.size);
+    inner_->on_view(v, plan, strings, desc);
+  }
+  void on_record(const filter::Record&) override { ++record_calls; }
+
+  std::vector<util::Bytes> wire;
+  std::size_t record_calls = 0;
+
+ private:
+  std::shared_ptr<filter::RecordSink> inner_;
+};
+
+TEST(FanInTest, LiveBundleOnTheViewPathMatchesBatchAndTheRecordPath) {
+  // Datagram bursts (every datagram's SEND carries its destName) and a
+  // cross-leaf pingpong stream through a fan-in tree, every record fed to
+  // the live predicate bundle through the root filter's view path. The
+  // bundle must agree with batch order_events on the retrieved log, pair
+  // for pair and clock for clock, and with a bundle fed the same records
+  // as decoded Records, verdict for verdict.
+  FanInWorld w(4);
+  auto bundle = analysis::pred::install_live_predicates(
+      w.world, analysis::pred::standard_descriptions());
+  auto tap = std::make_shared<WireTapSink>(filter::live_sink(w.world));
+  filter::install_live_sink(w.world, tap);
+  const std::string spec = "burst: @1:* type=send & @2:* type=send";
+  auto& s = *w.session;
+  (void)s.command("filter f1 hub");
+  (void)s.command("fanin f1 2 g 1 4");
+  (void)s.command("predicate add " + spec);
+  (void)s.command("newjob j f1");
+  (void)s.command("setflags j all");
+  (void)s.command("addgroup j g 1 4 1 burst_sender self 9 200 64 512 4 400");
+  (void)s.command("addprocess j g3 pingpong_server 4810 5");
+  (void)s.command("addprocess j g1 pingpong_client g3 4810 5 64");
+  (void)s.command("startjob j");
+  (void)s.command("removejob j");
+  (void)s.command("getlog f1 j.trace");
+  bundle->detector.finish();
+  EXPECT_EQ(tap->record_calls, 0u);
+
+  const auto text = w.world.machine(w.machines[0]).fs.read_text("j.trace");
+  ASSERT_TRUE(text.has_value());
+  const analysis::Trace trace = analysis::read_trace(*text);
+  const analysis::Ordering ord = analysis::order_events(trace);
+  std::size_t datagrams = 0;
+  for (const analysis::Event& e : trace.events) {
+    if (e.type == meter::EventType::send && e.dest_name != 0) ++datagrams;
+  }
+  EXPECT_EQ(datagrams, 4u * 200u);
+  EXPECT_GT(ord.cross_machine_pairs, 0u);
+
+  const analysis::live::LiveAnalysis& live = bundle->live;
+  ASSERT_EQ(live.events(), trace.events.size());
+  EXPECT_EQ(tap->wire.size(), trace.events.size());
+  EXPECT_EQ(live.stats().message_pairs, ord.message_pairs);
+  EXPECT_EQ(live.stats().cross_machine_pairs, ord.cross_machine_pairs);
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    EXPECT_EQ(live.lamport_of(i), ord.events[i].lamport) << "event " << i;
+    EXPECT_EQ(live.matched_send_of(i), ord.events[i].matched_send)
+        << "event " << i;
+  }
+
+  // The same records, decoded, through a sink's Record entry point.
+  const filter::Descriptions& desc = analysis::pred::standard_descriptions();
+  analysis::live::LiveAnalysis by_record(live.config());
+  analysis::pred::PredicateDetector detector(desc, bundle->detector.config());
+  ASSERT_TRUE(detector.add_predicate(spec));
+  by_record.add_observer(&detector);
+  analysis::live::LiveRecordSink record_sink(by_record);
+  for (const util::Bytes& raw : tap->wire) {
+    const auto rec = desc.decode(raw);
+    ASSERT_TRUE(rec.has_value());
+    record_sink.on_record(*rec);
+  }
+  detector.finish();
+  EXPECT_EQ(record_sink.dropped(), 0u);
+  ASSERT_EQ(by_record.events(), live.events());
+  for (std::size_t i = 0; i < live.events(); ++i) {
+    EXPECT_EQ(by_record.lamport_of(i), live.lamport_of(i)) << "event " << i;
+  }
+
+  const auto& want = detector.verdicts();
+  const auto& got = bundle->detector.verdicts();
+  EXPECT_GT(got.size(), 0u);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("verdict " + std::to_string(i));
+    EXPECT_EQ(got[i].predicate, want[i].predicate);
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_EQ(got[i].occurrence, want[i].occurrence);
+    EXPECT_EQ(got[i].cut_lo_us, want[i].cut_lo_us);
+    EXPECT_EQ(got[i].cut_hi_us, want[i].cut_hi_us);
+    EXPECT_EQ(got[i].detect_lag_us, want[i].detect_lag_us);
+    ASSERT_EQ(got[i].witness.size(), want[i].witness.size());
+    for (std::size_t k = 0; k < got[i].witness.size(); ++k) {
+      const auto& a = got[i].witness[k];
+      const auto& b = want[i].witness[k];
+      EXPECT_EQ(a.proc, b.proc);
+      EXPECT_EQ(a.lo_hlc_us, b.lo_hlc_us);
+      EXPECT_EQ(a.hi_hlc_us, b.hi_hlc_us);
+      EXPECT_EQ(a.lo_index, b.lo_index);
+      EXPECT_EQ(a.hi_index, b.hi_index);
+      EXPECT_EQ(a.open, b.open);
+    }
   }
 }
 
