@@ -16,11 +16,13 @@
 # bench_meter_overhead --smoke must reproduce their committed files
 # exactly, and so must bench_live --smoke (streaming and filter-sink live
 # analysis equal batch on every workload; host events/s are printed, not
-# recorded). It also runs the analysis smoke
+# recorded) and bench_ipc --smoke (E5: round trips, throughput and
+# datagram deliveries, all simulated). It also runs the analysis smoke
 # (bench_analysis --smoke checks EXPERIMENTS E6's figures on its
 # synthetic traces) and prints the task-switch microbench's ns per
-# switch (bench_executive --smoke fails only on a wrong switch count; the
-# figure is host time and not bounded). Everything runs in a scratch
+# switch and per in-place advance (bench_executive --smoke fails only on
+# a wrong switch count or clock; the figures are host time and not
+# bounded). Everything runs in a scratch
 # directory: the smokes write their JSON into the cwd, and the committed
 # files must not be clobbered by a gate run.
 # Usage: scripts/check_bench.sh [build-dir]   (default: build)
@@ -33,14 +35,15 @@ bench="$repo/$build/bench"
 
 for bin in bench_pipeline bench_filter bench_scale bench_perturbation \
            bench_provenance bench_analysis bench_controller bench_executive \
-           bench_meter_overhead bench_live; do
+           bench_meter_overhead bench_live bench_ipc; do
   if [ ! -x "$bench/$bin" ]; then
     echo "check_bench: $bench/$bin not built" >&2
     exit 1
   fi
 done
 for f in BENCH_pipeline.json BENCH_scale.json BENCH_perturbation.json \
-         BENCH_controller.json BENCH_meter_overhead.json BENCH_live.json; do
+         BENCH_controller.json BENCH_meter_overhead.json BENCH_live.json \
+         BENCH_ipc.json; do
   if [ ! -f "$repo/$f" ]; then
     echo "check_bench: no committed $f to compare against" >&2
     exit 1
@@ -156,13 +159,26 @@ else
   fail=1
 fi
 
+echo "== bench_ipc --smoke (E5: local beats remote, streams ordered, datagram loss)"
+"$bench/bench_ipc" --smoke
+
+# Simulated round trips, throughput and delivered counts: the fresh file
+# must equal the committed one.
+if cmp -s "$repo/BENCH_ipc.json" BENCH_ipc.json; then
+  echo "   ipc: BENCH_ipc.json reproduced"
+else
+  echo "check_bench: bench_ipc smoke differs from BENCH_ipc.json:" >&2
+  diff "$repo/BENCH_ipc.json" BENCH_ipc.json >&2 || true
+  fail=1
+fi
+
 echo "== bench_provenance --smoke (per-stage tracing gate)"
 "$bench/bench_provenance" --smoke
 
 echo "== bench_analysis --smoke (E6 figures, full_report == its sections)"
 "$bench/bench_analysis" --smoke
 
-echo "== bench_executive --smoke (exact switch count; host ns per switch)"
+echo "== bench_executive --smoke (exact switch count and clock; host ns per switch and advance)"
 "$bench/bench_executive" --smoke
 
 exit "$fail"

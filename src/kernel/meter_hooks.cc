@@ -49,8 +49,7 @@ void meter_emit(World& world, Process& p, MeterEventDraft&& draft) {
     return;
   }
 
-  if (p.machine_cache == nullptr) p.machine_cache = &world.machine(p.machine);
-  Machine& m = *p.machine_cache;
+  Machine& m = world.machine(p.machine);
   const WorldConfig& cfg = world.config();
 
   // Aggregate-init so the body variant is move-constructed in place instead

@@ -22,8 +22,6 @@
 
 namespace dpm::kernel {
 
-class Machine;
-
 enum class ProcStatus { embryo, alive, dead };
 
 /// What a child did; delivered to the parent like SIGCHLD + wait status.
@@ -64,9 +62,6 @@ class Process {
   // ---- the paper's three metering fields ----
   SocketId meter_sock = 0;           // hidden from the descriptor table
   meter::Flags meter_flags = 0;
-  /// The owning machine, resolved once: a process never migrates, and
-  /// World keeps Machine objects alive for its whole lifetime.
-  Machine* machine_cache = nullptr;
   util::Bytes meter_pending;         // serialized, unsent meter messages
   std::uint32_t meter_pending_count = 0;
   /// Record provenance: one emit stamp (sim-time us) per record in

@@ -70,25 +70,27 @@ FrameRemainder count_remaining_frames(const Socket& s) {
 }  // namespace
 
 SocketId World::create_socket(MachineId m, SockDomain domain, SockType type) {
-  const SocketId id = next_socket_++;
-  sockets_[id] = std::make_unique<Socket>(id, m, domain, type);
+  const SocketId id = sockets_.size();
+  sockets_.push_back(std::make_unique<Socket>(id, m, domain, type));
   return id;
 }
 
+Socket* World::socket_object(SocketId id) {
+  return id < sockets_.size() ? sockets_[id].get() : nullptr;
+}
+
 Socket* World::find_socket(SocketId id) {
-  auto it = sockets_.find(id);
-  if (it == sockets_.end()) return nullptr;
-  if (it->second->sstate == Socket::StreamState::closed &&
-      it->second->refs == 0) {
+  Socket* s = socket_object(id);
+  if (s && s->sstate == Socket::StreamState::closed && s->refs == 0) {
     return nullptr;  // destroyed; object kept only for parked waiters
   }
-  return it->second.get();
+  return s;
 }
 
 Socket& World::socket(SocketId id) {
-  auto it = sockets_.find(id);
-  assert(it != sockets_.end());
-  return *it->second;
+  Socket* s = socket_object(id);
+  assert(s);
+  return *s;
 }
 
 void World::socket_ref(SocketId id) {
@@ -100,9 +102,7 @@ void World::socket_ref(SocketId id) {
 
 void World::socket_unref(SocketId id) {
   if (id == 0) return;
-  auto it = sockets_.find(id);
-  assert(it != sockets_.end());
-  Socket& s = *it->second;
+  Socket& s = socket(id);
   assert(s.refs > 0);
   if (--s.refs == 0) destroy_socket(id);
 }
@@ -207,10 +207,7 @@ void World::kernel_stream_send(SocketId from, util::Bytes data,
                /*droppable=*/false, n,
                [this, peer_id, meter_msgs, flush_us, data = std::move(data),
                 prov_emit_us = std::move(prov_emit_us)]() mutable {
-                 auto it = sockets_.find(peer_id);
-                 Socket* p = it == sockets_.end() ? nullptr : it->second.get();
-                 if (!p || (p->sstate == Socket::StreamState::closed &&
-                            p->refs == 0)) {
+                 if (!find_socket(peer_id)) {
                    // The connection died while the batch was in flight.
                    if (meter_msgs) mobs_.lost_records->add(meter_msgs);
                    return;
@@ -278,10 +275,11 @@ MeterConservation World::meter_conservation() const {
   c.lost = mobs_.lost_records->value();
   c.stranded = mobs_.stranded_records->value();
   c.malformed = mobs_.malformed_records->value();
-  for (const auto& [mid, m] : machines_) {
+  for (const auto& m : all_machines()) {
     for (const auto& [pid, p] : m->procs) c.pending += p->meter_pending_count;
   }
-  for (const auto& [id, sp] : sockets_) {
+  for (const auto& sp : sockets_) {
+    if (!sp) continue;
     const Socket& s = *sp;
     if (!s.is_meter_conn || s.meter_tier != 0) continue;
     if (s.sstate == Socket::StreamState::closed && s.refs == 0) continue;
@@ -299,7 +297,8 @@ FanInConservation World::fanin_conservation() const {
   c.overflow = fobs_.overflow_records->value();
   c.stranded = fobs_.stranded->value();
   c.malformed = fobs_.malformed->value();
-  for (const auto& [id, sp] : sockets_) {
+  for (const auto& sp : sockets_) {
+    if (!sp) continue;
     const Socket& s = *sp;
     if (!s.is_meter_conn || s.meter_tier != 1) continue;
     if (s.sstate == Socket::StreamState::closed && s.refs == 0) continue;
@@ -337,10 +336,8 @@ bool World::kernel_fanin_forward(
       /*droppable=*/false, n,
       [this, peer_id, records, data = std::move(data),
        samples = std::move(samples)]() mutable {
-        auto it = sockets_.find(peer_id);
-        Socket* p = it == sockets_.end() ? nullptr : it->second.get();
-        if (!p ||
-            (p->sstate == Socket::StreamState::closed && p->refs == 0)) {
+        Socket* p = find_socket(peer_id);
+        if (!p) {
           // The edge died while the batch was in flight.
           fobs_.lost->add(records);
           if (prov_) prov_->on_fanin_drop(samples);
@@ -368,9 +365,9 @@ bool World::kernel_fanin_forward(
 }
 
 void World::deliver_stream(SocketId to, util::Bytes data, bool accounted) {
-  auto it = sockets_.find(to);
-  if (it == sockets_.end()) return;
-  Socket& s = *it->second;
+  Socket* sp = socket_object(to);
+  if (!sp) return;
+  Socket& s = *sp;
   if (accounted) {
     assert(s.in_flight >= data.size());
     s.in_flight -= data.size();
@@ -387,9 +384,9 @@ void World::deliver_stream(SocketId to, util::Bytes data, bool accounted) {
 }
 
 void World::deliver_eof(SocketId to) {
-  auto it = sockets_.find(to);
-  if (it == sockets_.end()) return;
-  Socket& s = *it->second;
+  Socket* sp = socket_object(to);
+  if (!sp) return;
+  Socket& s = *sp;
   s.eof = true;
   s.readers.wake_all(exec_);
   s.writers.wake_all(exec_);

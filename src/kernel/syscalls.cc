@@ -45,6 +45,7 @@ void Sys::charge(util::Duration d) {
   const util::TimePoint end = start + d;
   m.cpu_free_at = end;
   proc_->cpu_used += d;
+  if (exec.advance_in_place(end)) return;
   const sim::TaskId me = exec.current_task();
   exec.schedule_at(end, [&exec, me] { exec.make_runnable(me); });
   while (exec.now() < end) exec.park_current();
@@ -365,7 +366,7 @@ util::SysResult<void> Sys::connect_impl(Fd fd, const net::SockAddr& name,
     // As in select(): a connect settled before its deadline takes its
     // timer with it, or the stale wakeup holds the event queue open until
     // the deadline. now < dl guarantees the timer has not fired.
-    if (timer_armed && exec.now() < dl) exec.cancel_event(timer_id);
+    if (timer_armed && exec.now() < dl) exec.cancel_event(timer_id, dl);
   } else {
     wait_on(s.connectors, [this, sid] {
       Socket* sock2 = world_.find_socket(sid);
@@ -913,7 +914,9 @@ util::SysResult<SelectResult> Sys::select(const std::vector<Fd>& read_fds,
   // every run-to-quiescence (and any sim-time measurement) out to the
   // full deadline. now < deadline guarantees the timer has not fired.
   const auto disarm = [&] {
-    if (timer_armed && exec.now() < *deadline) exec.cancel_event(timer_id);
+    if (timer_armed && exec.now() < *deadline) {
+      exec.cancel_event(timer_id, *deadline);
+    }
   };
 
   for (;;) {

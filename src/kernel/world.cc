@@ -1,6 +1,5 @@
 #include "kernel/world.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "kernel/meter_hooks.h"
@@ -102,7 +101,7 @@ World::~World() {
   tearing_down_ = true;
   // Abort every live task while the world is still intact so that process
   // finalization (meter flush, descriptor teardown) sees valid state.
-  for (auto& [mid, m] : machines_) {
+  for (const auto& m : all_machines()) {
     for (auto& [pid, p] : m->procs) {
       if (p->status != ProcStatus::dead && p->task != sim::kNoTask &&
           !exec_.task_finished(p->task)) {
@@ -116,13 +115,13 @@ World::~World() {
 MachineId World::add_machine(const std::string& name,
                              std::vector<net::Interface> interfaces,
                              sim::MachineClock::Config clock) {
-  const MachineId id = next_machine_++;
+  const auto id = static_cast<MachineId>(machines_.size());
   auto m = std::make_unique<Machine>(id, static_cast<std::uint16_t>(id - 1),
                                      name, sim::MachineClock(clock), interfaces);
   const bool ok = hosts_.add_host(name, id, std::move(interfaces));
   assert(ok && "duplicate host name or address");
   (void)ok;
-  machines_[id] = std::move(m);
+  machines_.push_back(std::move(m));
   return id;
 }
 
@@ -139,23 +138,21 @@ void World::add_account(MachineId m, Uid uid) {
 }
 
 void World::add_account_everywhere(Uid uid) {
-  for (auto& [id, m] : machines_) m->accounts.insert(uid);
+  for (const auto& m : all_machines()) m->accounts.insert(uid);
 }
 
 Machine& World::machine(MachineId id) {
-  auto it = machines_.find(id);
-  assert(it != machines_.end());
-  return *it->second;
+  assert(id < machines_.size() && machines_[id]);
+  return *machines_[id];
 }
 
 const Machine& World::machine(MachineId id) const {
-  auto it = machines_.find(id);
-  assert(it != machines_.end());
-  return *it->second;
+  assert(id < machines_.size() && machines_[id]);
+  return *machines_[id];
 }
 
 Machine* World::machine_by_name(const std::string& name) {
-  for (auto& [id, m] : machines_) {
+  for (const auto& m : all_machines()) {
     if (m->name == name) return m.get();
   }
   return nullptr;
@@ -164,7 +161,7 @@ Machine* World::machine_by_name(const std::string& name) {
 std::vector<MachineId> World::machines() const {
   std::vector<MachineId> out;
   out.reserve(machines_.size());
-  for (const auto& [id, m] : machines_) out.push_back(id);
+  for (const auto& m : all_machines()) out.push_back(m->id);
   return out;
 }
 
@@ -230,10 +227,10 @@ util::SysResult<Pid> World::spawn_file(MachineId mid, const std::string& path,
 }
 
 Process* World::find_process(MachineId mid, Pid pid) {
-  auto it = machines_.find(mid);
-  if (it == machines_.end()) return nullptr;
-  auto pit = it->second->procs.find(pid);
-  if (pit == it->second->procs.end()) return nullptr;
+  if (mid >= machines_.size() || !machines_[mid]) return nullptr;
+  auto& procs = machines_[mid]->procs;
+  auto pit = procs.find(pid);
+  if (pit == procs.end()) return nullptr;
   return pit->second.get();
 }
 
@@ -329,20 +326,20 @@ void World::add_boot_program(MachineId m, std::function<void(World&)> fn) {
 }
 
 std::size_t World::reset_streams_between(MachineId a, MachineId b) {
+  // Collected in id order, so the EOF events are scheduled
+  // deterministically.
   std::vector<std::pair<SocketId, SocketId>> conns;
-  for (auto& [id, sp] : sockets_) {
+  for (auto& sp : sockets_) {
+    if (!sp) continue;
     Socket& s = *sp;
     if (s.sstate != Socket::StreamState::connected || s.peer == 0) continue;
-    if (id > s.peer) continue;  // handle each connection once
+    if (s.id > s.peer) continue;  // handle each connection once
     Socket* peer = find_socket(s.peer);
     if (!peer) continue;
     const bool spans = (s.machine == a && peer->machine == b) ||
                        (s.machine == b && peer->machine == a);
-    if (spans) conns.emplace_back(id, s.peer);
+    if (spans) conns.emplace_back(s.id, s.peer);
   }
-  // sockets_ is hash-ordered; reset in id order so the EOF events are
-  // scheduled deterministically.
-  std::sort(conns.begin(), conns.end());
   for (auto [x, y] : conns) {
     // Close both endpoints: each side sees EOF after any data already in
     // flight; meter connections degrade at their next flush.
@@ -407,7 +404,7 @@ void World::release_descriptor(Descriptor& d) {
 
 std::size_t World::live_processes() const {
   std::size_t n = 0;
-  for (const auto& [id, m] : machines_) {
+  for (const auto& m : all_machines()) {
     for (const auto& [pid, p] : m->procs) {
       if (p->status == ProcStatus::alive) ++n;
     }
@@ -418,7 +415,7 @@ std::size_t World::live_processes() const {
 std::int64_t World::clock_skew_bound_us() const {
   const std::int64_t horizon = util::count_us(exec_.now());
   std::int64_t worst = 0, second = 0;
-  for (const auto& [id, m] : machines_) {
+  for (const auto& m : all_machines()) {
     const std::int64_t err = m->clock.error_bound_us(horizon);
     if (err >= worst) {
       second = worst;
@@ -571,16 +568,16 @@ sim::replay::Snapshot World::checkpoint() const {
   }
   {
     Digest d;
-    for (const auto& [id, m] : machines_) {
-      d.mix(static_cast<std::uint64_t>(id));
+    for (const auto& m : all_machines()) {
+      d.mix(static_cast<std::uint64_t>(m->id));
       mix_clock(d, m->clock);
     }
     add("sim.clocks", d);
   }
   {
     Digest d;
-    for (const auto& [id, m] : machines_) {
-      d.mix(static_cast<std::uint64_t>(id));
+    for (const auto& m : all_machines()) {
+      d.mix(static_cast<std::uint64_t>(m->id));
       d.mix(static_cast<std::uint64_t>(m->index));
       d.mix(m->name);
       d.mix(static_cast<std::uint64_t>(m->up ? 1 : 0));
@@ -611,13 +608,11 @@ sim::replay::Snapshot World::checkpoint() const {
   }
   {
     Digest d;
-    std::vector<SocketId> ids;
-    ids.reserve(sockets_.size());
-    for (const auto& [id, s] : sockets_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    d.mix(next_socket_);
+    d.mix(static_cast<std::uint64_t>(sockets_.size()));  // the next socket id
     d.mix(next_internal_name_);
-    for (SocketId id : ids) mix_socket(d, *sockets_.at(id));
+    for (const auto& s : sockets_) {
+      if (s) mix_socket(d, *s);
+    }
     add("kernel.sockets", d);
   }
   {
@@ -669,8 +664,8 @@ sim::replay::Snapshot World::checkpoint() const {
   }
   {
     Digest d;
-    for (const auto& [id, m] : machines_) {
-      d.mix(static_cast<std::uint64_t>(id));
+    for (const auto& m : all_machines()) {
+      d.mix(static_cast<std::uint64_t>(m->id));
       for (const auto& [path, f] : m->fs.files()) {
         d.mix(path);
         // The same hash as mixing the whole file as one string: its bytes

@@ -9,8 +9,8 @@
 
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -318,6 +318,14 @@ class World {
   friend void meter_emit(World&, Process&, struct MeterEventDraft&&);
   friend void meter_flush(World&, Process&);
 
+  /// The socket with this id, a destroyed one too (kept for parked
+  /// waiters and in-flight accounting); null for an id never handed out.
+  Socket* socket_object(SocketId id);
+  /// Every machine, in id order: machines_ without its empty slot 0.
+  std::span<const std::unique_ptr<Machine>> all_machines() const {
+    return {machines_.begin() + 1, machines_.end()};
+  }
+
   void finalize_exit(std::shared_ptr<Process> p, int status, bool was_killed);
   void push_child_change(Machine& m, Pid parent, ChildChange change);
   void destroy_socket(SocketId id);
@@ -339,14 +347,14 @@ class World {
   net::Fabric fabric_;
   net::HostTable hosts_;
   ExecRegistry programs_;
-  std::map<MachineId, std::unique_ptr<Machine>> machines_;
-  MachineId next_machine_ = 1;
+  // Machines and sockets are indexed by id: ids start at 1 (slot 0 stays
+  // empty), are never reused, and nothing is erased, so the next id is
+  // the table's size and a walk in index order is a walk in id order.
+  std::vector<std::unique_ptr<Machine>> machines_ =
+      std::vector<std::unique_ptr<Machine>>(1);
   net::HostAddr next_addr_ = 1;
-  // Hash-indexed: meter_emit resolves the meter socket (and its peer) on
-  // every metered event, so lookup cost is hot-path cost. Iteration sites
-  // that affect event ordering sort their worklists first.
-  std::unordered_map<SocketId, std::unique_ptr<Socket>> sockets_;
-  SocketId next_socket_ = 1;
+  std::vector<std::unique_ptr<Socket>> sockets_ =
+      std::vector<std::unique_ptr<Socket>>(1);
   std::uint64_t next_internal_name_ = 1;
   std::vector<ExitListener> exit_listeners_;
   std::map<std::string, std::shared_ptr<void>> services_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 namespace dpm::sim {
@@ -13,14 +14,25 @@ EventId EventQueue::schedule(util::TimePoint at, Fn fn) {
   return id;
 }
 
-void EventQueue::cancel(EventId id) { cancelled_.insert(id); }
+void EventQueue::cancel(EventId id, util::TimePoint at) {
+  cancelled_.emplace_back(at, id);
+  std::push_heap(cancelled_.begin(), cancelled_.end(), std::greater<Key>{});
+}
 
 void EventQueue::drop_cancelled() const {
-  // Most calls find nothing cancelled: skip the hash lookup of the top.
-  if (cancelled_.empty()) return;
-  while (!heap_.empty() && cancelled_.erase(heap_.front().seq) > 0) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+  while (!cancelled_.empty()) {
+    const Key& tomb = cancelled_.front();
+    const bool stale =
+        heap_.empty() || tomb < Key{heap_.front().at, heap_.front().seq};
+    // A tombstone below the top names an event that has already fired.
+    assert(!stale && "event cancelled after it fired");
+    if (!stale) {
+      if (tomb != Key{heap_.front().at, heap_.front().seq}) return;
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
+    std::pop_heap(cancelled_.begin(), cancelled_.end(), std::greater<Key>{});
+    cancelled_.pop_back();
   }
 }
 
@@ -40,13 +52,16 @@ EventQueue::Fn EventQueue::pop() {
 }
 
 std::vector<std::pair<util::TimePoint, EventId>> EventQueue::pending() const {
-  std::vector<std::pair<util::TimePoint, EventId>> out;
-  out.reserve(heap_.size());
-  for (const Event& e : heap_) {
-    if (cancelled_.count(e.seq)) continue;
-    out.emplace_back(e.at, e.seq);
-  }
-  std::sort(out.begin(), out.end());
+  std::vector<Key> all;
+  all.reserve(heap_.size());
+  for (const Event& e : heap_) all.emplace_back(e.at, e.seq);
+  std::sort(all.begin(), all.end());
+  std::vector<Key> dead(cancelled_);
+  std::sort(dead.begin(), dead.end());
+  std::vector<Key> out;
+  out.reserve(all.size() - dead.size());
+  std::set_difference(all.begin(), all.end(), dead.begin(), dead.end(),
+                      std::back_inserter(out));
   return out;
 }
 

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -24,21 +23,22 @@ class EventQueue {
   /// Schedules `fn` at absolute simulated time `at`.
   EventId schedule(util::TimePoint at, Fn fn);
 
-  /// Cancels a pending event: it will neither run nor advance simulated
-  /// time. A queue holding only cancelled events is empty — crucial for
+  /// Cancels a pending event, named by its id and the time it was
+  /// scheduled for: it will neither run nor advance simulated time. A
+  /// queue holding only cancelled events is empty — crucial for
   /// quiescence: a satisfied select must not drag the world out to its
-  /// timeout. Cancelling an event that already fired is a (cheap) bug:
-  /// the tombstone can never be collected; callers guard with now <
-  /// deadline.
-  void cancel(EventId id);
+  /// timeout. Cancelling an event that already fired is a bug (callers
+  /// guard with now < deadline); the next look at the queue asserts.
+  void cancel(EventId id, util::TimePoint at);
 
   bool empty() const {
     drop_cancelled();
     return heap_.empty();
   }
+  /// Live (not cancelled) pending events.
   std::size_t size() const {
     drop_cancelled();
-    return heap_.size();
+    return heap_.size() - cancelled_.size();
   }
 
   /// Time of the earliest pending event; queue must not be empty.
@@ -58,7 +58,14 @@ class EventQueue {
   /// on their next tie-break.
   std::uint64_t next_seq() const { return next_seq_; }
 
+  /// Consumes the next sequence number without scheduling anything: the
+  /// executive's in-place advance stands for an event that would have
+  /// been scheduled and popped at once, and must leave next_seq() where
+  /// that event would have.
+  void skip_seq() { ++next_seq_; }
+
  private:
+  using Key = std::pair<util::TimePoint, EventId>;
   struct Event {
     util::TimePoint at;
     std::uint64_t seq;
@@ -70,15 +77,19 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  /// Pops cancelled events off the top (lazy deletion; each erases its
-  /// tombstone). Mutable + const so empty()/next_time() see through them.
+  /// Pops cancelled events off the top (lazy deletion; each takes its
+  /// tombstone with it). Mutable + const so empty()/next_time() see
+  /// through them.
   void drop_cancelled() const;
 
   // An explicit binary heap (std::push_heap/pop_heap over a vector) with
   // exactly priority_queue's ordering; explicit so pending() can walk the
   // live events without popping them.
   mutable std::vector<Event> heap_;
-  mutable std::unordered_set<EventId> cancelled_;
+  // Tombstones, a min-heap in the heap's own (at, seq) order. Each names
+  // an event still in heap_, so the top event is cancelled exactly when
+  // it equals the smallest tombstone.
+  mutable std::vector<Key> cancelled_;
   std::uint64_t next_seq_ = 0;
 };
 

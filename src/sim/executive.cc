@@ -1,6 +1,5 @@
 #include "sim/executive.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "util/logging.h"
@@ -10,12 +9,15 @@ namespace dpm::sim {
 Executive::Executive() = default;
 
 Executive::~Executive() {
-  // Abort every live task and drain it so each body unwinds on its own
-  // stack before the stack is unmapped.
-  for (auto& [id, st] : tasks_) {
-    if (st.task->started() && !st.task->finished()) {
-      st.task->request_abort();
-      while (!st.task->finished()) st.task->resume();
+  // Abort every live task, in id order, and drain it so each body unwinds
+  // on its own stack before the stack is unmapped. A Task outlives any
+  // growth of tasks_, so it is held by reference, not its slot.
+  for (TaskId id = 1; id < tasks_.size(); ++id) {
+    if (!tasks_[id].task) continue;
+    Task& task = *tasks_[id].task;
+    if (task.started() && !task.finished()) {
+      task.request_abort();
+      while (!task.finished()) task.resume();
     }
   }
 }
@@ -29,7 +31,9 @@ EventId Executive::schedule_after(util::Duration d, std::function<void()> fn) {
   return schedule_at(now_ + d, std::move(fn));
 }
 
-void Executive::cancel_event(EventId id) { events_.cancel(id); }
+void Executive::cancel_event(EventId id, util::TimePoint at) {
+  events_.cancel(id, at);
+}
 
 void Executive::set_obs(obs::Registry* reg) {
   obs_ = reg;
@@ -49,8 +53,8 @@ void Executive::set_obs(obs::Registry* reg) {
 }
 
 TaskId Executive::spawn(std::string name, Task::Body body) {
-  const TaskId id = next_id_++;
-  auto& st = tasks_[id];
+  const TaskId id = tasks_.size();
+  TaskState& st = tasks_.emplace_back();
   st.task = std::make_unique<Task>(std::move(name));
   st.task->start(std::move(body));
   st.runnable = true;
@@ -60,8 +64,8 @@ TaskId Executive::spawn(std::string name, Task::Body body) {
 }
 
 Executive::TaskState* Executive::find(TaskId id) {
-  auto it = tasks_.find(id);
-  return it == tasks_.end() ? nullptr : &it->second;
+  if (id >= tasks_.size() || !tasks_[id].task) return nullptr;
+  return &tasks_[id];
 }
 
 void Executive::make_runnable(TaskId id) {
@@ -94,8 +98,29 @@ void Executive::sleep_until(util::TimePoint t) {
   const TaskId id = current_;
   assert(id != kNoTask);
   if (t <= now_) return;
+  if (advance_in_place(t)) return;
   schedule_at(t, [this, id] { make_runnable(id); });
   park_current();
+}
+
+bool Executive::advance_in_place(util::TimePoint t) {
+  assert(t > now_);
+  // The queued path would schedule a wake-up at t, park, pop that wake-up
+  // and resume the caller. It is the very next thing the executive does
+  // when the caller runs with no pending wake (its first park would
+  // consume it) and no abort (a park would unwind), no task is runnable,
+  // the earliest live event is later than t (one due at exactly t has a
+  // lower sequence number and runs first), and t is within the running
+  // loop's bound.
+  if (current_ == kNoTask) return false;
+  const TaskState& st = tasks_[current_];
+  if (st.wake_pending || st.task->abort_requested()) return false;
+  if (!runnable_.empty() || t > horizon_) return false;
+  if (!events_.empty() && events_.next_time() <= t) return false;
+  events_.skip_seq();
+  enter_dispatch(t);
+  count_dispatch();
+  return true;
 }
 
 void Executive::sleep_for(util::Duration d) { sleep_until(now_ + d); }
@@ -122,6 +147,19 @@ void Executive::resume_task(TaskId id) {
   // without a pending wake it stays off the runnable queue until woken.
 }
 
+void Executive::enter_dispatch(util::TimePoint t) {
+  if (events_per_tick_ && t > now_ && events_this_tick_ > 0) {
+    events_per_tick_->record(static_cast<std::int64_t>(events_this_tick_));
+    events_this_tick_ = 0;
+  }
+  now_ = t;
+}
+
+void Executive::count_dispatch() {
+  if (events_counter_) events_counter_->add(1);
+  ++events_this_tick_;
+}
+
 void Executive::run_one_step(bool& progressed) {
   progressed = false;
   if (!runnable_.empty()) {
@@ -133,21 +171,16 @@ void Executive::run_one_step(bool& progressed) {
     return;
   }
   if (!events_.empty()) {
-    const util::TimePoint next = events_.next_time();
-    if (events_per_tick_ && next > now_ && events_this_tick_ > 0) {
-      events_per_tick_->record(static_cast<std::int64_t>(events_this_tick_));
-      events_this_tick_ = 0;
-    }
-    now_ = next;
+    enter_dispatch(events_.next_time());
     auto fn = events_.pop();
     fn();
-    if (events_counter_) events_counter_->add(1);
-    ++events_this_tick_;
+    count_dispatch();
     progressed = true;
   }
 }
 
 void Executive::run() {
+  horizon_ = util::TimePoint::max();
   bool progressed = true;
   while (progressed && (!runnable_.empty() || !events_.empty())) {
     run_one_step(progressed);
@@ -155,6 +188,7 @@ void Executive::run() {
 }
 
 void Executive::run_until(util::TimePoint t) {
+  horizon_ = t;
   for (;;) {
     if (!runnable_.empty()) {
       bool progressed;
@@ -170,15 +204,12 @@ void Executive::run_until(util::TimePoint t) {
 
 void Executive::digest_tasks(replay::Digest& d) const {
   d.mix(switches_);
-  d.mix(next_id_);
+  d.mix(static_cast<std::uint64_t>(tasks_.size()));  // the next task id
   d.mix(static_cast<std::uint64_t>(runnable_.size()));
   for (TaskId id : runnable_) d.mix(id);
-  std::vector<TaskId> ids;
-  ids.reserve(tasks_.size());
-  for (const auto& [id, st] : tasks_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (TaskId id : ids) {
-    const TaskState& st = tasks_.at(id);
+  for (TaskId id = 1; id < tasks_.size(); ++id) {
+    const TaskState& st = tasks_[id];
+    if (!st.task) continue;
     d.mix(id);
     d.mix(st.task->name());
     d.mix(static_cast<std::uint64_t>((st.task->started() ? 1u : 0u) |
@@ -199,14 +230,14 @@ void Executive::digest_events(replay::Digest& d) const {
 }
 
 bool Executive::task_finished(TaskId id) const {
-  auto it = tasks_.find(id);
-  return it == tasks_.end() || it->second.task->finished();
+  return id >= tasks_.size() || !tasks_[id].task ||
+         tasks_[id].task->finished();
 }
 
 std::size_t Executive::live_tasks() const {
   std::size_t n = 0;
-  for (const auto& [id, st] : tasks_) {
-    if (st.task->started() && !st.task->finished()) ++n;
+  for (const TaskState& st : tasks_) {
+    if (st.task && st.task->started() && !st.task->finished()) ++n;
   }
   return n;
 }

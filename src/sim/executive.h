@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/registry.h"
@@ -38,10 +37,10 @@ class Executive {
   /// Schedules an event on the executive (runs outside any task).
   EventId schedule_at(util::TimePoint t, std::function<void()> fn);
   EventId schedule_after(util::Duration d, std::function<void()> fn);
-  /// Cancels a pending scheduled event: it neither runs nor holds the
-  /// queue open (see EventQueue::cancel). Only valid while the event is
-  /// still pending.
-  void cancel_event(EventId id);
+  /// Cancels a pending scheduled event, named by its id and the time it
+  /// was scheduled for: it neither runs nor holds the queue open (see
+  /// EventQueue::cancel). Only valid while the event is still pending.
+  void cancel_event(EventId id, util::TimePoint at);
 
   /// Creates a task; it becomes runnable immediately.
   TaskId spawn(std::string name, Task::Body body);
@@ -56,6 +55,15 @@ class Executive {
   /// Called from inside a task: suspends until the given simulated time.
   void sleep_until(util::TimePoint t);
   void sleep_for(util::Duration d);
+
+  /// Called from inside a task about to block until `t` > now() on a
+  /// wake-up of its own. When that wake-up would be the very next thing
+  /// the executive does, it advances the clock to `t` in place and
+  /// returns true: nothing is scheduled, parked or switched, but the
+  /// wake-up's sequence number and its dispatch are counted as the
+  /// queued path would have. Otherwise it changes nothing and returns
+  /// false, and the caller queues its wake-up and parks. See DESIGN §15.
+  bool advance_in_place(util::TimePoint t);
 
   /// Aborts a task: the next time it would run it unwinds via TaskAborted.
   /// If it is parked it is woken so the unwind happens promptly.
@@ -73,12 +81,15 @@ class Executive {
   /// Number of task switches done (resumes of a task by the executive).
   std::uint64_t switches() const { return switches_; }
 
+  /// Sequence number the next scheduled event will get (EventQueue).
+  std::uint64_t next_seq() const { return events_.next_seq(); }
+
   bool task_finished(TaskId id) const;
   std::size_t live_tasks() const;
 
   /// Folds the scheduler's replay-relevant state into `d`: switch count,
-  /// next task id, the runnable queue in dispatch order, and the live
-  /// task table (sorted by id; name + started/finished flags).
+  /// next task id, the runnable queue in dispatch order, and the task
+  /// table in id order (name + started/finished flags).
   void digest_tasks(replay::Digest& d) const;
 
   /// Folds the event queue's frontier into `d`: every live (time, seq)
@@ -102,13 +113,22 @@ class Executive {
   void run_one_step(bool& progressed);
   void resume_task(TaskId id);
   TaskState* find(TaskId id);
+  /// Moves the clock to `t` for one event dispatch, closing the last
+  /// instant's sim.events_per_tick sample when time moves.
+  void enter_dispatch(util::TimePoint t);
+  void count_dispatch();
 
   util::TimePoint now_{};
   EventQueue events_;
   std::deque<TaskId> runnable_;
-  std::unordered_map<TaskId, TaskState> tasks_;
-  TaskId next_id_ = 1;
+  // Indexed by id. Ids start at 1 (slot 0 stays empty) and are never
+  // reused. A spawn may grow the vector, so no TaskState pointer is held
+  // across a resume() or park().
+  std::vector<TaskState> tasks_ = std::vector<TaskState>(1);
   TaskId current_ = kNoTask;
+  // The latest time the running loop may reach: run_until's bound, or
+  // the end of time under run().
+  util::TimePoint horizon_ = util::TimePoint::max();
   std::uint64_t switches_ = 0;
 
   // Observability handles (null until set_obs; see obs/registry.h).

@@ -2,6 +2,9 @@
 // syscalls have costs; machines run independently; clocks are skewed.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "kernel/syscalls.h"
 #include "kernel/world.h"
 #include "testing.h"
@@ -35,6 +38,28 @@ TEST_F(CpuTest, LocalProcessesContendForTheCpu) {
                      [&](Sys& sys) { sys.compute(util::msec(20)); });
   world_.run();
   EXPECT_GE(util::count_us(world_.now()), 40000);
+}
+
+TEST_F(CpuTest, SecondChargeQueuesBehindTheFirstOnTheFifoCpu) {
+  // b's charge starts where a's ends (cpu_free_at), so it ends at a's end
+  // plus its own cost. When b charges, a's wake-up is still queued before
+  // b's end, so b cannot advance the clock in place past it.
+  std::vector<std::pair<char, std::int64_t>> ends;
+  (void)world_.spawn(machines_[0], "a", 100, [&](Sys& sys) {
+    sys.compute(util::msec(20));
+    ends.emplace_back('a', util::count_us(world_.now()));
+  });
+  (void)world_.spawn(machines_[0], "b", 100, [&](Sys& sys) {
+    sys.compute(util::msec(30));
+    ends.emplace_back('b', util::count_us(world_.now()));
+  });
+  world_.run();
+  const std::vector<std::pair<char, std::int64_t>> want = {{'a', 20000},
+                                                           {'b', 20000 + 30000}};
+  EXPECT_EQ(ends, want);
+  EXPECT_EQ(util::count_us(world_.now()), 50000);
+  EXPECT_EQ(world_.machine(machines_[0]).cpu_free_at,
+            util::TimePoint{} + util::usec(50000));
 }
 
 TEST_F(CpuTest, RemoteProcessesRunInParallel) {

@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/registry.h"
+
 namespace dpm::sim {
 namespace {
 
@@ -128,6 +130,140 @@ TEST(Executive, RunUntilStopsAtBoundary) {
   EXPECT_EQ(util::count_us(exec.now()), 15);
   exec.run();
   EXPECT_EQ(fired, 2);
+}
+
+// The in-place advance: a task blocking until t whose wake-up would be
+// the very next dispatch moves the clock itself, with no switch.
+
+TEST(Executive, LoneSleeperAdvancesInPlace) {
+  obs::Registry reg;
+  Executive exec;
+  exec.set_obs(&reg);
+  const obs::Counter& dispatched = reg.counter("sim.events_dispatched");
+  constexpr std::uint64_t kSleeps = 1000;
+  std::uint64_t switches = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t events = 0;
+  std::int64_t start_us = -1;
+  exec.spawn("sleeper", [&] {
+    switches = exec.switches();
+    seq = exec.next_seq();
+    events = dispatched.value();
+    start_us = util::count_us(exec.now());
+    for (std::uint64_t i = 0; i < kSleeps; ++i) {
+      exec.sleep_for(usec(3));
+      ASSERT_EQ(util::count_us(exec.now()),
+                start_us + 3 * static_cast<std::int64_t>(i + 1));
+    }
+    switches = exec.switches() - switches;
+    seq = exec.next_seq() - seq;
+    events = dispatched.value() - events;
+  });
+  exec.run();
+  EXPECT_EQ(util::count_us(exec.now()), start_us + 3 * 1000);
+  EXPECT_EQ(switches, 0u);
+  EXPECT_EQ(seq, kSleeps);
+  EXPECT_EQ(events, kSleeps);
+  EXPECT_EQ(exec.switches(), 1u);  // the first resume only
+  // Each advance is an instant of its own, closed by the next one, as
+  // each queued wake-up would have been.
+  EXPECT_EQ(reg.histogram("sim.events_per_tick").count(), kSleeps - 1);
+  EXPECT_EQ(reg.histogram("sim.events_per_tick").sum(),
+            static_cast<std::int64_t>(kSleeps - 1));
+}
+
+TEST(Executive, EarlierEventForcesTheQueuedPath) {
+  Executive exec;
+  std::vector<std::string> order;
+  auto at = [&exec](const char* what) {
+    return what + std::to_string(util::count_us(exec.now()));
+  };
+  exec.schedule_after(usec(5), [&] { order.push_back(at("event@")); });
+  exec.spawn("sleeper", [&] {
+    exec.sleep_for(usec(10));
+    order.push_back(at("sleeper@"));
+  });
+  exec.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"event@5", "sleeper@10"}));
+  EXPECT_EQ(exec.switches(), 2u);  // started, then resumed by its wake-up
+}
+
+TEST(Executive, SecondRunnableTaskForcesTheQueuedPath) {
+  Executive exec;
+  std::vector<std::string> order;
+  auto at = [&exec](const char* what) {
+    return what + std::to_string(util::count_us(exec.now()));
+  };
+  exec.spawn("sleeper", [&] {
+    exec.sleep_for(usec(10));
+    order.push_back(at("sleeper@"));
+  });
+  exec.spawn("other", [&] { order.push_back(at("other@")); });
+  exec.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"other@0", "sleeper@10"}));
+  EXPECT_EQ(exec.switches(), 3u);
+}
+
+TEST(Executive, EventDueExactlyAtTheTargetRunsFirst) {
+  // The event was scheduled first, so its sequence number is lower than
+  // the wake-up's would be: it must run before the sleeper wakes.
+  Executive exec;
+  std::vector<std::string> order;
+  exec.schedule_after(usec(10), [&] { order.push_back("event"); });
+  exec.spawn("sleeper", [&] {
+    exec.sleep_for(usec(10));
+    order.push_back("sleeper");
+  });
+  exec.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"event", "sleeper"}));
+  EXPECT_EQ(util::count_us(exec.now()), 10);
+  EXPECT_EQ(exec.switches(), 2u);
+}
+
+TEST(Executive, RunUntilBoundsTheAdvance) {
+  Executive exec;
+  bool woke = false;
+  exec.spawn("sleeper", [&] {
+    exec.sleep_for(usec(20));
+    woke = true;
+  });
+  exec.run_until(TimePoint{} + usec(15));
+  EXPECT_FALSE(woke);  // parked: the advance may not pass the bound
+  EXPECT_EQ(util::count_us(exec.now()), 15);
+  EXPECT_EQ(exec.live_tasks(), 1u);
+  exec.run();
+  EXPECT_TRUE(woke);
+  EXPECT_EQ(util::count_us(exec.now()), 20);
+  EXPECT_EQ(exec.switches(), 2u);
+
+  // A target exactly at the bound is within it, as an event due there
+  // would be.
+  Executive at_bound;
+  bool done = false;
+  at_bound.spawn("sleeper", [&] {
+    at_bound.sleep_for(usec(15));
+    done = true;
+  });
+  at_bound.run_until(TimePoint{} + usec(15));
+  EXPECT_TRUE(done);
+  EXPECT_EQ(at_bound.switches(), 1u);
+}
+
+TEST(Executive, PendingWakeForcesTheQueuedPath) {
+  // The queued path's park consumes the pending wake and returns at
+  // once, leaving the wake-up event queued; an advance would have moved
+  // the clock and kept the wake.
+  Executive exec;
+  std::int64_t back_at = -1;
+  exec.spawn("self", [&] {
+    exec.make_runnable(exec.current_task());
+    exec.sleep_for(usec(10));
+    back_at = util::count_us(exec.now());
+  });
+  exec.run();
+  EXPECT_EQ(back_at, 0);
+  EXPECT_EQ(util::count_us(exec.now()), 10);  // the wake-up still fired
+  EXPECT_EQ(exec.switches(), 1u);
 }
 
 TEST(Executive, DestructorAbortsLiveTasks) {
