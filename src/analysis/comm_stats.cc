@@ -2,20 +2,24 @@
 
 namespace dpm::analysis {
 
-CommStats communication_statistics(const Trace& trace) {
-  return communication_statistics(trace, ConnectionMatcher(trace));
-}
+namespace {
 
-CommStats communication_statistics(const Trace& trace,
-                                   const ConnectionMatcher& matcher) {
+CommStats statistics(const Trace& trace, const ConnectionMatcher& matcher,
+                     const ProcessSlots& slots) {
   CommStats out;
-  out.graph = build_comm_graph(trace, matcher);
+  out.graph = build_comm_graph(trace, matcher, slots);
 
-  for (const Event& e : trace.events) {
-    auto [it, fresh] = out.per_process.try_emplace(e.proc());
-    ProcessStats& p = it->second;
+  std::vector<ProcessStats> per_slot(slots.procs.size());
+  std::vector<bool> started(slots.procs.size(), false);
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    const Event& e = trace.events[i];
+    const std::uint32_t slot = slots.of_event[i];
+    ProcessStats& p = per_slot[slot];
     ++out.total_events;
-    if (fresh) p.first_cpu_time = e.cpu_time;
+    if (!started[slot]) {
+      started[slot] = true;
+      p.first_cpu_time = e.cpu_time;
+    }
     p.last_cpu_time = e.cpu_time;
     p.final_proc_time = e.proc_time;
 
@@ -55,7 +59,21 @@ CommStats communication_statistics(const Trace& trace,
         break;
     }
   }
+  for (std::size_t s = 0; s < per_slot.size(); ++s) {
+    out.per_process.emplace_hint(out.per_process.end(), slots.procs[s],
+                                 per_slot[s]);
+  }
   return out;
+}
+
+}  // namespace
+
+CommStats communication_statistics(const Trace& trace) {
+  return statistics(trace, ConnectionMatcher(trace), ProcessSlots(trace));
+}
+
+CommStats communication_statistics(const TraceFacts& facts) {
+  return statistics(facts.trace, facts.ordering.matcher, facts.slots);
 }
 
 }  // namespace dpm::analysis

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 
+#include "analysis/facts.h"
 #include "analysis/structure.h"
 #include "analysis/trace_reader.h"
 
@@ -36,8 +37,8 @@ struct CommStats {
 };
 
 CommStats communication_statistics(const Trace& trace);
-/// The same statistics from a matcher already built over `trace`.
-CommStats communication_statistics(const Trace& trace,
-                                   const ConnectionMatcher& matcher);
+/// The same statistics from facts already derived (their matcher and
+/// process slots).
+CommStats communication_statistics(const TraceFacts& facts);
 
 }  // namespace dpm::analysis

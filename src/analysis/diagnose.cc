@@ -28,8 +28,7 @@ std::string Diagnosis::render() const {
 
 Diagnosis diagnose(const Trace& trace) {
   const TraceFacts facts(trace);
-  const ConnectionMatcher& matcher = facts.ordering.matcher;
-  return diagnose(facts, communication_statistics(trace, matcher),
+  return diagnose(facts, communication_statistics(facts),
                   measure_parallelism(facts));
 }
 

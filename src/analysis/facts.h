@@ -44,7 +44,8 @@ struct TraceFacts {
   explicit TraceFacts(Trace&&) = delete;  // would dangle
 
   const Trace& trace;
-  Ordering ordering;  // its matcher is the report's connect/accept join
+  ProcessSlots slots;  // every per-process pass indexes these
+  Ordering ordering;   // its matcher is the report's connect/accept join
   ClockAlignment clocks;
   std::map<ProcKey, Activity> activity;  // every process in the trace
 };

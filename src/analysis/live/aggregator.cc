@@ -36,7 +36,8 @@ std::optional<std::size_t> LiveAnalysis::matched_send_of(std::size_t i) const {
 std::int64_t LiveAnalysis::edge_weight(std::uint32_t u, std::uint32_t v) const {
   // Elapsed local (program edge) or cross-clock (message edge) time, clamped
   // at zero so skewed clocks never produce negative path costs.
-  return std::max<std::int64_t>(0, nodes_[v].t_us - nodes_[u].t_us);
+  return std::max<std::int64_t>(0,
+                                saturating_sub(nodes_[v].t_us, nodes_[u].t_us));
 }
 
 bool LiveAnalysis::relax(std::uint32_t u, std::uint32_t v, EdgeKind kind) {
@@ -51,7 +52,10 @@ bool LiveAnalysis::relax(std::uint32_t u, std::uint32_t v, EdgeKind kind) {
       g_max_lamport_->set(static_cast<std::int64_t>(max_lamport_));
     }
   }
-  const std::int64_t cost = nu.cost + edge_weight(u, v);
+  std::int64_t cost = 0;  // both terms >= 0: only an upward overflow
+  if (__builtin_add_overflow(nu.cost, edge_weight(u, v), &cost)) {
+    cost = INT64_MAX;
+  }
   if (cost > nv.cost || nv.pred == kNone) {
     if (cost > nv.cost) changed = true;
     nv.cost = std::max(nv.cost, cost);
@@ -107,14 +111,15 @@ void LiveAnalysis::on_pair(const PairingCore::Pair& p) {
 
   ++message_pairs_;
   c_pairs_->add(1);
-  const std::int64_t raw_latency = r.t_us - s.t_us;
+  const std::int64_t raw_latency = saturating_sub(r.t_us, s.t_us);
   if (s.proc.machine != r.proc.machine) {
     ++cross_machine_pairs_;
     c_cross_->add(1);
     if (raw_latency < 0) {
       ++clock_anomalies_;
       c_anomalies_->add(1);
-      max_anomaly_us_ = std::max(max_anomaly_us_, -raw_latency);
+      max_anomaly_us_ =
+          std::max(max_anomaly_us_, saturating_sub(s.t_us, r.t_us));
     }
   }
   const std::int64_t latency = std::max<std::int64_t>(0, raw_latency);

@@ -15,6 +15,14 @@
 
 namespace dpm::analysis::live {
 
+/// a - b, saturated to the int64 range. Trace stamps are input: a line
+/// can carry any int64, and the difference of two must not overflow.
+inline std::int64_t saturating_sub(std::int64_t a, std::int64_t b) {
+  std::int64_t d = 0;
+  if (__builtin_sub_overflow(a, b, &d)) return a > b ? INT64_MAX : INT64_MIN;
+  return d;
+}
+
 class RollingWindow {
  public:
   explicit RollingWindow(std::int64_t span_us = 1'000'000)
@@ -32,8 +40,9 @@ class RollingWindow {
   void advance(std::int64_t now_us) {
     if (now_us < now_us_) return;
     now_us_ = now_us;
-    const std::int64_t cutoff = now_us_ - span_us_;
-    while (!entries_.empty() && entries_.front().first <= cutoff) {
+    // t <= now - span, without computing now - span.
+    while (!entries_.empty() &&
+           saturating_sub(now_us_, entries_.front().first) >= span_us_) {
       sum_ -= entries_.front().second;
       entries_.pop_front();
     }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -25,10 +26,12 @@
 
 namespace dpm::analysis {
 
+/// An event's place in the deduced order. Indices are 32-bit: a trace
+/// holds far fewer than 2^32 events.
 struct OrderedEvent {
-  std::size_t index = 0;     // event index in the trace
+  std::uint32_t index = 0;  // event index in the trace
+  std::optional<std::uint32_t> matched_send;  // for receive events
   std::uint64_t lamport = 0;
-  std::optional<std::size_t> matched_send;  // for receive events
 };
 
 struct Ordering {
@@ -47,6 +50,8 @@ struct Ordering {
 };
 
 Ordering order_events(const Trace& trace);
+/// The same ordering, from slots already assigned over `trace`.
+Ordering order_events(const Trace& trace, const ProcessSlots& slots);
 
 /// Per-machine clock offset estimates derived from the trace itself.
 ///

@@ -93,7 +93,7 @@ std::string render_connections(const std::vector<ConnStat>& conns) {
 std::string full_report(const Trace& trace) {
   const TraceFacts facts(trace);
   const ConnectionMatcher& matcher = facts.ordering.matcher;
-  const CommStats stats = communication_statistics(trace, matcher);
+  const CommStats stats = communication_statistics(facts);
   const ParallelismProfile parallelism = measure_parallelism(facts);
   return render_comm_stats(stats) +
          render_connections(connection_table(trace, matcher)) +

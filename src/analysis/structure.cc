@@ -85,11 +85,11 @@ const CommEdge* CommGraph::edge(const ProcKey& from, const ProcKey& to) const {
 }
 
 CommGraph build_comm_graph(const Trace& trace) {
-  return build_comm_graph(trace, ConnectionMatcher(trace));
+  return build_comm_graph(trace, ConnectionMatcher(trace), ProcessSlots(trace));
 }
 
-CommGraph build_comm_graph(const Trace& trace,
-                           const ConnectionMatcher& matcher) {
+CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher,
+                           const ProcessSlots& slots) {
 
   struct Tally {
     std::uint64_t messages = 0;
@@ -153,9 +153,7 @@ CommGraph build_comm_graph(const Trace& trace,
   }
 
   CommGraph g;
-  std::set<ProcKey> nodes;
-  for (const auto& e : trace.events) nodes.insert(e.proc());
-  g.nodes.assign(nodes.begin(), nodes.end());
+  g.nodes = slots.procs;
   for (const auto& [key, t] : edges) {
     g.edges.push_back(CommEdge{key.first, key.second, t.messages, t.bytes});
   }

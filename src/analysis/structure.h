@@ -121,9 +121,10 @@ struct CommGraph {
 };
 
 CommGraph build_comm_graph(const Trace& trace);
-/// The same graph from a matcher already built over `trace`.
-CommGraph build_comm_graph(const Trace& trace,
-                           const ConnectionMatcher& matcher);
+/// The same graph from a matcher and process slots already built over
+/// `trace`.
+CommGraph build_comm_graph(const Trace& trace, const ConnectionMatcher& matcher,
+                           const ProcessSlots& slots);
 
 /// Per-connection statistics: each matched stream connection with its
 /// traffic in both directions (the channel-level view of the structure

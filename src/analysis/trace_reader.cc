@@ -1,9 +1,9 @@
 #include "analysis/trace_reader.h"
 
-#include <algorithm>
-#include <array>
+#include <bit>
 #include <charconv>
-#include <set>
+#include <cstring>
+#include <map>
 
 #include "util/strings.h"
 
@@ -41,13 +41,6 @@ Event RecordEvent::interned(NameTable& names) const {
 }
 
 namespace {
-
-/// The bytes the token scan stops at: separators, '=' and '%'.
-constexpr auto kSpecial = [] {
-  std::array<bool, 256> t{};
-  for (const unsigned char c : {' ', '\t', '=', '%'}) t[c] = true;
-  return t;
-}();
 
 /// The trace fields an Event keeps, plus `event` itself. Every other
 /// field name (size, traceType, domain, ...) is `other` and its value is
@@ -146,75 +139,171 @@ inline void set_num(Event& e, Field f, std::int64_t n) {
   }
 }
 
-/// The id of a string field's text. Numeric tokens are canonicalized
-/// through their parsed value, as Record::text renders a value that
-/// parse_trace_line stored as an integer ("007" -> "7").
-NameId intern_text(NameTable& names, std::string_view value) {
-  if (const auto n = util::parse_int(value)) {
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof buf, *n);
-    return names.intern(
-        std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
-  }
-  return names.intern(value);
+bool is_sep(char c) { return c == ' ' || c == '\t'; }
+
+// Eight bytes at a time: a token's name is found with one load and a few
+// word operations, not a branch per byte. x86-64 is little-endian, so the
+// first byte of a word is its lowest.
+constexpr std::uint64_t kOnes = 0x0101010101010101u;
+constexpr std::uint64_t kHighs = 0x8080808080808080u;
+
+std::uint64_t load8(const char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
 }
 
-void apply_field(Event& e, Field f, std::string_view value, NameTable& names) {
+/// The high bit of each byte of `w` at or above its first byte equal to
+/// `c`: the lowest set bit marks the first such byte exactly (a borrow
+/// only flags bytes after a real match).
+std::uint64_t bytes_equal(std::uint64_t w, unsigned char c) {
+  const std::uint64_t x = w ^ (kOnes * c);
+  return (x - kOnes) & ~x & kHighs;
+}
+
+/// Moves `p` to the first separator or '=' at or after it, or to `end`.
+void find_name_end(const char*& p, const char* end) {
+  for (; end - p >= 8; p += 8) {
+    const std::uint64_t w = load8(p);
+    const std::uint64_t m =
+        bytes_equal(w, '=') | bytes_equal(w, ' ') | bytes_equal(w, '\t');
+    if (m != 0) {
+      p += std::countr_zero(m) / 8;
+      return;
+    }
+  }
+  while (p < end && *p != '=' && !is_sep(*p)) ++p;
+}
+
+/// Moves `p` to the end of the token it is in; true when the bytes it
+/// passed hold a '%' (an escape to decode).
+bool skip_token(const char*& p, const char* end) {
+  bool escaped = false;
+  for (; p < end && !is_sep(*p); ++p) escaped |= *p == '%';
+  return escaped;
+}
+
+/// An integer read off a value's bytes.
+struct Int {
+  std::int64_t value = 0;
+  bool ok = false;  // digits were read and their value fits
+  /// std::to_chars renders `value` as exactly the bytes read (no leading
+  /// zero, no "-0"), so a name's text is already canonical.
+  bool canonical = false;
+};
+
+/// Reads an optional '-' and a run of decimal digits at `p`, by the rules
+/// of std::from_chars for int64_t: no '+', any number of leading zeros, and
+/// a run whose value is out of range is no integer. `p` ends past the run.
+/// The one integer rule of the trace reader: a value is an integer when
+/// this reads it whole.
+[[gnu::always_inline]] inline Int read_int(const char*& p, const char* end) {
+  const bool neg = p < end && *p == '-';
+  if (neg) ++p;
+  const char* const digits = p;
+  std::uint64_t mag = 0;  // may wrap for a run of 20 digits or more
+  for (; p < end; ++p) {
+    const unsigned d = static_cast<unsigned char>(*p) - unsigned{'0'};
+    if (d > 9) break;
+    mag = mag * 10 + d;
+  }
+  Int out;
+  const auto count = p - digits;
+  if (count == 0) return out;
+  if (count > 19) {
+    // Only a run this long can wrap 64 bits (leading zeros aside): read
+    // it again, watching for overflow.
+    bool overflow = false;
+    mag = 0;
+    for (const char* q = digits; q < p; ++q) {
+      overflow |= __builtin_mul_overflow(mag, std::uint64_t{10}, &mag);
+      overflow |= __builtin_add_overflow(
+          mag, std::uint64_t(static_cast<unsigned char>(*q) - '0'), &mag);
+    }
+    if (overflow) return out;
+  }
+  constexpr std::uint64_t kMaxMag = std::uint64_t{1} << 63;  // of -2^63
+  if (mag > kMaxMag - (neg ? 0 : 1)) return out;
+  out.ok = true;
+  out.value = static_cast<std::int64_t>(neg ? std::uint64_t{0} - mag : mag);
+  out.canonical = (*digits != '0' || count == 1) && !(neg && mag == 0);
+  return out;
+}
+
+/// Stores a kept field's value: a socket name is interned, canonicalized
+/// through its integer value as Record::text renders a value that
+/// parse_trace_line stored as an integer ("007" -> "7"); a numeric field
+/// takes an integer and ignores anything else.
+void apply_field(Event& e, Field f, std::string_view text, const Int& n,
+                 NameTable& names) {
   if (const std::size_t slot = name_slot(f); slot < kNameFields) {
-    e.*kNameIds[slot] = intern_text(names, value);
-  } else if (const auto num = util::parse_int(value)) {
-    set_num(e, f, *num);
+    char buf[24];
+    if (n.ok && !n.canonical) {
+      const auto res = std::to_chars(buf, buf + sizeof buf, n.value);
+      text = std::string_view(buf, static_cast<std::size_t>(res.ptr - buf));
+    }
+    e.*kNameIds[slot] = names.intern(text);
+  } else if (n.ok) {
+    set_num(e, f, n.value);
   }
 }
 
 }  // namespace
 
-/// One scan per token finds its end, its first '=' and whether its value
-/// holds a '%'. The only allocations are a socket name's first interning
-/// (and an unescape scratch, for the rare '%'-escaped value). Repeated
-/// names resolve as the Record path does: a data field keeps its first
-/// value (Record::find), `event` its last (parse_trace_line).
+/// One left-to-right scan of the line: each token's name up to its '=',
+/// then, for a field the Event keeps, its value's integer read in the same
+/// pass; the value of any other field is skipped. Only a value holding a
+/// '%' is decoded first (into a scratch string) and read again. The only
+/// allocations are a socket name's first interning and that scratch.
+/// Repeated names resolve as the Record path does: a data field keeps its
+/// first value (Record::find), `event` its last (parse_trace_line).
 bool parse_trace_event_line(std::string_view line, Event& e, NameTable& names) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
   std::string_view event_name;
   bool saw_event = false;
   bool event_escaped = false;
   std::uint32_t seen = 0;  // one bit per Field already applied
   std::string scratch;
-  constexpr std::size_t npos = std::string_view::npos;
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    if (line[pos] == ' ' || line[pos] == '\t') {
-      ++pos;
+  while (p < end) {
+    if (is_sep(*p)) {
+      ++p;
       continue;
     }
-    const std::size_t tok = pos;
-    std::size_t eq = npos;
-    bool escaped = false;
-    for (; pos < line.size(); ++pos) {
-      const char c = line[pos];
-      if (!kSpecial[static_cast<unsigned char>(c)]) continue;
-      if (c == ' ' || c == '\t') break;
-      if (c == '=') {
-        if (eq == npos) eq = pos;
-      } else if (eq != npos) {
-        escaped = true;  // a '%' in the value
-      }
-    }
-    if (eq == npos || eq == tok) return false;
-    const Field f = field_of(line.substr(tok, eq - tok));
-    std::string_view value = line.substr(eq + 1, pos - eq - 1);
+    const char* const tok = p;
+    find_name_end(p, end);
+    if (p == end || *p != '=' || p == tok) return false;  // no name, no '='
+    const Field f =
+        field_of(std::string_view(tok, static_cast<std::size_t>(p - tok)));
+    const char* const value = ++p;
     if (f == Field::event) {
-      event_name = value;
-      event_escaped = escaped;
+      event_escaped = skip_token(p, end);
+      event_name = std::string_view(value, static_cast<std::size_t>(p - value));
       saw_event = true;
       continue;
     }
-    if (!claim(seen, f)) continue;
-    if (escaped) {
-      scratch = filter::unescape_value(value);
-      value = scratch;
+    if (!claim(seen, f)) {
+      (void)skip_token(p, end);
+      continue;
     }
-    apply_field(e, f, value, names);
+    Int n = read_int(p, end);
+    if (p < end && !is_sep(*p)) {
+      // Not a bare integer: the rest of the token decides.
+      n.ok = false;
+      if (skip_token(p, end)) {
+        scratch = filter::unescape_value(
+            std::string_view(value, static_cast<std::size_t>(p - value)));
+        const char* q = scratch.data();
+        const char* const q_end = q + scratch.size();
+        n = read_int(q, q_end);
+        n.ok = n.ok && q == q_end;
+        apply_field(e, f, scratch, n, names);
+        continue;
+      }
+    }
+    apply_field(e, f,
+                std::string_view(value, static_cast<std::size_t>(p - value)), n,
+                names);
   }
   if (!saw_event) return false;
   if (event_escaped) {
@@ -291,17 +380,23 @@ std::optional<Event> event_from_view(const filter::RecordView& v,
 
 Trace read_trace(const std::string& text) {
   Trace out;
+  const char* p = text.data();
+  const char* const end = p + text.size();
   // One Event per line at most: reserving up front keeps the vector from
   // regrowing (and moving every Event) as a large trace loads.
-  out.events.reserve(static_cast<std::size_t>(
-                         std::count(text.begin(), text.end(), '\n')) + 1);
-  const std::string_view sv{text};
-  std::size_t start = 0;
-  while (start < sv.size()) {
-    const std::size_t nl = sv.find('\n', start);
-    const std::size_t end = (nl == std::string_view::npos) ? sv.size() : nl;
-    const std::string_view line = util::trim(sv.substr(start, end - start));
-    start = end + 1;
+  const auto next_line = [end](const char* from) {
+    const void* nl =
+        std::memchr(from, '\n', static_cast<std::size_t>(end - from));
+    return nl == nullptr ? end : static_cast<const char*>(nl);
+  };
+  std::size_t lines = 1;
+  for (const char* q = next_line(p); q != end; q = next_line(q + 1)) ++lines;
+  out.events.reserve(lines);
+  while (p < end) {
+    const char* const nl = next_line(p);
+    const std::string_view line =
+        util::trim(std::string_view(p, static_cast<std::size_t>(nl - p)));
+    p = nl == end ? end : nl + 1;
     if (line.empty() || line[0] == '#') continue;
     Event& e = out.events.emplace_back();
     if (!parse_trace_event_line(line, e, out.names)) {
@@ -314,10 +409,32 @@ Trace read_trace(const std::string& text) {
   return out;
 }
 
-std::vector<ProcKey> Trace::processes() const {
-  std::set<ProcKey> keys;
-  for (const auto& e : events) keys.insert(e.proc());
-  return std::vector<ProcKey>(keys.begin(), keys.end());
+ProcessSlots::ProcessSlots(const Trace& trace) {
+  const std::size_t n = trace.events.size();
+  of_event.resize(n);
+  // Provisional ids in order of first appearance. A trace holds runs of
+  // one process's events (a meter batch each), so the tree is searched
+  // only where the process changes.
+  std::map<ProcKey, std::uint32_t> first_seen;
+  ProcKey last;
+  std::uint32_t last_id = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ProcKey key = trace.events[i].proc();
+    if (i == 0 || key != last) {
+      last = key;
+      const auto id = static_cast<std::uint32_t>(first_seen.size());
+      last_id = first_seen.try_emplace(key, id).first->second;
+    }
+    of_event[i] = last_id;
+  }
+  // Renumber in ProcKey order.
+  std::vector<std::uint32_t> slot_of(first_seen.size());
+  procs.reserve(first_seen.size());
+  for (const auto& [key, id] : first_seen) {
+    slot_of[id] = static_cast<std::uint32_t>(procs.size());
+    procs.push_back(key);
+  }
+  for (std::uint32_t& s : of_event) s = slot_of[s];
 }
 
 }  // namespace dpm::analysis

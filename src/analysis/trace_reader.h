@@ -128,8 +128,18 @@ struct Trace {
   std::vector<Event> events;
   NameTable names;  // the table the events' name ids index
   std::size_t malformed = 0;
+};
 
-  std::vector<ProcKey> processes() const;
+/// Dense per-process slots for one trace, assigned once: slot k is the
+/// k-th process in ProcKey order, so a pass that fills per-slot arrays and
+/// then walks them in slot order visits processes as a std::map keyed by
+/// ProcKey would. Per-event passes index these arrays instead of searching
+/// a tree.
+struct ProcessSlots {
+  explicit ProcessSlots(const Trace& trace);
+
+  std::vector<ProcKey> procs;            // slot -> process, ascending
+  std::vector<std::uint32_t> of_event;   // trace index -> its process's slot
 };
 
 /// Parses a filter log file's text. Lines are scanned as views straight

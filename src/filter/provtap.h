@@ -11,7 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -66,11 +66,15 @@ class ProvenanceTap {
   bool enabled() const { return t_ != nullptr; }
 
   /// Registers a connection's consuming socket id (from Sys::socket_id).
+  /// Connections are descriptors, so they index a table.
   void open_conn(std::uint64_t conn, std::uint64_t edge) {
     if (t_ == nullptr || edge == 0) return;
-    conns_[conn] = ConnState{edge, 0};
+    if (conn >= conns_.size()) conns_.resize(conn + 1);
+    conns_[conn] = ConnState{edge, 0, t_->consumer_queue(edge)};
   }
-  void close_conn(std::uint64_t conn) { conns_.erase(conn); }
+  void close_conn(std::uint64_t conn) {
+    if (conn < conns_.size()) conns_[conn] = ConnState{};
+  }
 
   /// FilterEngine::ProvTap body: one framed record at its decision point.
   /// The engine taps *before* the accept consumers run, so on a staging
@@ -79,19 +83,15 @@ class ProvenanceTap {
   void on_record(std::uint64_t conn, const std::uint8_t* raw, std::size_t size,
                  bool accepted, std::uint32_t staged_pos,
                  std::int64_t now_us) {
-    auto it = conns_.find(conn);
-    if (t_ == nullptr || it == conns_.end()) return;
-    ConnState& cs = it->second;
-    const std::uint64_t idx = cs.count++;
-    // Gate on an in-flight entry, not on the sampler hash: on a fan-in
-    // edge the entries were re-keyed here at indices the origin edge's
-    // sampler chose, which this edge's hash would reject.
-    if (!t_->tracked(cs.edge, idx)) return;
+    ConnState* cs = find(conn);
+    if (cs == nullptr) return;
+    const std::uint64_t idx = cs->count++;
+    if (!gate(*cs, idx)) return;
     const WireIdentity id = wire_identity(raw, size);
-    t_->on_filter(cs.edge, idx, accepted, final_, id.machine, id.pid, id.type,
-                  id.cpu_time, now_us);
+    t_->on_filter(cs->edge, idx, accepted, final_, id.machine, id.pid,
+                  id.type, id.cpu_time, now_us);
     if (!final_ && accepted) {
-      pending_.push_back({staged_pos, cs.edge, idx});
+      pending_.push_back({staged_pos, cs->edge, idx});
     }
   }
 
@@ -99,14 +99,13 @@ class ProvenanceTap {
   /// outbound batch at positions [first_pos, first_pos + n).
   void on_passthrough(std::uint64_t conn, std::size_t n,
                       std::uint32_t first_pos, std::int64_t now_us) {
-    auto it = conns_.find(conn);
-    if (t_ == nullptr || it == conns_.end()) return;
-    ConnState& cs = it->second;
+    ConnState* cs = find(conn);
+    if (cs == nullptr) return;
     for (std::size_t k = 0; k < n; ++k) {
-      const std::uint64_t idx = cs.count++;
-      if (!t_->tracked(cs.edge, idx)) continue;
-      t_->on_stage(cs.edge, idx, now_us);
-      pending_.push_back({first_pos + static_cast<std::uint32_t>(k), cs.edge,
+      const std::uint64_t idx = cs->count++;
+      if (!gate(*cs, idx)) continue;
+      t_->on_stage(cs->edge, idx, now_us);
+      pending_.push_back({first_pos + static_cast<std::uint32_t>(k), cs->edge,
                           idx});
     }
   }
@@ -119,12 +118,28 @@ class ProvenanceTap {
 
  private:
   struct ConnState {
-    std::uint64_t edge = 0;   // consuming socket id
+    std::uint64_t edge = 0;   // consuming socket id; 0: no connection
     std::uint64_t count = 0;  // records framed so far = next index
+    std::shared_ptr<obs::ProvenanceTracker::InflightQueue> inflight;
   };
+
+  ConnState* find(std::uint64_t conn) {
+    if (conn >= conns_.size() || conns_[conn].edge == 0) return nullptr;
+    return &conns_[conn];
+  }
+
+  /// The per-record gate: an in-flight entry, not the sampler hash (on a
+  /// fan-in edge the entries were re-keyed here at indices the origin
+  /// edge's sampler chose, which this edge's hash would reject). An index
+  /// off the front of the edge's in-flight queue is answered there; only
+  /// a front index is looked up.
+  bool gate(ConnState& cs, std::uint64_t idx) {
+    return cs.inflight->take(idx) && t_->tracked(cs.edge, idx);
+  }
+
   obs::ProvenanceTracker* t_;
   bool final_;
-  std::map<std::uint64_t, ConnState> conns_;
+  std::vector<ConnState> conns_;  // indexed by connection
   std::vector<obs::ProvenanceTracker::ForwardSample> pending_;
 };
 

@@ -1,5 +1,6 @@
 #include "net/faults.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <utility>
@@ -303,8 +304,12 @@ FaultInjector::FaultInjector(sim::Executive& exec, Fabric& fabric,
 void FaultInjector::arm() {
   if (armed_) return;
   armed_ = true;
+  // Plan times are absolute. An event already due fires at the install
+  // time, in plan order, so no fault ever sees the clock run backwards.
+  const util::TimePoint now = exec_.now();
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    exec_.schedule_at(plan_.events[i].at, [this, i] { fire(plan_.events[i]); });
+    exec_.schedule_at(std::max(plan_.events[i].at, now),
+                      [this, i] { fire(plan_.events[i]); });
   }
 }
 

@@ -112,7 +112,9 @@ class FaultInjector {
   FaultInjector(sim::Executive& exec, Fabric& fabric, FaultPlan plan,
                 FaultHooks hooks, obs::Registry* reg = nullptr);
 
-  /// Schedules every event of the plan; call once.
+  /// Schedules every event of the plan at its absolute time; call once.
+  /// An event whose time has already passed fires at the install time
+  /// (now), in plan order.
   void arm();
 
   std::size_t injected() const { return injected_; }

@@ -1,5 +1,6 @@
 #include "obs/provenance.h"
 
+#include <cassert>
 #include <cinttypes>
 
 #include "util/strings.h"
@@ -48,17 +49,24 @@ ProvenanceTracker::EdgeState& ProvenanceTracker::edge_state(
   if (it == edges_.end()) {
     EdgeState es;
     es.phase = mix64(edge ^ cfg_.seed) % cfg_.sample_period;
-    it = edges_.emplace(edge, es).first;
+    es.inflight = std::make_shared<InflightQueue>();
+    it = edges_.emplace(edge, std::move(es)).first;
   }
   return it->second;
+}
+
+void ProvenanceTracker::enqueue(EdgeState& es, std::uint64_t index) {
+  std::deque<std::uint64_t>& q = es.inflight->q_;
+  assert(q.empty() || q.back() < index);
+  q.push_back(index);
 }
 
 bool ProvenanceTracker::sampled(std::uint64_t edge, std::uint64_t index) {
   return (index + edge_state(edge).phase) % cfg_.sample_period == 0;
 }
 
-void ProvenanceTracker::open_entry(std::uint64_t edge, std::uint64_t index,
-                                   std::int64_t emit_us,
+void ProvenanceTracker::open_entry(EdgeState& es, std::uint64_t edge,
+                                   std::uint64_t index, std::int64_t emit_us,
                                    std::int64_t enqueue_us) {
   while (entries_.size() >= cfg_.max_inflight && !entries_.empty()) {
     entries_.erase(entries_.begin());
@@ -73,6 +81,7 @@ void ProvenanceTracker::open_entry(std::uint64_t edge, std::uint64_t index,
   h_emit_to_ring_->record(enqueue_us - emit_us);
   c_sampled_->add(1);
   entries_[Key{edge, index}] = std::move(e);
+  enqueue(es, index);
   g_inflight_->set(static_cast<std::int64_t>(entries_.size() +
                                              live_entries_.size()));
 }
@@ -87,7 +96,7 @@ void ProvenanceTracker::on_batch_deliver(
   es.next_index += emit_us.size();
   for (std::size_t i = 0; i < emit_us.size(); ++i) {
     if ((base + i + es.phase) % cfg_.sample_period != 0) continue;
-    open_entry(edge, base + i, emit_us[i], flush_us);
+    open_entry(es, edge, base + i, emit_us[i], flush_us);
   }
 }
 
@@ -176,6 +185,7 @@ void ProvenanceTracker::on_fanin_deliver(
     e.j.hops.push_back(hop);
     e.stage_start_us = -1;
     entries_[Key{out_edge, base + s.pos}] = std::move(e);
+    enqueue(es, base + s.pos);
   }
   g_inflight_->set(static_cast<std::int64_t>(entries_.size() +
                                              live_entries_.size()));
@@ -260,7 +270,10 @@ void ProvenanceTracker::on_verdict_settle(std::uint64_t live_index,
 }
 
 void ProvenanceTracker::on_edge_closed(std::uint64_t edge) {
-  edges_.erase(edge);
+  if (const auto es = edges_.find(edge); es != edges_.end()) {
+    es->second.inflight->q_.clear();  // its consumer may still hold it
+    edges_.erase(es);
+  }
   const auto first = entries_.lower_bound(Key{edge, 0});
   auto it = first;
   std::size_t n = 0;

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,12 +97,43 @@ class ProvenanceTracker {
   bool sampled(std::uint64_t edge, std::uint64_t index);
 
   /// True when (edge, index) has an in-flight entry. This — not sampled()
-  /// — is the filter tap's per-record gate: on an origin (tier-0) edge it
-  /// coincides with the sampler by construction, but on a fan-in edge the
-  /// entries were re-keyed to indices the *origin* edge's sampler chose,
-  /// which the downstream edge's hash knows nothing about.
+  /// — decides the filter tap's per-record gate: on an origin (tier-0)
+  /// edge it coincides with the sampler by construction, but on a fan-in
+  /// edge the entries were re-keyed to indices the *origin* edge's sampler
+  /// chose, which the downstream edge's hash knows nothing about.
   bool tracked(std::uint64_t edge, std::uint64_t index) const {
     return entries_.find(Key{edge, index}) != entries_.end();
+  }
+
+  /// One edge's in-flight indices, in the order the edge's consumer reads
+  /// them. Entries are opened on an edge, or re-keyed onto it by a fan-in
+  /// delivery, in ascending index order as the edge delivers their
+  /// records, and the consumer reads records in that order too. So the
+  /// consumer, holding the queue (consumer_queue), answers an unsampled
+  /// record with no lookup: only an index at the queue's front can be in
+  /// flight. The queue may still hold an index whose entry died (evicted,
+  /// killed), so a front index is confirmed with tracked().
+  class InflightQueue {
+   public:
+    /// True when `index` is the queue's next index; drops it and every
+    /// index below it, which the consumer has passed. Indices must be
+    /// asked in ascending order.
+    bool take(std::uint64_t index) {
+      while (!q_.empty() && q_.front() < index) q_.pop_front();
+      if (q_.empty() || q_.front() != index) return false;
+      q_.pop_front();
+      return true;
+    }
+
+   private:
+    friend class ProvenanceTracker;
+    std::deque<std::uint64_t> q_;
+  };
+
+  /// The in-flight queue of `edge`, for its consumer to hold while it
+  /// reads the edge. It outlives the edge's closing (then it stays empty).
+  std::shared_ptr<InflightQueue> consumer_queue(std::uint64_t edge) {
+    return edge_state(edge).inflight;
   }
 
   // ---- tier-0: emit and transport ---------------------------------------
@@ -185,6 +217,7 @@ class ProvenanceTracker {
   struct EdgeState {
     std::uint64_t next_index = 0;  // next record index to assign
     std::uint64_t phase = 0;       // sampler phase for this edge
+    std::shared_ptr<InflightQueue> inflight;  // shared with the consumer
   };
   struct Entry {
     Journey j;
@@ -200,8 +233,10 @@ class ProvenanceTracker {
   };
 
   EdgeState& edge_state(std::uint64_t edge);
-  void open_entry(std::uint64_t edge, std::uint64_t index,
+  void open_entry(EdgeState& es, std::uint64_t edge, std::uint64_t index,
                   std::int64_t emit_us, std::int64_t enqueue_us);
+  /// Files a new entry's key on its edge's in-flight queue.
+  static void enqueue(EdgeState& es, std::uint64_t index);
   void finish(Entry&& e);
   void kill(const Key& k);
 

@@ -100,7 +100,9 @@ void Executive::sleep_until(util::TimePoint t) {
   if (t <= now_) return;
   if (advance_in_place(t)) return;
   schedule_at(t, [this, id] { make_runnable(id); });
-  park_current();
+  // A pending wake ends the first park at once; the sleep still ends no
+  // earlier than t, on its own wake-up, so none is left queued.
+  while (now_ < t) park_current();
 }
 
 bool Executive::advance_in_place(util::TimePoint t) {

@@ -1,7 +1,10 @@
 // RollingWindow: sliding sim-time sum/count with exact eviction at the
-// window boundary.
+// window boundary; live time arithmetic on extreme trace stamps.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "analysis/live/aggregator.h"
 #include "analysis/live/window.h"
 
 namespace dpm::analysis::live {
@@ -93,6 +96,38 @@ TEST(RollingWindow, NonPositiveSpanClampsToOne) {
   EXPECT_EQ(w.count(), 1u);
   w.advance(102);
   EXPECT_EQ(w.count(), 0u);
+}
+
+TEST(RollingWindow, ExtremeStampsSaturate) {
+  // Stamps are trace input and may be any int64: the cutoff saturates
+  // instead of overflowing below INT64_MIN.
+  RollingWindow w(1000);
+  w.add(INT64_MIN);
+  w.add(INT64_MIN + 10);
+  EXPECT_EQ(w.count(), 2u);
+  w.add(INT64_MAX);  // every earlier entry falls out
+  EXPECT_EQ(w.count(), 1u);
+  EXPECT_EQ(saturating_sub(INT64_MAX, INT64_MIN), INT64_MAX);
+  EXPECT_EQ(saturating_sub(INT64_MIN, 1), INT64_MIN);
+  EXPECT_EQ(saturating_sub(5, 7), -2);
+}
+
+TEST(LiveAnalysisStamps, CriticalPathSaturatesOnExtremeStamps) {
+  // One process whose local clock jumps from near INT64_MIN to near
+  // INT64_MAX: the program edge's elapsed time does not fit an int64, so
+  // the path cost saturates instead of wrapping to a negative clamped 0.
+  LiveAnalysis live;
+  Event first;
+  first.type = meter::EventType::sockcrt;
+  first.machine = 1;
+  first.pid = 7;
+  first.cpu_time = INT64_MIN + 5;
+  Event second = first;
+  second.type = meter::EventType::termproc;
+  second.cpu_time = INT64_MAX - 5;
+  live.add_event(first, live.names());
+  live.add_event(second, live.names());
+  EXPECT_EQ(live.cost_of(1), INT64_MAX);
 }
 
 }  // namespace

@@ -11,25 +11,8 @@
 namespace dpm::analysis {
 namespace {
 
+using analysis_testing::record_path;
 using analysis_testing::Stamp;
-
-/// The Record path read_trace promises to match: parse_trace, then
-/// event_from_record per record; a record it rejects counts as malformed.
-Trace record_path(const std::string& text) {
-  const filter::ParsedTrace parsed = filter::parse_trace(text);
-  Trace out;
-  out.malformed = parsed.malformed;
-  for (const auto& rec : parsed.records) {
-    auto e = event_from_record(rec);
-    if (!e) {
-      ++out.malformed;
-      continue;
-    }
-    e->event.index = out.events.size();
-    out.events.push_back(e->interned(out.names));
-  }
-  return out;
-}
 
 void expect_same_events(const Trace& got, const Trace& want,
                         const std::string& text) {

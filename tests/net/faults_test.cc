@@ -161,5 +161,33 @@ TEST(FaultInjector, PartitionHoldsReliableTrafficUntilHeal) {
   EXPECT_EQ(reg.gauge("faults.active_partitions").high_water(), 1);
 }
 
+TEST(FaultInjector, PastDueEventsFireAtInstallInPlanOrder) {
+  // A plan installed after some of its times: those events fire at the
+  // install time, in plan order, and never see the clock below it.
+  sim::Executive exec;
+  obs::Registry reg;
+  Fabric fabric(exec, 7, &reg);
+  exec.schedule_at(exec.now() + util::msec(5), [] {});
+  exec.run();
+  ASSERT_EQ(util::count_us(exec.now()), 5000);
+
+  auto plan = FaultPlan::parse("crash@3ms a; restart@1ms b; crash@8ms c");
+  ASSERT_TRUE(plan.has_value());
+  std::vector<std::pair<std::string, std::int64_t>> fired;
+  FaultHooks hooks;
+  hooks.crash_machine = [&](const std::string& m) {
+    fired.emplace_back(m, util::count_us(exec.now()));
+  };
+  hooks.restart_machine = hooks.crash_machine;
+  FaultInjector inj(exec, fabric, *plan, hooks, &reg);
+  inj.arm();
+  exec.run();
+
+  const std::vector<std::pair<std::string, std::int64_t>> want = {
+      {"a", 5000}, {"b", 5000}, {"c", 8000}};
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(inj.injected(), 3u);
+}
+
 }  // namespace
 }  // namespace dpm::net

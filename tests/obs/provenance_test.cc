@@ -191,6 +191,45 @@ TEST(ProvenanceTest, EdgeCloseDropsInflightAndResetsTheCounter) {
   EXPECT_TRUE(t.tracked(7, 0));
 }
 
+TEST(ProvenanceTest, ConsumerQueueAdmitsExactlyTheTrackedIndices) {
+  // A consumer reading an edge in order asks its in-flight queue first;
+  // queue-then-tracked must answer every index as tracked alone does, on
+  // an origin edge with evictions and on a fan-in edge after re-keying.
+  Registry reg;
+  ProvenanceTracker t(cfg(3, /*max_inflight=*/5), &reg);
+  const auto origin = t.consumer_queue(7);
+  for (int b = 0; b < 8; ++b) {
+    t.on_batch_deliver(7, std::vector<std::int64_t>(2 + b % 3, 100 + b), 100,
+                       100);
+  }
+  ASSERT_GT(reg.counter("prov.evicted").value(), 0u);  // some died queued
+  std::vector<ProvenanceTracker::ForwardSample> staged;
+  std::uint32_t pos = 0;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    const bool want = t.tracked(7, i);
+    EXPECT_EQ(origin->take(i) && t.tracked(7, i), want) << "index " << i;
+    if (!want) continue;
+    // A staging filter accepts it into the next forward batch.
+    t.on_filter(7, i, true, /*final_filter=*/false, 1, 42, 3, 0, 150);
+    staged.push_back({pos++, 7, i});
+  }
+  ASSERT_FALSE(staged.empty());
+  const auto fanin = t.consumer_queue(9);
+  t.on_fanin_send(staged);
+  t.on_fanin_deliver(9, 2, {}, 200);  // an earlier batch, nothing sampled
+  t.on_fanin_deliver(9, pos + 1, staged, 300);
+  std::size_t admitted = 0;
+  for (std::uint64_t i = 0; i < 2 + pos + 1; ++i) {
+    const bool want = t.tracked(9, i);
+    EXPECT_EQ(fanin->take(i) && t.tracked(9, i), want) << "index " << i;
+    admitted += want;
+  }
+  EXPECT_EQ(admitted, staged.size());
+  // A closed edge leaves its consumer an empty queue.
+  t.on_edge_closed(9);
+  EXPECT_FALSE(fanin->take(2));
+}
+
 TEST(ProvenanceTest, StageListMatchesTheRegisteredHistograms) {
   Registry reg;
   ProvenanceTracker t(cfg(1), &reg);

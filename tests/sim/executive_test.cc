@@ -250,20 +250,24 @@ TEST(Executive, RunUntilBoundsTheAdvance) {
 }
 
 TEST(Executive, PendingWakeForcesTheQueuedPath) {
-  // The queued path's park consumes the pending wake and returns at
-  // once, leaving the wake-up event queued; an advance would have moved
-  // the clock and kept the wake.
+  // The queued path's first park consumes the pending wake; the sleep
+  // parks again and ends on its own wake-up at its target, which leaves
+  // no stale wake-up queued (an advance would have kept the wake).
   Executive exec;
   std::int64_t back_at = -1;
+  bool woke_again = false;
   exec.spawn("self", [&] {
     exec.make_runnable(exec.current_task());
     exec.sleep_for(usec(10));
     back_at = util::count_us(exec.now());
+    exec.park_current();  // nothing is left to wake it
+    woke_again = true;
   });
   exec.run();
-  EXPECT_EQ(back_at, 0);
-  EXPECT_EQ(util::count_us(exec.now()), 10);  // the wake-up still fired
-  EXPECT_EQ(exec.switches(), 1u);
+  EXPECT_EQ(back_at, 10);
+  EXPECT_FALSE(woke_again);
+  EXPECT_EQ(util::count_us(exec.now()), 10);
+  EXPECT_EQ(exec.switches(), 2u);
 }
 
 TEST(Executive, DestructorAbortsLiveTasks) {
